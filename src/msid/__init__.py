@@ -4,7 +4,7 @@ gradients, physics-based penalties, and a reproducible experiment CLI."""
 from .errors import (ConfigError, DimensionMismatch, DivergedRollout,
                      InvalidBox, MaskViolation, MsidError, NonFiniteGradient,
                      NonFiniteState, NonFiniteValue, NonPositiveInertia,
-                     TrajectoryMismatch)
+                     OutsideDomain, TrajectoryMismatch)
 from .gradient import (GradientReport, LossSpec, cost, fd_gradient, gamma_terms,
                        gradient, gradient_naive, prediction_error)
 from .model import (Dataset, DynamicalModel, ModelDims, Trajectory,

@@ -32,7 +32,15 @@ class TrajectoryMismatch(MsidError, ValueError):
     """A stored trajectory does not reproduce under the supplied parameters."""
 
 
-class NonPositiveInertia(MsidError, ValueError):
+class OutsideDomain(MsidError, ValueError):
+    """A candidate lies outside the set of points where the model is defined.
+
+    The identification loop rejects such a candidate and retries with a
+    smaller step, as it does for a non-finite rollout.
+    """
+
+
+class NonPositiveInertia(OutsideDomain):
     """Inertia components must be strictly positive for evaluation."""
 
 

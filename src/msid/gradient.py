@@ -43,17 +43,19 @@ Array = np.ndarray
 
 PSD_TOL = 1e-12
 
-# Steps used for the trajectory spot check are drawn from a fixed stream so
-# that gradient evaluation stays a pure function of its arguments.
-_SPOT_CHECK_SEED = 0x5EED
+# Largest asymmetry of Q, relative to its largest entry, that is taken for
+# rounding (say of A @ D @ A.T) and symmetrized away instead of refused.
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class LossSpec:
     """Weighting and horizon of the multi-step cost.
 
-    ``Q`` is a symmetric positive-semidefinite observation-error weight,
-    ``horizon`` the number of scored steps (>= 2), ``penalty`` an optional
+    ``Q`` is a symmetric positive-semidefinite observation-error weight; a
+    ``Q`` asymmetric only by rounding (at most ``SYMMETRY_TOL`` relative to
+    its largest entry) is replaced by its symmetric part.  ``horizon`` is
+    the number of scored steps (>= 2), ``penalty`` an optional
     :class:`~msid.penalties.PenaltySpec`.
     """
 
@@ -66,7 +68,11 @@ class LossSpec:
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"Q must be square, got shape {q.shape}")
         if not np.array_equal(q, q.T):
-            raise DimensionMismatch("Q must be symmetric")
+            asymmetry = float(np.max(np.abs(q - q.T)))
+            if not asymmetry <= SYMMETRY_TOL * float(np.max(np.abs(q))):
+                raise DimensionMismatch(
+                    f"Q must be symmetric, largest asymmetry is {asymmetry:.3e}")
+            q = (q + q.T) / 2.0
         if float(np.min(np.linalg.eigvalsh(q))) < -PSD_TOL:
             raise DimensionMismatch("Q must be positive semidefinite")
         if self.horizon < 2:
@@ -173,12 +179,12 @@ def gamma_terms(trajectory: Trajectory, dataset: Dataset, spec: LossSpec,
     weighted = (2.0 / horizon) * (errors @ spec.Q)
     jac_g = _observation_jacobians(model, trajectory.states, horizon)
     big_gamma = np.einsum("ti,tij->tj", weighted, jac_g)
-    gamma = np.zeros((horizon, theta.shape[0]))
-    if spec.penalty is not None:
-        for k in range(horizon):
-            x = trajectory.states[k]
-            big_gamma[k] += spec.penalty.step_grad_x(x, theta)
-            gamma[k] += spec.penalty.step_grad_theta(x, theta)
+    if spec.penalty is None:
+        gamma = np.zeros((horizon, theta.shape[0]))
+    else:
+        states = trajectory.states[:horizon]
+        big_gamma += spec.penalty.step_grad_x(states, theta)
+        gamma = spec.penalty.step_grad_theta(states, theta)
     if not (np.all(np.isfinite(big_gamma)) and np.all(np.isfinite(gamma))):
         raise NonFiniteValue("gradient seeds are not finite")
     return gamma, big_gamma
@@ -191,9 +197,7 @@ def _spot_check_trajectory(model, trajectory, dataset, theta):
     if not np.array_equal(trajectory.states[0], trajectory.initial_state):
         raise TrajectoryMismatch("trajectory initial state is inconsistent")
     horizon = trajectory.horizon
-    rng = np.random.default_rng(_SPOT_CHECK_SEED)
-    steps = rng.choice(horizon, size=min(3, horizon), replace=False)
-    for k in steps:
+    for k in sorted({0, horizon // 2, horizon - 1}):
         expected = np.asarray(
             model.f(trajectory.states[k], dataset.inputs[k], theta), dtype=float)
         if not np.array_equal(expected, trajectory.states[k + 1]):
@@ -241,8 +245,8 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
 
     The trajectory must have been produced by :func:`~msid.model.rollout`
     under ``theta`` and its stored initial state; a spot check re-evaluates
-    the dynamics at three steps and raises :class:`TrajectoryMismatch` if
-    the stored states do not reproduce.
+    the dynamics at the first, middle and last step and raises
+    :class:`TrajectoryMismatch` if the stored states do not reproduce.
     """
     theta = np.asarray(theta, dtype=float)
     _spot_check_trajectory(model, trajectory, dataset, theta)

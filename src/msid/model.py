@@ -155,8 +155,8 @@ class Dataset:
     """Measured input and observation sequences with their sampling period.
 
     ``inputs`` has shape (T, n_u) and ``observations`` (T, n_z) with T >= 2.
-    ``dt`` is metadata only; nothing in the package integrates over it.
-    Instances are immutable.
+    Every value must be finite.  ``dt`` is metadata only; nothing in the
+    package integrates over it.  Instances are immutable.
     """
 
     inputs: Array
@@ -177,6 +177,12 @@ class Dataset:
             raise DimensionMismatch(f"need at least 2 samples, got {inputs.shape[0]}")
         if not self.dt > 0:
             raise DimensionMismatch(f"dt must be positive, got {self.dt}")
+        for name, values in (("inputs", inputs), ("observations", observations)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                row, col = bad[0]
+                raise NonFiniteValue(
+                    f"{name}[{row}, {col}] is not finite ({values[row, col]})")
         object.__setattr__(self, "inputs", _freeze(inputs))
         object.__setattr__(self, "observations", _freeze(observations))
         object.__setattr__(self, "dt", float(self.dt))
@@ -227,8 +233,10 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
     """Apply the dynamics recursively over an input sequence.
 
     Returns a trajectory with T+1 states and T predictions for T inputs.
-    Raises :class:`NonFiniteState` (with the offending step index) as soon
-    as a state component stops being finite, signalling a divergent rollout.
+    Raises :class:`NonFiniteState` with the first step whose state has a
+    non-finite component, signalling a divergent rollout.  Finiteness is
+    checked once over all states after the loop, so ``f`` and ``g`` may be
+    called on non-finite states past that step.
     """
     dims = model.dims
     x0 = _vector(x0, dims.n_x, "x0")
@@ -255,10 +263,11 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
         if x.shape != (dims.n_x,):
             raise DimensionMismatch(
                 f"f returned shape {x.shape}, expected ({dims.n_x},)")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(
-                f"state became non-finite at step {k + 1}", step=k + 1)
         states[k + 1] = x
+    finite = np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise NonFiniteState(f"state became non-finite at step {step}", step=step)
     return Trajectory(states=states, predictions=predictions,
                       parameters=theta, initial_state=x0)
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionMismatch, DivergedRollout, NonFiniteGradient,
-                     NonFiniteValue)
+                     NonFiniteValue, OutsideDomain)
 from .gradient import LossSpec, fd_gradient, gradient, gradient_naive
 from .model import Dataset, DynamicalModel, rollout
 from .penalties import project_box
@@ -180,10 +180,13 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
     Every epoch: rollout, cost and gradient, ADAM update of theta and x0
     with their own learning rates, optional projection of theta onto a box,
     stopping check.  An epoch whose candidate makes the rollout or the cost
-    non-finite is rejected: the previous candidate is restored, both
-    learning rates are halved, and the update is retried; after
-    ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the run aborts with
-    :class:`DivergedRollout`.
+    non-finite, or lies outside the model's domain (:class:`OutsideDomain`,
+    e.g. a nonpositive inertia), is rejected: the previous candidate is
+    restored, both learning rates are halved, and the update is retried;
+    after ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the run aborts
+    with :class:`DivergedRollout`.  At the initial candidate there is
+    nothing to restore: a non-finite evaluation raises
+    :class:`DivergedRollout` and an out-of-domain one re-raises its error.
     """
     options = options or IdentifyOptions()
     stopping = options.stopping
@@ -216,10 +219,12 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
         try:
             report = _evaluate(model, dataset, spec, theta, x0,
                                options.gradient_method, options.fd_step)
-        except NonFiniteValue:
+        except (NonFiniteValue, OutsideDomain) as exc:
             rejected += 1
             consecutive += 1
             if previous is None:
+                if isinstance(exc, OutsideDomain):
+                    raise
                 raise DivergedRollout(
                     "rollout diverged at the initial candidate", epoch=epoch)
             if consecutive >= MAX_CONSECUTIVE_REJECTIONS:

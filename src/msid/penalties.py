@@ -1,11 +1,22 @@
 """Differentiable penalties that encode physical knowledge in the cost.
 
-Each term scores one candidate point: state-dependent terms (energy
-deviation, state bounds) are charged at every step of the horizon, while
-parameter-only terms (parameter box) are charged once per cost evaluation.
-Every term carries its own nonnegative weight and exposes analytic
-gradients with respect to the state and the parameters; one of the two is
-identically zero for single-argument terms.
+Terms work row by row.  A state-dependent term receives a block ``x`` of
+states of shape (..., n_x) (a single state is a block of one) and returns
+one result per row:
+
+* ``value(x, theta)`` has shape (...);
+* ``grad_x(x, theta)`` has shape (..., n_x);
+* ``grad_theta(x, theta)`` has shape (..., n_theta).
+
+So :class:`PenaltySpec` charges a whole trajectory with one call per term
+and method, not one per step, and it raises :class:`DimensionMismatch`,
+naming the term, when a term returns anything but one row per state.
+State-dependent terms (energy deviation, state bounds) are charged at every
+step of the horizon.  Parameter-only terms (parameter box) receive
+``x=None`` and are charged once per cost evaluation.  Every term carries
+its own nonnegative weight and exposes analytic gradients with respect to
+the state and the parameters; one of the two is identically zero for
+single-argument terms.
 
 Exponential barriers saturate their exponent at ``exp_cap`` (default 700,
 just under the double-precision overflow boundary) so that a grossly
@@ -20,8 +31,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .errors import InvalidBox
-from .model import numeric_jacobian
+from .errors import DimensionMismatch, InvalidBox, NonFiniteValue
+from .model import FD_STEP
 
 Array = np.ndarray
 
@@ -32,35 +43,69 @@ def _clipped_exp(exponent, cap):
     return np.exp(np.minimum(exponent, cap))
 
 
+def _zero_theta_rows(x, theta) -> Array:
+    return np.zeros(np.shape(x)[:-1] + np.shape(theta))
+
+
+def _row_gradient(fn, x: Array, step: float = FD_STEP) -> Array:
+    """Central-difference gradient of the row-wise scalar map ``fn`` at every
+    row of ``x``, one column of the whole block at a time.
+
+    The perturbation of component j is ``step * max(1, |x_j|)`` in each row,
+    as in :func:`~msid.model.numeric_jacobian`.
+    """
+    grad = np.empty_like(x)
+    for j in range(x.shape[-1]):
+        h = step * np.maximum(1.0, np.abs(x[..., j]))
+        plus = x.copy()
+        plus[..., j] += h
+        minus = x.copy()
+        minus[..., j] -= h
+        f_plus = np.asarray(fn(plus), dtype=float)
+        f_minus = np.asarray(fn(minus), dtype=float)
+        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+            raise NonFiniteValue(f"non-finite evaluation while differencing component {j}")
+        # divide by the exact spacing of the two evaluated points, not by 2h
+        grad[..., j] = (f_plus - f_minus) / (plus[..., j] - minus[..., j])
+    return grad
+
+
 @dataclass(frozen=True)
 class EnergyConservation:
     """Quadratic deviation of a scalar energy function from a reference value.
 
     ``h(x) = (energy_fn(x) - reference)**2``.  ``energy_fn`` must be a fixed
-    map of the state alone; if ``energy_grad`` is omitted its gradient is
-    approximated by central differences.
+    map of the state alone, applied row by row: it maps a block of states of
+    shape (..., n_x) to energies of shape (...).  ``energy_grad``, if given,
+    maps the same block to gradients of shape (..., n_x); if omitted, the
+    gradient is approximated by central differences.
     """
 
-    energy_fn: Callable[[Array], float]
+    energy_fn: Callable[[Array], Array]
     reference: float
     energy_grad: Optional[Callable[[Array], Array]] = None
     weight: float = 1.0
 
     depends_on_state: ClassVar[bool] = True
 
-    def value(self, x, theta) -> float:
-        return float(self.energy_fn(x) - self.reference) ** 2
+    def _deviation(self, x) -> Array:
+        return np.asarray(self.energy_fn(x), dtype=float) - self.reference
+
+    def value(self, x, theta) -> Array:
+        deviation = self._deviation(x)
+        return deviation * deviation
 
     def grad_x(self, x, theta) -> Array:
-        deviation = float(self.energy_fn(x) - self.reference)
+        x = np.asarray(x, dtype=float)
+        deviation = self._deviation(x)
         if self.energy_grad is not None:
             grad = np.asarray(self.energy_grad(x), dtype=float)
         else:
-            grad = numeric_jacobian(lambda v: np.atleast_1d(self.energy_fn(v)), x)[0]
-        return 2.0 * deviation * grad
+            grad = _row_gradient(self.energy_fn, x)
+        return (2.0 * deviation)[..., None] * grad
 
     def grad_theta(self, x, theta) -> Array:
-        return np.zeros_like(np.asarray(theta, dtype=float))
+        return _zero_theta_rows(x, theta)
 
 
 @dataclass(frozen=True)
@@ -83,16 +128,18 @@ class UpperBarrier:
         if not self.alpha > 0:
             raise InvalidBox(f"alpha must be positive, got {self.alpha}")
 
-    def value(self, x, theta) -> float:
+    def _exp(self, x) -> Array:
         exponent = 2.0 * self.alpha * (np.asarray(x, dtype=float) - self.bounds)
-        return float(np.sum(_clipped_exp(exponent, self.exp_cap)))
+        return _clipped_exp(exponent, self.exp_cap)
+
+    def value(self, x, theta) -> Array:
+        return np.sum(self._exp(x), axis=-1)
 
     def grad_x(self, x, theta) -> Array:
-        exponent = 2.0 * self.alpha * (np.asarray(x, dtype=float) - self.bounds)
-        return 2.0 * self.alpha * _clipped_exp(exponent, self.exp_cap)
+        return 2.0 * self.alpha * self._exp(x)
 
     def grad_theta(self, x, theta) -> Array:
-        return np.zeros_like(np.asarray(theta, dtype=float))
+        return _zero_theta_rows(x, theta)
 
 
 @dataclass(frozen=True)
@@ -116,16 +163,18 @@ class LowerBarrier:
         if not self.alpha > 0:
             raise InvalidBox(f"alpha must be positive, got {self.alpha}")
 
-    def value(self, x, theta) -> float:
+    def _exp(self, x) -> Array:
         exponent = 2.0 * self.alpha * (self.bounds - np.asarray(x, dtype=float))
-        return float(np.sum(_clipped_exp(exponent, self.exp_cap)))
+        return _clipped_exp(exponent, self.exp_cap)
+
+    def value(self, x, theta) -> Array:
+        return np.sum(self._exp(x), axis=-1)
 
     def grad_x(self, x, theta) -> Array:
-        exponent = 2.0 * self.alpha * (self.bounds - np.asarray(x, dtype=float))
-        return -2.0 * self.alpha * _clipped_exp(exponent, self.exp_cap)
+        return -2.0 * self.alpha * self._exp(x)
 
     def grad_theta(self, x, theta) -> Array:
-        return np.zeros_like(np.asarray(theta, dtype=float))
+        return _zero_theta_rows(x, theta)
 
 
 @dataclass(frozen=True)
@@ -194,19 +243,24 @@ class ReluUpperBound:
     def __post_init__(self):
         object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
 
-    def value(self, x, theta) -> float:
-        return float(np.sum(np.maximum(0.0, np.asarray(x, dtype=float) - self.bounds)))
+    def value(self, x, theta) -> Array:
+        return np.sum(np.maximum(0.0, np.asarray(x, dtype=float) - self.bounds), axis=-1)
 
     def grad_x(self, x, theta) -> Array:
         return (np.asarray(x, dtype=float) > self.bounds).astype(float)
 
     def grad_theta(self, x, theta) -> Array:
-        return np.zeros_like(np.asarray(theta, dtype=float))
+        return _zero_theta_rows(x, theta)
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """An ordered collection of penalty terms with per-term weights."""
+    """An ordered collection of penalty terms with per-term weights.
+
+    The ``step_*`` methods take a block of states of shape (..., n_x) and
+    return the weighted sum over the state-dependent terms, one row per
+    state.
+    """
 
     terms: tuple
 
@@ -223,20 +277,29 @@ class PenaltySpec:
     def _param_terms(self):
         return (t for t in self.terms if not t.depends_on_state)
 
-    def step_value(self, x, theta) -> float:
-        """Weighted penalty charged at one step of the horizon."""
-        return sum(t.weight * t.value(x, theta) for t in self._state_terms())
+    def step_value(self, x, theta) -> Array:
+        """Weighted penalty charged at each state row of ``x``, shape (...)."""
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape[:-1])
+        for t in self._state_terms():
+            total += t.weight * _rows(t, "value", t.value(x, theta), total.shape)
+        return total
 
     def step_grad_x(self, x, theta) -> Array:
-        grad = np.zeros_like(np.asarray(x, dtype=float))
+        """Gradient of :meth:`step_value` w.r.t. each state row, shape (..., n_x)."""
+        x = np.asarray(x, dtype=float)
+        grad = np.zeros_like(x)
         for t in self._state_terms():
-            grad += t.weight * t.grad_x(x, theta)
+            grad += t.weight * _rows(t, "grad_x", t.grad_x(x, theta), grad.shape)
         return grad
 
     def step_grad_theta(self, x, theta) -> Array:
-        grad = np.zeros_like(np.asarray(theta, dtype=float))
+        """Gradient of :meth:`step_value` w.r.t. the parameters, one row per
+        state, shape (..., n_theta)."""
+        x = np.asarray(x, dtype=float)
+        grad = _zero_theta_rows(x, theta)
         for t in self._state_terms():
-            grad += t.weight * t.grad_theta(x, theta)
+            grad += t.weight * _rows(t, "grad_theta", t.grad_theta(x, theta), grad.shape)
         return grad
 
     def param_value(self, theta) -> float:
@@ -251,10 +314,19 @@ class PenaltySpec:
 
     def total_value(self, states, theta) -> float:
         """Weighted penalty over a whole trajectory (states = first T rows)."""
-        total = self.param_value(theta)
-        for x in states:
-            total += self.step_value(x, theta)
-        return float(total)
+        return float(self.param_value(theta) + np.sum(self.step_value(states, theta)))
+
+
+def _rows(term, method: str, result, shape: tuple) -> Array:
+    """``result`` of ``term.method`` as an array, checked to hold one row per
+    state; a term written for a single point would otherwise be charged once
+    for the whole block."""
+    result = np.asarray(result, dtype=float)
+    if result.shape != shape:
+        raise DimensionMismatch(
+            f"penalty term {type(term).__name__}.{method} returned shape "
+            f"{result.shape}, expected {shape}: terms must return one row per state")
+    return result
 
 
 def eval_penalty(term, x, theta) -> float:

@@ -39,30 +39,43 @@ def _check_inertia(inertia) -> Array:
     return inertia
 
 
+def _rates(omega, torque, inertia) -> tuple:
+    """Angular acceleration from (x, y, z) sequences of Python floats."""
+    wx, wy, wz = omega
+    ix, iy, iz = inertia
+    return ((torque[0] - (iz - iy) * wy * wz) / ix,
+            (torque[1] - (ix - iz) * wz * wx) / iy,
+            (torque[2] - (iy - ix) * wx * wy) / iz)
+
+
 def angular_rates(omega, torque, inertia) -> Array:
     """Angular acceleration of the rigid body: solve I*dw/dt = M - w x (I*w)."""
-    wx, wy, wz = omega[0], omega[1], omega[2]
-    ix, iy, iz = inertia[0], inertia[1], inertia[2]
-    return np.array([
-        (torque[0] - (iz - iy) * wy * wz) / ix,
-        (torque[1] - (ix - iz) * wz * wx) / iy,
-        (torque[2] - (iy - ix) * wx * wy) / iz,
-    ])
+    return np.array(_rates(np.asarray(omega, dtype=float).tolist(),
+                           np.asarray(torque, dtype=float).tolist(),
+                           np.asarray(inertia, dtype=float).tolist()))
 
 
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
-    """One integrator step of the rigid-body equations (torque held constant)."""
-    inertia = _check_inertia(inertia)
-    omega = np.asarray(omega, dtype=float)
-    torque = np.asarray(torque, dtype=float)
+    """One integrator step of the rigid-body equations (torque held constant).
+
+    The arithmetic runs on Python floats, which round exactly as numpy
+    float64 scalars do, at a fraction of their per-operation cost.
+    """
+    inertia = _check_inertia(inertia).tolist()
+    omega = np.asarray(omega, dtype=float).tolist()
+    torque = np.asarray(torque, dtype=float).tolist()
     if integrator == FORWARD_EULER:
-        return omega + dt * angular_rates(omega, torque, inertia)
+        rates = _rates(omega, torque, inertia)
+        return np.array([w + dt * r for w, r in zip(omega, rates)])
     if integrator == RK4:
-        k1 = angular_rates(omega, torque, inertia)
-        k2 = angular_rates(omega + 0.5 * dt * k1, torque, inertia)
-        k3 = angular_rates(omega + 0.5 * dt * k2, torque, inertia)
-        k4 = angular_rates(omega + dt * k3, torque, inertia)
-        return omega + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half = 0.5 * dt
+        k1 = _rates(omega, torque, inertia)
+        k2 = _rates([w + half * k for w, k in zip(omega, k1)], torque, inertia)
+        k3 = _rates([w + half * k for w, k in zip(omega, k2)], torque, inertia)
+        k4 = _rates([w + dt * k for w, k in zip(omega, k3)], torque, inertia)
+        sixth = dt / 6.0
+        return np.array([w + sixth * (a + 2.0 * b + 2.0 * c + d)
+                         for w, a, b, c, d in zip(omega, k1, k2, k3, k4)])
     raise ValueError(f"unknown integrator {integrator!r}")
 
 
@@ -257,15 +270,24 @@ def generate_dataset(model: DynamicalModel, x0_true, theta_true, horizon: int,
     return Dataset(inputs, observations, dt)
 
 
-def rotational_energy(omega, inertia) -> float:
-    """Kinetic energy of the spinning body, (1/2) * sum_i I_i * w_i^2."""
+def rotational_energy(omega, inertia):
+    """Kinetic energy of the spinning body, (1/2) * sum_i I_i * w_i^2.
+
+    ``omega`` may be one state or a block of shape (..., 3); the result has
+    one energy per row, shape (...).
+    """
     inertia = _check_inertia(inertia)
     omega = np.asarray(omega, dtype=float)
-    return 0.5 * float(inertia @ (omega * omega))
+    # one (1, 3) @ (3,) product per row: numpy evaluates each with the same
+    # dot routine as ``inertia @ (omega * omega)``, so a block's energies equal
+    # its rows' bit for bit (an einsum or a (T, 3) @ (3,) product rounds
+    # differently)
+    return 0.5 * ((omega * omega)[..., None, :] @ inertia)[..., 0]
 
 
 def rotational_energy_gradient(omega, inertia) -> Array:
-    """Gradient of the rotational energy w.r.t. the angular velocity: I*w."""
+    """Gradient of the rotational energy w.r.t. the angular velocity: I*w,
+    one row per state."""
     inertia = _check_inertia(inertia)
     return inertia * np.asarray(omega, dtype=float)
 

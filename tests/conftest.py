@@ -70,7 +70,7 @@ def penalty_variant(kind, states, theta, rng):
     n_x = states.shape[1]
     if kind == "energy":
         return EnergyConservation(
-            energy_fn=lambda x: 0.5 * float(x @ x),
+            energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
             reference=0.5 * float(states[0] @ states[0]),
             energy_grad=lambda x: np.asarray(x, dtype=float),
             weight=0.05)

@@ -1,12 +1,15 @@
 """Run configuration parsing and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msid
 from msid.cli import (cmd_generate, cmd_gradcheck, cmd_identify, cmd_sweep,
                       main, read_history_csv)
 from msid.config import RunConfig
@@ -253,7 +256,11 @@ class TestMainEntryPoint:
         assert not np.array_equal(first.observations, second.observations)
 
     def test_console_script_help(self):
+        # the child imports the same msid as this process, installed or not
+        source = str(Path(msid.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-m", "msid", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "generate" in result.stdout and "sweep" in result.stdout

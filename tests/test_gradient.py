@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from msid import (Dataset, DimensionMismatch, GradientReport, LossSpec,
-                  PenaltySpec, TrajectoryMismatch, UpperBarrier, cost,
-                  fd_gradient, gamma_terms, gradient, gradient_naive,
+                  PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
+                  cost, fd_gradient, gamma_terms, gradient, gradient_naive,
                   prediction_error, rollout, scalar_linear_model)
 from conftest import max_rel_gap, random_instance, report_gap
 
@@ -67,19 +67,27 @@ class TestCost:
             weight = 0.1
 
             def value(self, x, theta):
-                return 3.0
+                return np.full(np.shape(x)[:-1], 3.0)
 
             def grad_x(self, x, theta):
                 return np.zeros_like(x)
 
             def grad_theta(self, x, theta):
-                return np.zeros_like(theta)
+                return np.zeros(np.shape(x)[:-1] + np.shape(theta))
 
         model = scalar_linear_model()
         dataset = Dataset(np.zeros((2, 1)), np.array([[0.0], [0.0]]))
         trajectory = rollout(model, [1.0], [2.0], dataset.inputs)
         spec = LossSpec(np.eye(1), 2, PenaltySpec((ConstantPenalty(),)))
         assert cost(trajectory, dataset, spec, np.array([2.0])) == pytest.approx(3.1, abs=1e-15)
+
+    def test_q_asymmetric_by_rounding_is_symmetrized(self):
+        a = np.random.default_rng(0).normal(size=(3, 3))
+        q = a @ np.diag([1.0, 2.0, 3.0]) @ a.T
+        assert not np.array_equal(q, q.T)
+        spec = LossSpec(q, 2)
+        assert np.array_equal(spec.Q, spec.Q.T)
+        assert np.max(np.abs(spec.Q - q)) <= 1e-12 * np.max(np.abs(q))
 
     def test_q_must_be_psd(self):
         with pytest.raises(DimensionMismatch):
@@ -158,6 +166,19 @@ class TestGradient:
         model, trajectory, dataset, spec, theta, _ = scalar_problem
         with pytest.raises(TrajectoryMismatch):
             gradient(model, trajectory, dataset, spec, np.array([2.5]))
+
+    def test_spot_check_covers_the_middle_step(self):
+        model = scalar_linear_model()
+        horizon = 20
+        dataset = Dataset(np.zeros((horizon, 1)), np.ones((horizon, 1)))
+        trajectory = rollout(model, [1.0], [0.9], dataset.inputs)
+        states = trajectory.states.copy()
+        states[horizon // 2 + 1] += 1e-3
+        tampered = Trajectory(states, trajectory.predictions,
+                              trajectory.parameters, trajectory.initial_state)
+        spec = LossSpec.scaled_identity(1, horizon)
+        with pytest.raises(TrajectoryMismatch, match=f"step {horizon // 2 + 1}"):
+            gradient(model, tampered, dataset, spec, np.array([0.9]))
 
     def test_report_invariant_and_serialization(self, scalar_problem):
         model, trajectory, dataset, spec, theta, _ = scalar_problem

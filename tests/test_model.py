@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from msid import (Dataset, DimensionMismatch, DynamicalModel, ModelDims,
-                  NonFiniteState, load_dataset, numeric_jacobian, rollout,
-                  save_dataset, scalar_linear_model)
+                  NonFiniteState, NonFiniteValue, load_dataset,
+                  numeric_jacobian, rollout, save_dataset, scalar_linear_model)
 from conftest import (ATTITUDE_DT, ATTITUDE_OMEGA0, ATTITUDE_THETA,
                       max_rel_gap, random_smooth_model)
 from msid.systems import euler_attitude_model
@@ -98,6 +98,16 @@ class TestRollout:
         assert excinfo.value.step is not None
         assert 1 <= excinfo.value.step <= 100
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_reports_exact_first_step(self):
+        # 10 -> 1e6 -> 1e16 -> 1e36 -> 1e76 -> 1e156 -> inf at step 6
+        model = DynamicalModel(dims=ModelDims(1, 1, 1, 1),
+                               f=lambda x, u, th: x * x * 1e4,
+                               g=lambda x: x)
+        with pytest.raises(NonFiniteState, match="step 6") as excinfo:
+            rollout(model, [10.0], [1.0], np.zeros((100, 1)))
+        assert excinfo.value.step == 6
+
 
 class TestNumericJacobian:
     def test_identity(self):
@@ -161,6 +171,14 @@ class TestDataset:
     def test_equal_lengths(self):
         with pytest.raises(DimensionMismatch):
             Dataset(np.zeros((3, 1)), np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("field, value", [("observations", np.nan),
+                                              ("inputs", -np.inf)])
+    def test_rejects_non_finite_values_naming_the_entry(self, field, value):
+        data = {"inputs": np.zeros((10, 2)), "observations": np.ones((10, 2))}
+        data[field][7, 1] = value
+        with pytest.raises(NonFiniteValue, match=rf"{field}\[7, 1\]"):
+            Dataset(data["inputs"], data["observations"])
 
     def test_immutable(self):
         dataset = Dataset(np.zeros((3, 1)), np.ones((3, 1)))

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msid import (AdamState, Dataset, DivergedRollout, LossSpec,
-                  NonFiniteGradient, StoppingCriteria, StopReason, adam_step,
-                  cost, identify, rollout, scalar_linear_model)
+                  NonFiniteGradient, NonPositiveInertia, StoppingCriteria,
+                  StopReason, adam_step, cost, identify, rollout,
+                  scalar_linear_model)
 from msid.optimizer import IdentifyOptions
-from conftest import attitude_dataset, perturbed_init
+from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset,
+                      perturbed_init)
 
 
 class TestAdamStep:
@@ -187,6 +189,25 @@ class TestIdentify:
             run = identify(model, dataset, spec, [0.85], [0.5], options)
         assert run.rejected_steps > 0
         assert np.all(np.isfinite([record.cost for record in run.history]))
+
+    def test_out_of_domain_candidate_is_rejected_and_retried(self):
+        # a large step drives an inertia below zero; the loop rejects that
+        # candidate, halves the learning rates and still converges
+        model, dataset = attitude_dataset(seed=1)
+        spec = LossSpec.scaled_identity(3, len(dataset))
+        options = IdentifyOptions(lr_theta=5e-2, lr_x0=1e-6,
+                                  stopping=StoppingCriteria(max_epochs=200))
+        run = identify(model, dataset, spec, 1.2 * ATTITUDE_THETA, ATTITUDE_OMEGA0,
+                       options)
+        assert run.rejected_steps > 0
+        assert np.linalg.norm(run.theta_hat - ATTITUDE_THETA) < 1e-3
+
+    def test_out_of_domain_initial_candidate_raises_its_error(self):
+        model, dataset = attitude_dataset(seed=1)
+        spec = LossSpec.scaled_identity(3, len(dataset))
+        with pytest.raises(NonPositiveInertia):
+            identify(model, dataset, spec, [0.04, -0.04, 0.008], ATTITUDE_OMEGA0,
+                     IdentifyOptions(stopping=StoppingCriteria(max_epochs=5)))
 
     def test_naive_gradient_method_matches_adjoint(self):
         # same loop driven by the double-sum gradient lands at the same

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (EnergyConservation, InvalidBox, LowerBarrier, ParameterBox,
-                  PenaltySpec, ReluUpperBound, UpperBarrier, eval_penalty,
-                  penalty_gradients, project_box)
+from msid import (DimensionMismatch, EnergyConservation, InvalidBox,
+                  LowerBarrier, ParameterBox, PenaltySpec, ReluUpperBound,
+                  UpperBarrier, eval_penalty, penalty_gradients, project_box)
 from conftest import max_rel_gap
 
 THETA = np.array([0.2, -0.4])
@@ -172,6 +172,56 @@ class TestPenaltySpec:
     def test_rejects_negative_weight(self):
         with pytest.raises(InvalidBox):
             PenaltySpec((UpperBarrier(bounds=np.zeros(1), alpha=1.0, weight=-0.1),))
+
+    @pytest.mark.parametrize("term, tol", [
+        (EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                            reference=0.4, energy_grad=lambda x: 1.0 * x,
+                            weight=0.7), 0.0),
+        (EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                            reference=0.4, weight=0.7), 1e-12),
+        (UpperBarrier(bounds=np.array([0.5, np.inf, -0.2]), alpha=1.3, weight=0.3), 0.0),
+        (LowerBarrier(bounds=np.array([-0.5, 0.1, -np.inf]), alpha=0.9, weight=2.0), 0.0),
+        (ReluUpperBound(bounds=np.array([0.2, -0.1, 0.0]), weight=1.5), 0.0),
+        (ParameterBox(lower=np.array([-0.1, -0.1]), upper=np.array([0.1, 0.1]),
+                      alpha=2.0, weight=0.4), 0.0),
+    ])
+    def test_block_methods_equal_per_row_evaluation(self, term, tol):
+        rng = np.random.default_rng(3)
+        states = rng.normal(size=(40, 3))
+        theta = np.array([0.2, -0.4])
+        spec = PenaltySpec((term,))
+        for method in (spec.step_value, spec.step_grad_x, spec.step_grad_theta):
+            block = method(states, theta)
+            rows = np.array([method(x, theta) for x in states])
+            assert block.shape == rows.shape
+            if tol == 0.0:
+                assert np.array_equal(block, rows)
+            else:
+                assert max_rel_gap(block, rows) <= tol
+        per_row_total = spec.param_value(theta) + sum(spec.step_value(x, theta)
+                                                      for x in states)
+        assert spec.total_value(states, theta) == pytest.approx(per_row_total, rel=1e-14)
+
+    @pytest.mark.parametrize("method", ["value", "grad_x", "grad_theta"])
+    def test_term_without_one_row_per_state_is_refused(self, method):
+        class PerPointTerm:
+            depends_on_state = True
+            weight = 1.0
+
+            def value(self, x, theta):
+                return float(np.sum(x))
+
+            def grad_x(self, x, theta):
+                return np.ones(np.shape(x)[-1])
+
+            def grad_theta(self, x, theta):
+                return np.zeros_like(theta)
+
+        spec = PenaltySpec((PerPointTerm(),))
+        call = {"value": spec.step_value, "grad_x": spec.step_grad_x,
+                "grad_theta": spec.step_grad_theta}[method]
+        with pytest.raises(DimensionMismatch, match=f"PerPointTerm.{method}"):
+            call(np.zeros((5, 3)), np.zeros(2))
 
 
 class TestProjection:

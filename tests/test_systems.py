@@ -44,6 +44,35 @@ class TestEulerStep:
                        * (ATTITUDE_THETA[2] - ATTITUDE_THETA[1]))
         assert coupling == pytest.approx(4.7e-10, rel=0.01)
 
+    def test_bit_identical_to_numpy_array_arithmetic(self):
+        # reference: the same formulas evaluated on numpy float64 scalars
+        def rates(w, m, i):
+            return np.array([(m[0] - (i[2] - i[1]) * w[1] * w[2]) / i[0],
+                             (m[1] - (i[0] - i[2]) * w[2] * w[0]) / i[1],
+                             (m[2] - (i[1] - i[0]) * w[0] * w[1]) / i[2]])
+
+        def reference(w, m, i, dt, integrator):
+            if integrator == "forward_euler":
+                return w + dt * rates(w, m, i)
+            k1 = rates(w, m, i)
+            k2 = rates(w + 0.5 * dt * k1, m, i)
+            k3 = rates(w + 0.5 * dt * k2, m, i)
+            k4 = rates(w + dt * k3, m, i)
+            return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        rng = np.random.default_rng(12)
+        for integrator in ("forward_euler", "rk4"):
+            for _ in range(200):
+                omega = rng.normal(size=3) * 10.0 ** rng.uniform(-6, 1)
+                torque = rng.normal(size=3) * 10.0 ** rng.uniform(-7, 0)
+                inertia = rng.uniform(1e-3, 1.0, 3)
+                dt = rng.uniform(0.01, 0.5)
+                assert np.array_equal(
+                    euler_step(omega, torque, inertia, dt, integrator),
+                    reference(omega, torque, inertia, dt, integrator))
+                assert np.array_equal(angular_rates(omega, torque, inertia),
+                                      rates(omega, torque, inertia))
+
     def test_rejects_nonpositive_inertia(self):
         with pytest.raises(NonPositiveInertia):
             euler_step(ATTITUDE_OMEGA0, np.zeros(3),
@@ -159,6 +188,12 @@ class TestRotationalEnergy:
         energy = rotational_energy(np.array([1.0, 0.0, 0.0]),
                                    np.array([2.0, 2.0, 2.0]))
         assert energy == pytest.approx(1.0, abs=1e-15)
+
+    def test_block_equals_per_state_dot_product(self):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-4, 1, (500, 1))
+        rows = [0.5 * float(ATTITUDE_THETA @ (omega * omega)) for omega in block]
+        assert np.array_equal(rotational_energy(block, ATTITUDE_THETA), rows)
 
     def test_gradient_is_inertia_times_omega(self):
         omega = np.array([0.2, -0.1, 0.4])
