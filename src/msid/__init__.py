@@ -14,7 +14,7 @@ from .optimizer import (AdamState, HistoryRecord, IdentificationRun,
                         adam_step, identify)
 from .penalties import (EnergyConservation, LowerBarrier, ParameterBox,
                         PenaltySpec, ReluUpperBound, UpperBarrier,
-                        eval_penalty, penalty_gradients, project_box)
+                        project_box)
 from .structure import (SparseMatrix, SparsityMask, entry_evaluations,
                         infer_mask, masked_jac_f_x, sparse_chain_apply,
                         validate_mask)

@@ -22,7 +22,7 @@ import numpy as np
 from . import config as cfg_mod
 from .config import RunConfig
 from .errors import ConfigError, MsidError, NonFiniteValue
-from .gradient import fd_gradient, gradient, gradient_naive, timed
+from .gradient import fd_gradient, gradient, gradient_naive
 from .model import rollout, save_dataset
 from .optimizer import identify
 from .util import format_float, relative_gap
@@ -176,10 +176,14 @@ def cmd_gradcheck(config: RunConfig, out_dir=None) -> dict:
     theta0, x00 = cfg_mod.build_init(config, truth, model)
 
     trajectory = rollout(model, x00, theta0, dataset.inputs)
-    adjoint, time_adjoint = timed(gradient, model, trajectory, dataset, spec, theta0)
-    naive, time_naive = timed(gradient_naive, model, trajectory, dataset, spec, theta0)
-    fd, time_fd = timed(fd_gradient, model, x00, theta0, dataset, spec,
-                        config.optimizer.fd_step)
+    clock = [time.perf_counter()]
+    adjoint = gradient(model, trajectory, dataset, spec, theta0)
+    clock.append(time.perf_counter())
+    naive = gradient_naive(model, trajectory, dataset, spec, theta0)
+    clock.append(time.perf_counter())
+    fd = fd_gradient(model, x00, theta0, dataset, spec, config.optimizer.fd_step)
+    clock.append(time.perf_counter())
+    time_adjoint, time_naive, time_fd = (b - a for a, b in zip(clock, clock[1:]))
 
     def compare(a, b, rtol, atol):
         stacked_a = np.concatenate([a.grad_theta, a.grad_x0])

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 from .gradient import LossSpec
 from .model import Dataset, DynamicalModel, load_dataset
 from .optimizer import GRADIENT_METHODS, IdentifyOptions, StoppingCriteria
@@ -417,7 +417,10 @@ def make_dataset(config: RunConfig, model: DynamicalModel) -> tuple[Dataset, Opt
         truth = {"theta_true": list(generate.theta_true),
                  "x0_true": list(generate.x0_true)}
         return dataset, truth
-    dataset, n_x = load_dataset(spec.path)
+    try:
+        dataset, n_x = load_dataset(spec.path)
+    except (DimensionMismatch, NonFiniteValue) as exc:
+        raise ConfigError(f"dataset.path: {exc}") from exc
     if n_x != model.dims.n_x:
         raise ConfigError(
             f"dataset.path: file has n_x={n_x} but the model expects {model.dims.n_x}")

@@ -28,14 +28,13 @@ would make the result disagree with finite differences of the cost.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, TrajectoryMismatch
-from .model import Dataset, DynamicalModel, Trajectory, rollout
+from .model import Dataset, DynamicalModel, Trajectory, numeric_jacobian, rollout
 from .penalties import PenaltySpec
 from .structure import masked_jac_f_x, sparse_chain_apply
 
@@ -93,8 +92,7 @@ class GradientReport:
     ``penalty_total`` is the weighted penalty contribution, so
     ``cost == per_step_loss.sum() + penalty_total``.  ``chain_applications``
     counts backward Jacobian-chain products (T-1 for the adjoint pass, 0 for
-    the finite-difference path).  ``per_step_gamma_norm`` is ``None`` for
-    reports produced without the analytic seeds.
+    the finite-difference path).
     """
 
     cost: float
@@ -102,7 +100,6 @@ class GradientReport:
     grad_x0: Array
     per_step_loss: Array
     penalty_total: float
-    per_step_gamma_norm: Optional[Array] = None
     chain_applications: int = 0
 
     def to_json_dict(self) -> dict:
@@ -156,13 +153,6 @@ def cost(trajectory: Trajectory, dataset: Dataset, spec: LossSpec, theta) -> flo
     return total
 
 
-def _observation_jacobians(model, states, horizon):
-    if model.jac_g_x_batch is not None:
-        return np.asarray(model.jac_g_x_batch(states[:horizon]), dtype=float)
-    return np.stack([np.asarray(model.jac_g_x(states[k]), dtype=float)
-                     for k in range(horizon)])
-
-
 def gamma_terms(trajectory: Trajectory, dataset: Dataset, spec: LossSpec,
                 theta, model: DynamicalModel) -> tuple[Array, Array]:
     """Per-step gradient seeds of the (penalty-augmented) local loss.
@@ -177,7 +167,7 @@ def gamma_terms(trajectory: Trajectory, dataset: Dataset, spec: LossSpec,
     theta = np.asarray(theta, dtype=float)
     errors = prediction_error(trajectory, dataset)
     weighted = (2.0 / horizon) * (errors @ spec.Q)
-    jac_g = _observation_jacobians(model, trajectory.states, horizon)
+    jac_g = np.asarray(model.jac_g_x_batch(trajectory.states[:horizon]), dtype=float)
     big_gamma = np.einsum("ti,tij->tj", weighted, jac_g)
     if spec.penalty is None:
         gamma = np.zeros((horizon, theta.shape[0]))
@@ -219,17 +209,9 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     if model.sparsity is not None:
         jac_x = [masked_jac_f_x(model, states[i], inputs[i], theta, model.sparsity)
                  for i in range(horizon - 1)]
-    elif model.jac_f_x_batch is not None:
+    else:
         jac_x = np.asarray(model.jac_f_x_batch(states, inputs, theta), dtype=float)
-    else:
-        jac_x = np.stack([np.asarray(model.jac_f_x(states[i], inputs[i], theta), dtype=float)
-                          for i in range(horizon - 1)])
-    if model.jac_f_theta_batch is not None:
-        jac_theta = np.asarray(model.jac_f_theta_batch(states, inputs, theta), dtype=float)
-    else:
-        jac_theta = np.stack(
-            [np.asarray(model.jac_f_theta(states[i], inputs[i], theta), dtype=float)
-             for i in range(horizon - 1)])
+    jac_theta = np.asarray(model.jac_f_theta_batch(states, inputs, theta), dtype=float)
     return jac_x, jac_theta
 
 
@@ -274,7 +256,6 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     return GradientReport(
         cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
         per_step_loss=per_step, penalty_total=penalty_total,
-        per_step_gamma_norm=np.linalg.norm(big_gamma, axis=1),
         chain_applications=chain_applications)
 
 
@@ -317,9 +298,7 @@ def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Datas
         raise NonFiniteValue("gradient evaluation produced non-finite values")
     return GradientReport(
         cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
-        per_step_loss=per_step, penalty_total=penalty_total,
-        per_step_gamma_norm=np.linalg.norm(big_gamma, axis=1),
-        chain_applications=0)
+        per_step_loss=per_step, penalty_total=penalty_total)
 
 
 def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
@@ -327,49 +306,25 @@ def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
     """Central finite differences of the cost, re-rolling per perturbation.
 
     Independent of the analytic path; serves as its oracle and as the
-    numerically-approximated gradient in optimizer comparisons.  The step
-    for each component scales with max(1, |value|).
+    numerically-approximated gradient in optimizer comparisons.  The
+    parameters and the initial state are differenced together by
+    :func:`~msid.model.numeric_jacobian`, whose step for each component
+    scales with max(1, |value|).
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     x0 = np.asarray(x0, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    n_theta = theta.size
 
-    def evaluate(th, x):
-        trajectory = rollout(model, x, th, dataset.inputs)
-        return cost(trajectory, dataset, spec, th)
+    def evaluate(point):
+        th, x = point[:n_theta], point[n_theta:]
+        return cost(rollout(model, x, th, dataset.inputs), dataset, spec, th)
 
     center = rollout(model, x0, theta, dataset.inputs)
     per_step, penalty_total, _ = _cost_parts(center, dataset, spec, theta)
     total_cost = float(per_step.sum() + penalty_total)
-
-    grad_theta = np.empty_like(theta)
-    for i in range(theta.size):
-        h = step * max(1.0, abs(theta[i]))
-        plus = theta.copy()
-        plus[i] += h
-        minus = theta.copy()
-        minus[i] -= h
-        grad_theta[i] = (evaluate(plus, x0) - evaluate(minus, x0)) / (plus[i] - minus[i])
-    grad_x0 = np.empty_like(x0)
-    for j in range(x0.size):
-        h = step * max(1.0, abs(x0[j]))
-        plus = x0.copy()
-        plus[j] += h
-        minus = x0.copy()
-        minus[j] -= h
-        grad_x0[j] = (evaluate(theta, plus) - evaluate(theta, minus)) / (plus[j] - minus[j])
-
-    if not (np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):
+    grad = numeric_jacobian(evaluate, np.concatenate([theta, x0]), step)
+    if not np.all(np.isfinite(grad)):
         raise NonFiniteValue("finite-difference gradient is not finite")
     return GradientReport(
-        cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
-        per_step_loss=per_step, penalty_total=penalty_total,
-        per_step_gamma_norm=None, chain_applications=0)
-
-
-def timed(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, elapsed seconds)."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
+        cost=total_cost, grad_theta=grad[:n_theta], grad_x0=grad[n_theta:],
+        per_step_loss=per_step, penalty_total=penalty_total)

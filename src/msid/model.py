@@ -72,34 +72,61 @@ class ModelDims:
 
 
 def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP) -> Array:
-    """Central-difference Jacobian of ``fn`` at ``point``.
+    """Central-difference Jacobian of ``fn``, row by row.
 
-    The perturbation for component j is ``step * max(1, |point[j]|)`` so that
-    badly scaled inputs keep a sensible relative step.  Raises
-    :class:`NonFiniteValue` if any evaluation is non-finite.
+    ``point`` is one point of shape (n,) or a block of points of shape
+    (..., n); ``fn`` maps such a block to one result per row, of shape
+    (..., m) or, for a scalar map, (...).  The Jacobian has shape
+    (..., m, n), or (..., n) for a scalar map.  Each column j takes one
+    evaluation of ``fn`` on the whole block per side.  The perturbation of
+    component j is ``step * max(1, |point[..., j]|)`` so that badly scaled
+    inputs keep a sensible relative step.  Raises :class:`NonFiniteValue` if
+    any evaluation is non-finite.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    p = _vector(point, None, "point")
-    jac = None
-    for j in range(p.size):
-        h = step * max(1.0, abs(p[j]))
+    p = np.asarray(point, dtype=float)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise DimensionMismatch("point must have at least one component")
+    columns = []
+    for j in range(p.shape[-1]):
+        h = step * np.maximum(1.0, np.abs(p[..., j]))
         plus = p.copy()
-        plus[j] += h
+        plus[..., j] += h
         minus = p.copy()
-        minus[j] -= h
-        f_plus = np.atleast_1d(np.asarray(fn(plus), dtype=float))
-        f_minus = np.atleast_1d(np.asarray(fn(minus), dtype=float))
+        minus[..., j] -= h
+        f_plus = np.asarray(fn(plus), dtype=float)
+        f_minus = np.asarray(fn(minus), dtype=float)
         if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
             raise NonFiniteValue(f"non-finite evaluation while differencing component {j}")
-        if jac is None:
-            jac = np.empty((f_plus.size, p.size))
         # divide by the exact spacing of the two evaluated points, not by the
         # nominal 2h, so rounding of p +/- h does not leak into the quotient
-        jac[:, j] = (f_plus - f_minus) / (plus[j] - minus[j])
-    if jac is None:
-        raise DimensionMismatch("point must have at least one component")
-    return jac
+        spacing = plus[..., j] - minus[..., j]
+        if f_plus.ndim > spacing.ndim:
+            spacing = spacing[..., None]
+        columns.append((f_plus - f_minus) / spacing)
+    return np.stack(columns, axis=-1)
+
+
+def _rows(fn, *blocks) -> Array:
+    """``fn`` applied to the matching rows of the blocks, stacked."""
+    return np.stack([np.asarray(fn(*row), dtype=float) for row in zip(*blocks)])
+
+
+def _stacked(jac_at_point, shares_theta: bool):
+    """Batched form of a per-point Jacobian: one call per row, stacked."""
+    if shares_theta:
+        return lambda states, inputs, theta: _rows(
+            lambda x, u: jac_at_point(x, u, theta), states, inputs)
+    return lambda states: _rows(jac_at_point, states)
+
+
+def _batch_of_one(jac_batch, shares_theta: bool):
+    """Per-point form of a batched Jacobian: the batch of one row."""
+    if shares_theta:
+        return lambda x, u, theta: jac_batch(
+            np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta)[0]
+    return lambda x: jac_batch(np.asarray(x, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -108,19 +135,29 @@ class DynamicalModel:
 
     ``f(x, u, theta)`` and ``g(x)`` must be pure functions: identical inputs
     yield identical outputs across calls, with no hidden time dependence.
-    Any Jacobian left as ``None`` is filled with a central-difference
-    fallback built from ``f``/``g``.
 
-    Optional accelerators:
+    Each of the three Jacobians (of f by the state, of f by the parameters,
+    of g by the state) may be given in either of two forms:
 
-    * ``jac_f_x_batch(states, inputs, theta)`` and friends evaluate the
-      Jacobians at a batch of points at once, returning a stacked array.
-    * ``jac_f_x_entry(x, u, theta, i, j)`` evaluates one entry of the state
-      Jacobian; used by the sparsity-aware path so that structurally-zero
-      entries are never computed.
-    * ``sparsity`` attaches a :class:`~msid.structure.SparsityMask`; when
-      present, gradient evaluation routes state-Jacobian work through the
-      masked path.
+    * per point: ``jac_f_x(x, u, theta)``, ``jac_f_theta(x, u, theta)`` and
+      ``jac_g_x(x)`` return one matrix;
+    * batched: ``jac_f_x_batch(states, inputs, theta)``,
+      ``jac_f_theta_batch(states, inputs, theta)`` and
+      ``jac_g_x_batch(states)`` take blocks of N rows and return the N
+      matrices stacked.
+
+    The gradient uses only the batched forms.  A missing batched form is the
+    per-point form stacked row by row; a missing per-point form is the
+    batch of one.  A map given in neither form is differenced centrally:
+    its batched form is one :func:`numeric_jacobian` call on the whole block
+    of rows.
+
+    Two optional extras serve the sparsity-aware path:
+    ``jac_f_x_entry(x, u, theta, i, j)`` evaluates one entry of the state
+    Jacobian, so that structurally-zero entries are never computed, and
+    ``sparsity`` attaches a :class:`~msid.structure.SparsityMask`; when
+    present, gradient evaluation routes state-Jacobian work through the
+    masked path.
     """
 
     dims: ModelDims
@@ -136,18 +173,26 @@ class DynamicalModel:
     sparsity: Optional["SparsityMask"] = None
 
     def __post_init__(self):
-        if self.jac_f_x is None:
-            object.__setattr__(
-                self, "jac_f_x",
-                lambda x, u, th: numeric_jacobian(lambda v: self.f(v, u, th), x))
-        if self.jac_f_theta is None:
-            object.__setattr__(
-                self, "jac_f_theta",
-                lambda x, u, th: numeric_jacobian(lambda v: self.f(x, u, v), th))
-        if self.jac_g_x is None:
-            object.__setattr__(
-                self, "jac_g_x",
-                lambda x: numeric_jacobian(self.g, x))
+        f, g = self.f, self.g
+        # central differences of each map over the whole block of rows
+        differenced = {
+            "jac_f_x": lambda states, inputs, theta: numeric_jacobian(
+                lambda block: _rows(lambda x, u: f(x, u, theta), block, inputs), states),
+            "jac_f_theta": lambda states, inputs, theta: numeric_jacobian(
+                lambda block: _rows(f, states, inputs, block),
+                np.broadcast_to(theta, (len(states),) + np.shape(theta))),
+            "jac_g_x": lambda states: numeric_jacobian(
+                lambda block: _rows(g, block), states),
+        }
+        for name, fallback in differenced.items():
+            shares_theta = name != "jac_g_x"
+            at_point = getattr(self, name)
+            batch = getattr(self, name + "_batch")
+            if batch is None:
+                batch = fallback if at_point is None else _stacked(at_point, shares_theta)
+                object.__setattr__(self, name + "_batch", batch)
+            if at_point is None:
+                object.__setattr__(self, name, _batch_of_one(batch, shares_theta))
 
 
 @dataclass(frozen=True)
@@ -322,9 +367,16 @@ def load_dataset(path) -> tuple[Dataset, int]:
         for row in reader:
             if not row:
                 continue
-            values = [float(v) for v in row[1:]]
-            if len(values) != n_u + n_z:
-                raise DimensionMismatch(f"{path}: row {row[0]} has {len(values)} values")
+            if len(row) - 1 != n_u + n_z:
+                raise DimensionMismatch(f"{path}: row {row[0]} has {len(row) - 1} values")
+            values = []
+            for column, text in zip(expected[1:], row[1:]):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise DimensionMismatch(
+                        f"{path}: row {row[0]}, column {column}: {text!r} is not a number"
+                    ) from None
             inputs.append(values[:n_u])
             observations.append(values[n_u:])
     return Dataset(np.array(inputs), np.array(observations), dt), n_x

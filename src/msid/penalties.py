@@ -31,8 +31,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBox, NonFiniteValue
-from .model import FD_STEP
+from .errors import DimensionMismatch, InvalidBox
+from .model import numeric_jacobian
 
 Array = np.ndarray
 
@@ -47,29 +47,6 @@ def _zero_theta_rows(x, theta) -> Array:
     return np.zeros(np.shape(x)[:-1] + np.shape(theta))
 
 
-def _row_gradient(fn, x: Array, step: float = FD_STEP) -> Array:
-    """Central-difference gradient of the row-wise scalar map ``fn`` at every
-    row of ``x``, one column of the whole block at a time.
-
-    The perturbation of component j is ``step * max(1, |x_j|)`` in each row,
-    as in :func:`~msid.model.numeric_jacobian`.
-    """
-    grad = np.empty_like(x)
-    for j in range(x.shape[-1]):
-        h = step * np.maximum(1.0, np.abs(x[..., j]))
-        plus = x.copy()
-        plus[..., j] += h
-        minus = x.copy()
-        minus[..., j] -= h
-        f_plus = np.asarray(fn(plus), dtype=float)
-        f_minus = np.asarray(fn(minus), dtype=float)
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            raise NonFiniteValue(f"non-finite evaluation while differencing component {j}")
-        # divide by the exact spacing of the two evaluated points, not by 2h
-        grad[..., j] = (f_plus - f_minus) / (plus[..., j] - minus[..., j])
-    return grad
-
-
 @dataclass(frozen=True)
 class EnergyConservation:
     """Quadratic deviation of a scalar energy function from a reference value.
@@ -78,7 +55,8 @@ class EnergyConservation:
     map of the state alone, applied row by row: it maps a block of states of
     shape (..., n_x) to energies of shape (...).  ``energy_grad``, if given,
     maps the same block to gradients of shape (..., n_x); if omitted, the
-    gradient is approximated by central differences.
+    gradient is approximated by central differences of the whole block
+    (:func:`~msid.model.numeric_jacobian`).
     """
 
     energy_fn: Callable[[Array], Array]
@@ -101,7 +79,7 @@ class EnergyConservation:
         if self.energy_grad is not None:
             grad = np.asarray(self.energy_grad(x), dtype=float)
         else:
-            grad = _row_gradient(self.energy_fn, x)
+            grad = numeric_jacobian(self.energy_fn, x)
         return (2.0 * deviation)[..., None] * grad
 
     def grad_theta(self, x, theta) -> Array:
@@ -327,16 +305,6 @@ def _rows(term, method: str, result, shape: tuple) -> Array:
             f"penalty term {type(term).__name__}.{method} returned shape "
             f"{result.shape}, expected {shape}: terms must return one row per state")
     return result
-
-
-def eval_penalty(term, x, theta) -> float:
-    """Unweighted penalty value of a single term."""
-    return term.value(x, theta)
-
-
-def penalty_gradients(term, x, theta) -> tuple[Array, Array]:
-    """Unweighted analytic gradients (d/dx, d/dtheta) of a single term."""
-    return term.grad_x(x, theta), term.grad_theta(x, theta)
 
 
 def project_box(theta, lower, upper) -> Array:

@@ -118,32 +118,26 @@ class SparseMatrix:
 
 
 def masked_jac_f_x(model: "DynamicalModel", x, u, theta,
-                   mask: SparsityMask, validate: bool = False) -> SparseMatrix:
+                   mask: SparsityMask) -> SparseMatrix:
     """State Jacobian at one point, evaluated only where the mask is 1.
 
     When the model supplies ``jac_f_x_entry`` the masked entries are computed
     one by one and nothing else is ever evaluated.  Otherwise the dense
     Jacobian is evaluated once and the masked entries gathered from it; the
-    entry counter still reflects the number of stored entries.  With
-    ``validate=True`` the dense Jacobian is checked against the mask and a
-    :class:`MaskViolation` is raised if a structurally-zero entry exceeds
-    ``STRUCTURAL_ZERO_TOL``.
+    entry counter still reflects the number of stored entries.
+    :func:`validate_mask` checks a mask against the dense Jacobian.
     """
     n_x = model.dims.n_x
     if mask.n_x != n_x:
         raise DimensionMismatch(
             f"mask is {mask.n_x}x{mask.n_x} but the model has n_x={n_x}")
-    if model.jac_f_x_entry is not None and not validate:
+    if model.jac_f_x_entry is not None:
         vals = np.empty(mask.n_nz)
         for idx in range(mask.n_nz):
             vals[idx] = model.jac_f_x_entry(x, u, theta,
                                             int(mask.rows[idx]), int(mask.cols[idx]))
-        entry_evaluations.add(mask.n_nz)
-        return SparseMatrix((n_x, n_x), mask.rows, mask.cols, vals)
-    dense = np.asarray(model.jac_f_x(x, u, theta), dtype=float)
-    if validate:
-        _check_structural_zeros(dense, mask)
-    vals = dense[mask.rows, mask.cols].copy()
+    else:
+        vals = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[mask.rows, mask.cols]
     entry_evaluations.add(mask.n_nz)
     return SparseMatrix((n_x, n_x), mask.rows, mask.cols, vals)
 

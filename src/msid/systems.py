@@ -81,27 +81,14 @@ def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULE
 
 def euler_jacobians(omega, torque, inertia, dt: float) -> tuple[Array, Array]:
     """Exact Jacobians of the forward-Euler step w.r.t. the state and the
-    inertia entries.  (The RK4 map has no closed form here; models built
-    with RK4 fall back to numeric differentiation.)
+    inertia entries at one point: the batch of one of the batched formulas
+    the attitude model uses.  (The RK4 map has no closed form here; models
+    built with RK4 fall back to numeric differentiation.)
     """
-    inertia = _check_inertia(inertia)
-    wx, wy, wz = omega[0], omega[1], omega[2]
-    ix, iy, iz = inertia[0], inertia[1], inertia[2]
-    jac_x = np.array([
-        [1.0, -dt * (iz - iy) * wz / ix, -dt * (iz - iy) * wy / ix],
-        [-dt * (ix - iz) * wz / iy, 1.0, -dt * (ix - iz) * wx / iy],
-        [-dt * (iy - ix) * wy / iz, -dt * (iy - ix) * wx / iz, 1.0],
-    ])
-    jac_theta = np.array([
-        [-dt * (torque[0] - (iz - iy) * wy * wz) / ix ** 2,
-         dt * wy * wz / ix, -dt * wy * wz / ix],
-        [-dt * wz * wx / iy,
-         -dt * (torque[1] - (ix - iz) * wz * wx) / iy ** 2,
-         dt * wz * wx / iy],
-        [dt * wx * wy / iz, -dt * wx * wy / iz,
-         -dt * (torque[2] - (iy - ix) * wx * wy) / iz ** 2],
-    ])
-    return jac_x, jac_theta
+    states = np.asarray(omega, dtype=float)[None]
+    inputs = np.asarray(torque, dtype=float)[None]
+    return (_euler_jac_x_batch(states, inputs, inertia, dt)[0],
+            _euler_jac_theta_batch(states, inputs, inertia, dt)[0])
 
 
 def _euler_jac_x_entry(omega, torque, inertia, dt, i, j):
@@ -117,7 +104,7 @@ def _euler_jac_x_entry(omega, torque, inertia, dt, i, j):
 
 
 def _euler_jac_x_batch(states, inputs, inertia, dt):
-    ix, iy, iz = inertia[0], inertia[1], inertia[2]
+    ix, iy, iz = _check_inertia(inertia)
     wx = states[:, 0]
     wy = states[:, 1]
     wz = states[:, 2]
@@ -135,7 +122,7 @@ def _euler_jac_x_batch(states, inputs, inertia, dt):
 
 
 def _euler_jac_theta_batch(states, inputs, inertia, dt):
-    ix, iy, iz = inertia[0], inertia[1], inertia[2]
+    ix, iy, iz = _check_inertia(inertia)
     wx = states[:, 0]
     wy = states[:, 1]
     wz = states[:, 2]
@@ -185,23 +172,15 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     def g(x):
         return x
 
-    def jac_g_x(x):
-        return identity
-
     def jac_g_x_batch(states):
         return np.broadcast_to(identity, (states.shape[0], 3, 3))
 
     analytic = integrator == FORWARD_EULER
     return DynamicalModel(
         dims=dims, f=f, g=g,
-        jac_f_x=(lambda x, u, th: euler_jacobians(x, u, _check_inertia(th), dt)[0])
+        jac_f_x_batch=(lambda s, u, th: _euler_jac_x_batch(s, u, th, dt))
         if analytic else None,
-        jac_f_theta=(lambda x, u, th: euler_jacobians(x, u, _check_inertia(th), dt)[1])
-        if analytic else None,
-        jac_g_x=jac_g_x,
-        jac_f_x_batch=(lambda s, i, th: _euler_jac_x_batch(s, i, _check_inertia(th), dt))
-        if analytic else None,
-        jac_f_theta_batch=(lambda s, i, th: _euler_jac_theta_batch(s, i, _check_inertia(th), dt))
+        jac_f_theta_batch=(lambda s, u, th: _euler_jac_theta_batch(s, u, th, dt))
         if analytic else None,
         jac_g_x_batch=jac_g_x_batch,
         jac_f_x_entry=(lambda x, u, th, i, j: _euler_jac_x_entry(x, u, _check_inertia(th), dt, i, j))
@@ -219,9 +198,6 @@ def scalar_linear_model() -> DynamicalModel:
         dims=dims,
         f=lambda x, u, th: np.array([th[0] * x[0] + u[0]]),
         g=lambda x: x,
-        jac_f_x=lambda x, u, th: np.array([[th[0]]]),
-        jac_f_theta=lambda x, u, th: np.array([[x[0]]]),
-        jac_g_x=lambda x: one,
         jac_f_x_batch=lambda s, i, th: np.full((s.shape[0], 1, 1), th[0]),
         jac_f_theta_batch=lambda s, i, th: s[:, :, None].copy(),
         jac_g_x_batch=lambda s: np.broadcast_to(one, (s.shape[0], 1, 1)),

@@ -5,14 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def relative_gap(a, b, floor: float = 0.0) -> float:
+def relative_gap(a, b) -> float:
     """Largest componentwise difference between two arrays, scaled by the
-    larger overall magnitude.
-
-    ``floor`` puts a lower bound on the scale so that comparisons between a
-    true zero and rounding-level noise do not blow up; with the default of
-    zero the gap is purely relative (and 0.0 when both arrays are exactly
-    zero).
+    larger overall magnitude (0.0 when both arrays are exactly zero).
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -21,7 +16,7 @@ def relative_gap(a, b, floor: float = 0.0) -> float:
     if a.size == 0:
         return 0.0
     diff = float(np.max(np.abs(a - b)))
-    denom = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), floor)
+    denom = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     if denom == 0.0:
         return 0.0
     return diff / denom

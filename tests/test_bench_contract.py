@@ -1,0 +1,89 @@
+"""The names the benchmark's tracer wraps still exist and still carry the work.
+
+``perfbench/spans.py`` times msid from outside: it replaces module globals,
+class attributes and model fields by name.  A rename inside msid would not
+fail any other test, only the traced benchmark run.  This test installs the
+tracer in a fresh process, runs one rollout and one gradient on each bundled
+model and checks which spans fired.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+HORIZON = 12
+
+SCRIPT = r"""
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+import msid
+optimizer = sys.modules["msid.optimizer"]
+
+horizon = int(sys.argv[3])
+attitude = (np.array([0.0403, 0.0404, 0.0080]), np.array([0.02, -0.03, 0.01]))
+models = {
+    "euler": (msid.euler_attitude_model(dt=0.1), attitude),
+    "euler-sparse": (msid.euler_attitude_model(dt=0.1, with_sparsity=True), attitude),
+    "rk4": (msid.euler_attitude_model(dt=0.1, integrator="rk4"), attitude),
+    "scalar": (msid.scalar_linear_model(), (np.array([0.8]), np.array([1.0]))),
+}
+rng = np.random.default_rng(0)
+counts = {}
+for name, (model, (theta, x0)) in models.items():
+    inputs = 1e-3 * rng.normal(size=(horizon, model.dims.n_u))
+    truth = msid.rollout(model, x0, theta, inputs)
+    dataset = msid.Dataset(inputs, truth.predictions + 1e-3)
+    spec = msid.LossSpec.scaled_identity(model.dims.n_z, horizon)
+    traced = tracer.wrap_model(model)
+    before = {span: stats[0] for span, stats in tracer.spans.items()}
+    chains = tracer.chain_applications
+    candidate = 1.05 * theta
+    trajectory = optimizer.rollout(traced, x0, candidate, inputs)
+    optimizer.gradient(traced, trajectory, dataset, spec, candidate)
+    counts[name] = {span: stats[0] - before.get(span, 0)
+                    for span, stats in tracer.spans.items()}
+    counts[name]["chain_applications"] = tracer.chain_applications - chains
+print(json.dumps(counts))
+"""
+
+
+@pytest.fixture(scope="module")
+def span_counts():
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(HORIZON)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+# (masked_jac_f_x calls, sparse_chain_apply calls, numeric_jacobian calls,
+#  Jacobian-field calls) for one gradient.  The gradient calls only the batched
+# fields: three of them, or two on the masked path, which evaluates the state
+# Jacobian entry by entry; the RK4 model differences f once per batched map.
+EXPECTED = {
+    "euler": (0, 0, 0, 3),
+    "euler-sparse": (HORIZON - 1, HORIZON - 1, 0, 2),
+    "rk4": (0, 0, 2, 3),
+    "scalar": (0, 0, 0, 3),
+}
+
+
+@pytest.mark.parametrize("name", EXPECTED)
+def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
+    counts = span_counts[name]
+    assert counts["model.rollout"] == 1
+    assert counts["gradient.gradient"] == 1
+    assert counts["gradient.gamma_terms"] == 1
+    assert counts["chain_applications"] == HORIZON - 1
+    assert (counts["structure.masked_jac_f_x"], counts["structure.sparse_chain_apply"],
+            counts["model.numeric_jacobian"], counts["model.jacobians"]) == EXPECTED[name]

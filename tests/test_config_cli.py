@@ -14,7 +14,7 @@ from msid.cli import (cmd_generate, cmd_gradcheck, cmd_identify, cmd_sweep,
                       main, read_history_csv)
 from msid.config import RunConfig
 from msid.errors import ConfigError
-from msid.model import load_dataset
+from msid.model import Dataset, load_dataset, save_dataset
 
 
 def attitude_config(tmp_path, horizon=30, known_inputs=False, seed=1, epochs=250):
@@ -244,6 +244,29 @@ class TestMainEntryPoint:
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["identify", "--config", str(tmp_path / "nope.json")]) == 2
+
+    # one damaged line per file: (line index, replacement, expected message);
+    # line 0 is the metadata comment, line 1 the header, line k + 2 step k
+    BAD_DATASET_FILES = {
+        "non-finite-observation": (9, "7,0.0,nan", "observations[7, 0] is not finite"),
+        "malformed-metadata": (0, "# dt=0.1 n_x=one n_u=1 n_z=1", "bad metadata line"),
+        "non-numeric-cell": (5, "3,abc,1.0", "row 3, column u_1: 'abc' is not a number"),
+    }
+
+    @pytest.mark.parametrize("line,text,message", BAD_DATASET_FILES.values(),
+                             ids=BAD_DATASET_FILES.keys())
+    def test_bad_dataset_file_is_input_error(self, tmp_path, capsys, line, text, message):
+        data = tmp_path / "dataset.csv"
+        save_dataset(data, Dataset(np.zeros((10, 1)), np.ones((10, 1))), n_x=1)
+        lines = data.read_text().splitlines()
+        lines[line] = text
+        data.write_text("\n".join(lines) + "\n")
+        raw = scalar_config(tmp_path)
+        raw["dataset"] = {"path": str(data)}
+        assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset.path: ")
+        assert message in err
 
     def test_seed_override_changes_data(self, tmp_path):
         path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))

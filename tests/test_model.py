@@ -203,3 +203,98 @@ class TestDataset:
         assert loaded.dt == dataset.dt
         assert np.array_equal(loaded.inputs, dataset.inputs)
         assert np.array_equal(loaded.observations, dataset.observations)
+
+
+def reference_numeric_jacobian(fn, point, step=1e-6):
+    """The per-point central-difference loop the block form replaced."""
+    p = np.asarray(point, dtype=float)
+    jac = None
+    for j in range(p.size):
+        h = step * max(1.0, abs(p[j]))
+        plus = p.copy()
+        plus[j] += h
+        minus = p.copy()
+        minus[j] -= h
+        f_plus = np.atleast_1d(np.asarray(fn(plus), dtype=float))
+        f_minus = np.atleast_1d(np.asarray(fn(minus), dtype=float))
+        if jac is None:
+            jac = np.empty((f_plus.size, p.size))
+        jac[:, j] = (f_plus - f_minus) / (plus[j] - minus[j])
+    return jac
+
+
+class TestOneJacobianForm:
+    """Each derivative has one form; the others are derived from it bit for bit."""
+
+    def test_point_equals_reference_loop(self):
+        rng = np.random.default_rng(21)
+        mat = rng.normal(size=(2, 3))
+        for _ in range(50):
+            point = rng.normal(scale=10.0, size=3)
+            assert np.array_equal(
+                numeric_jacobian(lambda v: np.sin(mat @ v), point),
+                reference_numeric_jacobian(lambda v: np.sin(mat @ v), point))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (2, 4, 3)])
+    def test_block_equals_per_row_calls(self, shape):
+        # elementwise maps, so that a block's rows round as single rows do
+        # (a matrix product may not)
+        block = np.random.default_rng(22).normal(scale=5.0, size=shape)
+        rows = block.reshape(-1, 3)
+
+        def vector_map(x):
+            return np.stack([np.sin(x[..., 0] * x[..., 1]), x[..., 2] ** 3 - x[..., 0]],
+                            axis=-1)
+
+        def scalar_map(x):
+            return np.sum(x * x * x, axis=-1)
+
+        jac = numeric_jacobian(vector_map, block)
+        grad = numeric_jacobian(scalar_map, block)
+        assert jac.shape == shape[:-1] + (2, 3)
+        assert grad.shape == shape
+        assert np.array_equal(jac.reshape(-1, 2, 3),
+                              np.stack([numeric_jacobian(vector_map, r) for r in rows]))
+        assert np.array_equal(grad.reshape(-1, 3),
+                              np.stack([numeric_jacobian(scalar_map, r) for r in rows]))
+
+    def test_scalar_map_at_a_point_is_a_gradient(self):
+        grad = numeric_jacobian(lambda x: float(x @ x), np.array([1.0, -2.0]))
+        assert grad.shape == (2,)
+        assert max_rel_gap(grad, [2.0, -4.0]) <= 1e-9
+
+    def test_batched_form_stacks_per_point_calls(self):
+        rng = np.random.default_rng(23)
+        model = random_smooth_model(rng, 3, 2, 2, 2)
+        states = rng.normal(size=(9, 3))
+        inputs = rng.normal(size=(9, 2))
+        theta = rng.normal(size=2)
+        pairs = list(zip(states, inputs))
+        assert np.array_equal(model.jac_f_x_batch(states, inputs, theta),
+                              np.stack([model.jac_f_x(x, u, theta) for x, u in pairs]))
+        assert np.array_equal(model.jac_f_theta_batch(states, inputs, theta),
+                              np.stack([model.jac_f_theta(x, u, theta) for x, u in pairs]))
+        assert np.array_equal(model.jac_g_x_batch(states),
+                              np.stack([model.jac_g_x(x) for x in states]))
+
+    def test_bare_model_differences_whole_blocks(self):
+        rng = np.random.default_rng(24)
+        reference = random_smooth_model(rng, 3, 2, 2, 2)
+        bare = DynamicalModel(dims=reference.dims, f=reference.f, g=reference.g)
+        states = rng.normal(size=(9, 3))
+        inputs = rng.normal(size=(9, 2))
+        theta = rng.normal(size=2)
+        pairs = list(zip(states, inputs))
+        f, g = reference.f, reference.g
+        jac_x = np.stack([reference_numeric_jacobian(lambda v: f(v, u, theta), x)
+                          for x, u in pairs])
+        jac_theta = np.stack([reference_numeric_jacobian(lambda v: f(x, u, v), theta)
+                              for x, u in pairs])
+        jac_g = np.stack([reference_numeric_jacobian(g, x) for x in states])
+        assert np.array_equal(bare.jac_f_x_batch(states, inputs, theta), jac_x)
+        assert np.array_equal(bare.jac_f_theta_batch(states, inputs, theta), jac_theta)
+        assert np.array_equal(bare.jac_g_x_batch(states), jac_g)
+        # the per-point forms are the batch of one
+        assert np.array_equal(bare.jac_f_x(states[4], inputs[4], theta), jac_x[4])
+        assert np.array_equal(bare.jac_f_theta(states[4], inputs[4], theta), jac_theta[4])
+        assert np.array_equal(bare.jac_g_x(states[4]), jac_g[4])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from msid import (DimensionMismatch, EnergyConservation, InvalidBox,
                   LowerBarrier, ParameterBox, PenaltySpec, ReluUpperBound,
-                  UpperBarrier, eval_penalty, penalty_gradients, project_box)
+                  UpperBarrier, project_box)
 from conftest import max_rel_gap
 
 THETA = np.array([0.2, -0.4])
@@ -34,21 +34,21 @@ class TestEnergyConservation:
     def test_zero_at_reference(self):
         term = self.term()
         x = np.array([1.0, 0.0, 0.0])  # energy exactly 0.5
-        assert eval_penalty(term, x, THETA) == 0.0
-        grad_x, grad_theta = penalty_gradients(term, x, THETA)
+        assert term.value(x, THETA) == 0.0
+        grad_x, grad_theta = term.grad_x(x, THETA), term.grad_theta(x, THETA)
         assert np.array_equal(grad_x, np.zeros(3))
         assert np.array_equal(grad_theta, np.zeros(2))
 
     def test_quadratic_growth(self):
         term = self.term()
         x = np.array([2.0, 0.0, 0.0])  # energy 2.0, deviation 1.5
-        assert eval_penalty(term, x, THETA) == pytest.approx(2.25, abs=1e-14)
+        assert term.value(x, THETA) == pytest.approx(2.25, abs=1e-14)
 
     def test_numeric_energy_grad_fallback(self):
         term = EnergyConservation(energy_fn=lambda x: 0.5 * float(x @ x),
                                   reference=0.1)
         x = np.array([0.4, -0.3])
-        grad_x, _ = penalty_gradients(term, x, THETA)
+        grad_x = term.grad_x(x, THETA)
         expected = 2.0 * (0.5 * float(x @ x) - 0.1) * x
         assert max_rel_gap(grad_x, expected) <= 1e-6
 
@@ -57,35 +57,35 @@ class TestBarriers:
     def test_upper_value_at_bound(self):
         term = UpperBarrier(bounds=np.array([1.0, 2.0, 3.0]), alpha=2.0)
         x = np.array([1.0, 2.0, 3.0])
-        assert eval_penalty(term, x, THETA) == pytest.approx(3.0, abs=1e-14)
+        assert term.value(x, THETA) == pytest.approx(3.0, abs=1e-14)
 
     def test_upper_one_past_scalar_bound(self):
         term = UpperBarrier(bounds=np.array([0.0]), alpha=2.0)
-        value = eval_penalty(term, np.array([1.0]), THETA)
+        value = term.value(np.array([1.0]), THETA)
         assert value == pytest.approx(math.exp(4.0), rel=1e-14)
 
     def test_upper_gradient_at_bound(self):
         term = UpperBarrier(bounds=np.array([0.5]), alpha=1.0)
-        grad_x, _ = penalty_gradients(term, np.array([0.5]), THETA)
+        grad_x = term.grad_x(np.array([0.5]), THETA)
         assert grad_x[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_inactive_bounds_contribute_zero(self):
         term = UpperBarrier(bounds=np.array([np.inf, 0.0]), alpha=1.5)
         x = np.array([100.0, -1.0])
         only_active = math.exp(2 * 1.5 * -1.0)
-        assert eval_penalty(term, x, THETA) == pytest.approx(only_active, rel=1e-14)
-        grad_x, _ = penalty_gradients(term, x, THETA)
+        assert term.value(x, THETA) == pytest.approx(only_active, rel=1e-14)
+        grad_x = term.grad_x(x, THETA)
         assert grad_x[0] == 0.0
 
     def test_lower_inactive_bound(self):
         term = LowerBarrier(bounds=np.array([-np.inf, 0.0]), alpha=1.0)
-        value = eval_penalty(term, np.array([-50.0, 2.0]), THETA)
+        value = term.value(np.array([-50.0, 2.0]), THETA)
         assert value == pytest.approx(math.exp(-4.0), rel=1e-14)
 
     def test_saturation_keeps_values_finite(self):
         term = UpperBarrier(bounds=np.array([0.0]), alpha=10.0)
-        huge = eval_penalty(term, np.array([1e6]), THETA)
-        grad_x, _ = penalty_gradients(term, np.array([1e6]), THETA)
+        huge = term.value(np.array([1e6]), THETA)
+        grad_x = term.grad_x(np.array([1e6]), THETA)
         assert np.isfinite(huge) and huge > 1e300
         assert np.isfinite(grad_x[0]) and grad_x[0] > 0
 
@@ -93,14 +93,14 @@ class TestBarriers:
     @settings(max_examples=40, deadline=None)
     def test_upper_monotone_in_state(self, x, alpha):
         term = UpperBarrier(bounds=np.array([0.5]), alpha=alpha)
-        lower_value = eval_penalty(term, np.array([x]), THETA)
-        higher_value = eval_penalty(term, np.array([x + 0.25]), THETA)
+        lower_value = term.value(np.array([x]), THETA)
+        higher_value = term.value(np.array([x + 0.25]), THETA)
         assert higher_value > lower_value
 
     def test_relu_variant(self):
         term = ReluUpperBound(bounds=np.array([1.0, 1.0]))
-        assert eval_penalty(term, np.array([0.5, 2.5]), THETA) == pytest.approx(1.5)
-        grad_x, _ = penalty_gradients(term, np.array([0.5, 2.5]), THETA)
+        assert term.value(np.array([0.5, 2.5]), THETA) == pytest.approx(1.5)
+        grad_x = term.grad_x(np.array([0.5, 2.5]), THETA)
         assert np.array_equal(grad_x, [0.0, 1.0])
 
 
@@ -111,7 +111,7 @@ class TestParameterBox:
 
     def test_symmetric_formula(self):
         term = ParameterBox(lower=np.array([-1.0]), upper=np.array([1.0]), alpha=1.0)
-        value = eval_penalty(term, None, np.array([0.0]))
+        value = term.value(None, np.array([0.0]))
         assert value == pytest.approx(2 * math.exp(-2.0), rel=1e-14)
 
 
@@ -132,7 +132,7 @@ class TestGradientConsistency:
             term = builder(rng)
             x = rng.uniform(-0.9, 0.9, 3)
             theta = rng.uniform(-0.9, 0.9, 2)
-            grad_x, grad_theta = penalty_gradients(term, x, theta)
+            grad_x, grad_theta = term.grad_x(x, theta), term.grad_theta(x, theta)
             fd_x, fd_theta = fd_gradients(term, x, theta)
             for analytic, fd in ((grad_x, fd_x), (grad_theta, fd_theta)):
                 if np.max(np.abs(analytic)) < 1e-9:
@@ -153,7 +153,7 @@ class TestGradientConsistency:
             x = rng.normal(size=3)
             theta = rng.normal(size=2)
             for term in terms:
-                assert eval_penalty(term, x, theta) >= 0.0
+                assert term.value(x, theta) >= 0.0
 
 
 class TestPenaltySpec:

@@ -83,9 +83,6 @@ class TestMaskedJacobian:
         bad = SparsityMask(np.eye(3, dtype=int), np.eye(3, dtype=int))
         state = np.array([0.3, -0.2, 0.4])
         with pytest.raises(MaskViolation):
-            masked_jac_f_x(model, state, np.zeros(3), ATTITUDE_THETA, bad,
-                           validate=True)
-        with pytest.raises(MaskViolation):
             validate_mask(model, bad, [(state, np.zeros(3), ATTITUDE_THETA)])
         validate_mask(model, euler_sparsity_mask(),
                       [(state, np.zeros(3), ATTITUDE_THETA)])

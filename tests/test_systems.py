@@ -126,6 +126,63 @@ class TestEulerJacobians:
         assert max_rel_gap(jac, fd) <= 1e-9
 
 
+def reference_euler_jacobians(omega, torque, inertia, dt):
+    """The per-point attitude formulas the batched form replaced."""
+    wx, wy, wz = omega[0], omega[1], omega[2]
+    ix, iy, iz = inertia[0], inertia[1], inertia[2]
+    jac_x = np.array([
+        [1.0, -dt * (iz - iy) * wz / ix, -dt * (iz - iy) * wy / ix],
+        [-dt * (ix - iz) * wz / iy, 1.0, -dt * (ix - iz) * wx / iy],
+        [-dt * (iy - ix) * wy / iz, -dt * (iy - ix) * wx / iz, 1.0],
+    ])
+    jac_theta = np.array([
+        [-dt * (torque[0] - (iz - iy) * wy * wz) / ix ** 2,
+         dt * wy * wz / ix, -dt * wy * wz / ix],
+        [-dt * wz * wx / iy,
+         -dt * (torque[1] - (ix - iz) * wz * wx) / iy ** 2,
+         dt * wz * wx / iy],
+        [dt * wx * wy / iz, -dt * wx * wy / iz,
+         -dt * (torque[2] - (iy - ix) * wx * wy) / iz ** 2],
+    ])
+    return jac_x, jac_theta
+
+
+class TestAttitudeJacobianForms:
+    def test_point_batch_and_entry_forms_agree_bit_for_bit(self):
+        model = euler_attitude_model(dt=ATTITUDE_DT)
+        rng = np.random.default_rng(31)
+        states = rng.normal(scale=0.8, size=(500, 3))
+        inputs = rng.normal(scale=0.1, size=(500, 3))
+        for inertia in rng.uniform(0.005, 1.0, size=(4, 3)):
+            batch_x = model.jac_f_x_batch(states, inputs, inertia)
+            batch_theta = model.jac_f_theta_batch(states, inputs, inertia)
+            for k, (omega, torque) in enumerate(zip(states, inputs)):
+                ref_x, ref_theta = reference_euler_jacobians(
+                    omega, torque, inertia, ATTITUDE_DT)
+                jac_x, jac_theta = euler_jacobians(omega, torque, inertia, ATTITUDE_DT)
+                assert np.array_equal(jac_x, ref_x)
+                assert np.array_equal(jac_theta, ref_theta)
+                assert np.array_equal(model.jac_f_x(omega, torque, inertia), ref_x)
+                assert np.array_equal(model.jac_f_theta(omega, torque, inertia), ref_theta)
+                assert np.array_equal(batch_x[k], ref_x)
+                assert np.array_equal(batch_theta[k], ref_theta)
+                entries = [[model.jac_f_x_entry(omega, torque, inertia, i, j)
+                            for j in range(3)] for i in range(3)]
+                assert np.array_equal(entries, ref_x)
+
+    def test_nonpositive_inertia_rejected_by_every_form(self):
+        model = euler_attitude_model(dt=ATTITUDE_DT)
+        bad = np.array([0.04, -0.01, 0.008])
+        states, inputs = np.zeros((2, 3)), np.zeros((2, 3))
+        for evaluate in (lambda: model.jac_f_x(states[0], inputs[0], bad),
+                         lambda: model.jac_f_theta(states[0], inputs[0], bad),
+                         lambda: model.jac_f_x_batch(states, inputs, bad),
+                         lambda: model.jac_f_theta_batch(states, inputs, bad),
+                         lambda: model.jac_f_x_entry(states[0], inputs[0], bad, 0, 1)):
+            with pytest.raises(NonPositiveInertia):
+                evaluate()
+
+
 class TestGenerateDataset:
     def test_zero_noise_reproduces_rollout(self):
         model = euler_attitude_model(dt=ATTITUDE_DT)
