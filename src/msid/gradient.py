@@ -207,18 +207,11 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     states = trajectory.states[:horizon - 1]
     inputs = dataset.inputs[:horizon - 1]
     if model.sparsity is not None:
-        jac_x = [masked_jac_f_x(model, states[i], inputs[i], theta, model.sparsity)
-                 for i in range(horizon - 1)]
+        jac_x = masked_jac_f_x(model, states, inputs, theta, model.sparsity)
     else:
         jac_x = np.asarray(model.jac_f_x_batch(states, inputs, theta), dtype=float)
     jac_theta = np.asarray(model.jac_f_theta_batch(states, inputs, theta), dtype=float)
     return jac_x, jac_theta
-
-
-def _apply_chain(adjoint, jac):
-    if isinstance(jac, np.ndarray):
-        return adjoint @ jac
-    return sparse_chain_apply(adjoint, jac)
 
 
 def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
@@ -238,17 +231,19 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
 
+    # adjoints[k] is the cost gradient by x[k]; one chain product per step
+    product = np.matmul if model.sparsity is None else sparse_chain_apply
+    adjoints = big_gamma.copy()
+    for k in range(horizon - 1, 0, -1):
+        adjoints[k - 1] += product(adjoints[k], jac_x[k - 1])
+    grad_x0 = adjoints[0]
+
     grad_theta = gamma.sum(axis=0)
     if spec.penalty is not None:
         grad_theta = grad_theta + spec.penalty.param_grad(theta)
-
-    adjoint = big_gamma[horizon - 1].copy()
-    chain_applications = 0
-    for k in range(horizon - 1, 0, -1):
-        grad_theta += adjoint @ jac_theta[k - 1]
-        adjoint = big_gamma[k - 1] + _apply_chain(adjoint, jac_x[k - 1])
-        chain_applications += 1
-    grad_x0 = adjoint
+    # the transition terms, summed in backward-pass order (not pairwise)
+    products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
+    grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]
 
     if not (np.isfinite(total_cost)
             and np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):
@@ -256,7 +251,7 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     return GradientReport(
         cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
         per_step_loss=per_step, penalty_total=penalty_total,
-        chain_applications=chain_applications)
+        chain_applications=horizon - 1)
 
 
 def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
@@ -275,7 +270,7 @@ def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Datas
     gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
     if model.sparsity is not None:
-        jac_x = [j.to_dense() for j in jac_x]
+        jac_x = jac_x.to_dense()
 
     n_x = model.dims.n_x
     grad_theta = gamma.sum(axis=0)

@@ -40,15 +40,6 @@ def _vector(value, n: Optional[int], name: str) -> Array:
     return arr
 
 
-def _matrix(value, shape, name: str) -> Array:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise DimensionMismatch(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
 def _freeze(arr: Array) -> Array:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)
@@ -153,11 +144,11 @@ class DynamicalModel:
     of rows.
 
     Two optional extras serve the sparsity-aware path:
-    ``jac_f_x_entry(x, u, theta, i, j)`` evaluates one entry of the state
-    Jacobian, so that structurally-zero entries are never computed, and
-    ``sparsity`` attaches a :class:`~msid.structure.SparsityMask`; when
-    present, gradient evaluation routes state-Jacobian work through the
-    masked path.
+    ``jac_f_x_entry(x, u, theta, i, j)`` gives entry (i, j) of the state
+    Jacobian for each row of a point (n_x,) or block (..., n_x), shape (...),
+    so that structurally-zero entries are never computed; ``sparsity``
+    attaches a :class:`~msid.structure.SparsityMask`, with which the gradient
+    evaluates the state Jacobian through the masked path, once per trajectory.
     """
 
     dims: ModelDims
@@ -169,7 +160,7 @@ class DynamicalModel:
     jac_f_x_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_f_theta_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_g_x_batch: Optional[Callable[[Array], Array]] = None
-    jac_f_x_entry: Optional[Callable[[Array, Array, Array, int, int], float]] = None
+    jac_f_x_entry: Optional[Callable[[Array, Array, Array, int, int], Array]] = None
     sparsity: Optional["SparsityMask"] = None
 
     def __post_init__(self):

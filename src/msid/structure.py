@@ -10,6 +10,7 @@ bound testable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -104,41 +105,52 @@ class SparsityMask:
 @dataclass(frozen=True)
 class SparseMatrix:
     """Coordinate-list matrix holding only structurally nonzero entries,
-    ordered by row."""
+    ordered by row.  ``vals`` has shape (..., n_nz): one matrix, or a stack
+    of matrices sharing one pattern, one row of ``vals`` per matrix."""
 
     shape: tuple
     rows: Array
     cols: Array
     vals: Array
 
+    def __getitem__(self, k) -> "SparseMatrix":
+        """Matrix ``k`` of a stack."""
+        return SparseMatrix(self.shape, self.rows, self.cols, self.vals[k])
+
     def to_dense(self) -> Array:
-        dense = np.zeros(self.shape)
-        dense[self.rows, self.cols] = self.vals
+        dense = np.zeros(self.vals.shape[:-1] + tuple(self.shape))
+        dense[..., self.rows, self.cols] = self.vals
         return dense
 
 
 def masked_jac_f_x(model: "DynamicalModel", x, u, theta,
                    mask: SparsityMask) -> SparseMatrix:
-    """State Jacobian at one point, evaluated only where the mask is 1.
+    """State Jacobian at a point (n_x,) or at each row of a block (..., n_x),
+    evaluated only where the mask is 1; ``vals`` has shape (..., n_nz).
 
-    When the model supplies ``jac_f_x_entry`` the masked entries are computed
-    one by one and nothing else is ever evaluated.  Otherwise the dense
-    Jacobian is evaluated once and the masked entries gathered from it; the
-    entry counter still reflects the number of stored entries.
-    :func:`validate_mask` checks a mask against the dense Jacobian.
+    With ``jac_f_x_entry`` each masked entry is computed once for all rows
+    and nothing else is evaluated; otherwise one ``jac_f_x_batch`` call on
+    the block is gathered at the mask.  Either way the entry counter grows
+    by n_nz per row.  :func:`validate_mask` checks a mask against the dense
+    Jacobian.
     """
     n_x = model.dims.n_x
     if mask.n_x != n_x:
         raise DimensionMismatch(
             f"mask is {mask.n_x}x{mask.n_x} but the model has n_x={n_x}")
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    if x.shape[-1:] != (n_x,):
+        raise DimensionMismatch(f"states must have shape (..., {n_x}), got {x.shape}")
+    lead = x.shape[:-1]
     if model.jac_f_x_entry is not None:
-        vals = np.empty(mask.n_nz)
-        for idx in range(mask.n_nz):
-            vals[idx] = model.jac_f_x_entry(x, u, theta,
-                                            int(mask.rows[idx]), int(mask.cols[idx]))
+        vals = np.empty(lead + (mask.n_nz,))
+        for idx, (i, j) in enumerate(zip(mask.rows.tolist(), mask.cols.tolist())):
+            vals[..., idx] = model.jac_f_x_entry(x, u, theta, i, j)
     else:
-        vals = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[mask.rows, mask.cols]
-    entry_evaluations.add(mask.n_nz)
+        states = x.reshape(-1, n_x)
+        dense = model.jac_f_x_batch(states, u.reshape(len(states), -1), theta)
+        vals = np.asarray(dense, dtype=float)[:, mask.rows, mask.cols].reshape(lead + (-1,))
+    entry_evaluations.add(mask.n_nz * math.prod(lead))
     return SparseMatrix((n_x, n_x), mask.rows, mask.cols, vals)
 
 
@@ -169,9 +181,8 @@ def sparse_chain_apply(adjoint_row, jac: SparseMatrix) -> Array:
     if a.ndim != 1 or a.shape[0] != jac.shape[0]:
         raise DimensionMismatch(
             f"adjoint row has shape {a.shape}, expected ({jac.shape[0]},)")
-    out = np.zeros(jac.shape[1])
-    np.add.at(out, jac.cols, a[jac.rows] * jac.vals)
-    return out
+    # bincount adds the products into each column in storage order, from 0.0
+    return np.bincount(jac.cols, weights=a[jac.rows] * jac.vals, minlength=jac.shape[1])
 
 
 def infer_mask(model: "DynamicalModel", probes: int = 20,

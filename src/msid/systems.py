@@ -34,7 +34,8 @@ def _check_inertia(inertia) -> Array:
     inertia = np.asarray(inertia, dtype=float)
     if inertia.shape != (3,):
         raise DimensionMismatch(f"inertia must have shape (3,), got {inertia.shape}")
-    if not (inertia[0] > 0 and inertia[1] > 0 and inertia[2] > 0):
+    ix, iy, iz = inertia.tolist()
+    if not (ix > 0 and iy > 0 and iz > 0):
         raise NonPositiveInertia(f"inertia components must be positive, got {inertia}")
     return inertia
 
@@ -92,9 +93,11 @@ def euler_jacobians(omega, torque, inertia, dt: float) -> tuple[Array, Array]:
 
 
 def _euler_jac_x_entry(omega, torque, inertia, dt, i, j):
+    """Entry (i, j) of the forward-Euler state Jacobian for each row of
+    ``omega``, shape (...)."""
     if i == j:
-        return 1.0
-    wx, wy, wz = omega[0], omega[1], omega[2]
+        return np.ones(np.shape(omega)[:-1])
+    wx, wy, wz = omega[..., 0], omega[..., 1], omega[..., 2]
     ix, iy, iz = inertia[0], inertia[1], inertia[2]
     if i == 0:
         return -dt * (iz - iy) * wz / ix if j == 1 else -dt * (iz - iy) * wy / ix

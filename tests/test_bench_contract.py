@@ -69,10 +69,12 @@ def span_counts():
 # (masked_jac_f_x calls, sparse_chain_apply calls, numeric_jacobian calls,
 #  Jacobian-field calls) for one gradient.  The gradient calls only the batched
 # fields: three of them, or two on the masked path, which evaluates the state
-# Jacobian entry by entry; the RK4 model differences f once per batched map.
+# Jacobian entry by entry, once for the whole trajectory, and makes one sparse
+# chain product per transition; the RK4 model differences f once per batched
+# map.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
-    "euler-sparse": (HORIZON - 1, HORIZON - 1, 0, 2),
+    "euler-sparse": (1, HORIZON - 1, 0, 2),
     "rk4": (0, 0, 2, 3),
     "scalar": (0, 0, 0, 3),
 }

@@ -7,8 +7,9 @@ import pytest
 
 from msid import (Dataset, DimensionMismatch, GradientReport, LossSpec,
                   PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
-                  cost, fd_gradient, gamma_terms, gradient, gradient_naive,
-                  prediction_error, rollout, scalar_linear_model)
+                  cost, euler_attitude_model, fd_gradient, gamma_terms, gradient,
+                  gradient_naive, masked_jac_f_x, prediction_error, rollout,
+                  rotational_energy, rotational_energy_term, scalar_linear_model)
 from conftest import max_rel_gap, random_instance, report_gap
 
 
@@ -351,3 +352,81 @@ class TestFdGradientReference:
         grad_theta, grad_x0 = reference_fd_gradient(model, x0, theta, dataset, spec)
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
+
+
+def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
+    """The step-by-step backward loop the one-product-per-step pass replaced:
+    one adjoint row, the parameter term added inside the loop, and the
+    sparse product as ``np.add.at`` on a masked model."""
+    horizon = trajectory.horizon
+    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+    states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
+    jac_theta = model.jac_f_theta_batch(states, inputs, theta)
+    if model.sparsity is None:
+        jac_x = model.jac_f_x_batch(states, inputs, theta)
+    else:
+        mask = model.sparsity
+        vals = masked_jac_f_x(model, states, inputs, theta, mask).vals
+    grad_theta = gamma.sum(axis=0)
+    if spec.penalty is not None:
+        grad_theta = grad_theta + spec.penalty.param_grad(theta)
+    adjoint = big_gamma[horizon - 1].copy()
+    for k in range(horizon - 1, 0, -1):
+        grad_theta += adjoint @ jac_theta[k - 1]
+        if model.sparsity is None:
+            pulled = adjoint @ jac_x[k - 1]
+        else:
+            pulled = np.zeros(model.dims.n_x)
+            np.add.at(pulled, mask.cols, adjoint[mask.rows] * vals[k - 1])
+        adjoint = big_gamma[k - 1] + pulled
+    return grad_theta, adjoint
+
+
+def masked_attitude_problem(penalty):
+    from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset
+    _, dataset = attitude_dataset(seed=3, horizon=50)
+    theta = ATTITUDE_THETA * np.array([1.1, 0.93, 1.05])
+    terms = ()
+    if penalty:
+        reference = float(rotational_energy(dataset.observations[0], ATTITUDE_THETA))
+        terms = (rotational_energy_term(ATTITUDE_THETA, reference, weight=1.0),)
+    spec = LossSpec.scaled_identity(3, len(dataset), penalty=PenaltySpec(terms) if terms else None)
+    return dataset, spec, theta, ATTITUDE_OMEGA0
+
+
+class TestBackwardPass:
+    @pytest.mark.parametrize("seed,penalty_kind",
+                             [(11, None), (12, "energy"), (13, "upper"), (14, "box")])
+    def test_dense_path_equals_step_by_step_loop(self, seed, penalty_kind):
+        model, dataset, spec, theta, x0 = random_instance(seed, penalty_kind=penalty_kind)
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        report = gradient(model, trajectory, dataset, spec, theta)
+        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        assert np.array_equal(report.grad_theta, grad_theta)
+        assert np.array_equal(report.grad_x0, grad_x0)
+
+    @pytest.mark.parametrize("with_sparsity", [False, True])
+    @pytest.mark.parametrize("penalty", [False, True])
+    def test_attitude_paths_equal_step_by_step_loop(self, with_sparsity, penalty):
+        model = euler_attitude_model(dt=0.1, with_sparsity=with_sparsity)
+        dataset, spec, theta, x0 = masked_attitude_problem(penalty)
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        report = gradient(model, trajectory, dataset, spec, theta)
+        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        assert np.array_equal(report.grad_theta, grad_theta)
+        assert np.array_equal(report.grad_x0, grad_x0)
+
+    @pytest.mark.parametrize("penalty", [False, True])
+    def test_masked_attitude_three_way_anchor(self, penalty):
+        dense_model = euler_attitude_model(dt=0.1)
+        masked_model = euler_attitude_model(dt=0.1, with_sparsity=True)
+        dataset, spec, theta, x0 = masked_attitude_problem(penalty)
+        trajectory = rollout(masked_model, x0, theta, dataset.inputs)
+        masked = gradient(masked_model, trajectory, dataset, spec, theta)
+        dense = gradient(dense_model, trajectory, dataset, spec, theta)
+        naive = gradient_naive(masked_model, trajectory, dataset, spec, theta)
+        fd = fd_gradient(masked_model, x0, theta, dataset, spec, step=1e-6)
+        assert report_gap(masked, dense) <= 1e-14
+        assert report_gap(masked, naive) <= 1e-10
+        assert report_gap(masked, fd) <= 1e-5
+        assert masked.chain_applications == len(dataset) - 1

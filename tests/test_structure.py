@@ -14,14 +14,15 @@ from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, max_rel_gap
 
 
 def diagonal_square_model(n=3):
-    """Decoupled dynamics f_j(x) = x_j^2 with a per-entry state Jacobian."""
+    """Decoupled dynamics f_j(x) = x_j^2 with a row-wise entry form of the
+    state Jacobian."""
     dims = ModelDims(n, 1, n, 1)
     return DynamicalModel(
         dims=dims,
         f=lambda x, u, th: x * x,
         g=lambda x: x,
         jac_f_x=lambda x, u, th: np.diag(2.0 * x),
-        jac_f_x_entry=lambda x, u, th, i, j: 2.0 * x[i] if i == j else 0.0,
+        jac_f_x_entry=lambda x, u, th, i, j: 2.0 * x[..., i] if i == j else 0.0,
     )
 
 
@@ -88,6 +89,86 @@ class TestMaskedJacobian:
                       [(state, np.zeros(3), ATTITUDE_THETA)])
 
 
+def reference_masked_values(model, states, inputs, theta, mask):
+    """The per-point, per-entry loop that block evaluation replaced: one
+    entry call per nonzero and point, or one dense Jacobian per point."""
+    vals = np.empty((len(states), mask.n_nz))
+    for k, (x, u) in enumerate(zip(states, inputs)):
+        if model.jac_f_x_entry is not None:
+            for idx in range(mask.n_nz):
+                vals[k, idx] = model.jac_f_x_entry(x, u, theta, int(mask.rows[idx]),
+                                                   int(mask.cols[idx]))
+        else:
+            vals[k] = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[mask.rows, mask.cols]
+    return vals
+
+
+ATTITUDE_MASKS = (euler_sparsity_mask(),
+                  SparsityMask(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), np.eye(3)))
+
+
+class TestBlockMaskedJacobian:
+    @pytest.mark.parametrize("entry_form", [True, False])
+    def test_block_equals_per_point_loop_bit_for_bit(self, entry_form):
+        model = euler_attitude_model(dt=0.1)
+        if not entry_form:
+            model = dataclasses.replace(model, jac_f_x_entry=None)
+        rng = np.random.default_rng(41)
+        for inertia in rng.uniform(0.005, 1.0, size=(4, 3)):
+            # 4 x 500 = 2,000 random attitude points
+            states = rng.normal(scale=0.8, size=(500, 3))
+            inputs = rng.normal(scale=0.1, size=(500, 3))
+            dense = model.jac_f_x_batch(states, inputs, inertia)
+            for mask in ATTITUDE_MASKS:
+                block = masked_jac_f_x(model, states, inputs, inertia, mask)
+                assert block.vals.shape == (500, mask.n_nz)
+                reference = reference_masked_values(model, states, inputs, inertia, mask)
+                assert np.array_equal(block.vals, reference)
+                assert np.array_equal(block.vals, dense[:, mask.rows, mask.cols])
+                nested = masked_jac_f_x(model, states.reshape(20, 25, 3),
+                                        inputs.reshape(20, 25, 3), inertia, mask)
+                assert np.array_equal(nested.vals.reshape(500, -1), reference)
+                point = masked_jac_f_x(model, states[7], inputs[7], inertia, mask)
+                assert np.array_equal(point.vals, reference[7])
+
+    def test_per_point_model_fallback_equals_per_point_loop(self):
+        from conftest import random_smooth_model
+        rng = np.random.default_rng(42)
+        model = random_smooth_model(rng, 4, 2, 2, 3)
+        mask = SparsityMask(rng.integers(0, 2, size=(4, 4)), np.ones((4, 2)))
+        states, inputs = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
+        theta = rng.normal(size=3)
+        block = masked_jac_f_x(model, states, inputs, theta, mask)
+        assert np.array_equal(block.vals,
+                              reference_masked_values(model, states, inputs, theta, mask))
+
+    @pytest.mark.parametrize("entry_form", [True, False])
+    def test_entry_count_grows_by_n_nz_per_row(self, entry_form):
+        model = euler_attitude_model()
+        if not entry_form:
+            model = dataclasses.replace(model, jac_f_x_entry=None)
+        mask = ATTITUDE_MASKS[1]
+        for shape, rows in (((3,), 1), ((7, 3), 7), ((2, 4, 3), 8)):
+            entry_evaluations.reset()
+            masked_jac_f_x(model, np.full(shape, 0.1), np.zeros(shape), ATTITUDE_THETA, mask)
+            assert entry_evaluations.count == rows * mask.n_nz == rows * 6
+
+    def test_wrong_state_width_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            masked_jac_f_x(euler_attitude_model(), np.zeros((5, 2)), np.zeros((5, 3)),
+                           ATTITUDE_THETA, euler_sparsity_mask())
+
+    def test_stack_to_dense_and_indexing(self):
+        rng = np.random.default_rng(43)
+        mask = ATTITUDE_MASKS[1]
+        stack = SparseMatrix((3, 3), mask.rows, mask.cols, rng.normal(size=(6, mask.n_nz)))
+        dense = stack.to_dense()
+        assert dense.shape == (6, 3, 3)
+        for k in range(6):
+            assert np.array_equal(dense[k], stack[k].to_dense())
+            assert np.array_equal(dense[k] * (1 - mask.state_mask), np.zeros((3, 3)))
+
+
 class TestSparseChainApply:
     def test_identity(self):
         identity = SparseMatrix((3, 3), np.arange(3), np.arange(3), np.ones(3))
@@ -108,6 +189,18 @@ class TestSparseChainApply:
             sparse = SparseMatrix((n, n), rows, cols, dense[rows, cols])
             row = rng.normal(size=n)
             assert max_rel_gap(sparse_chain_apply(row, sparse), row @ dense) <= 1e-14
+
+    def test_equals_add_at_reference_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            pattern = rng.integers(0, 2, size=(n, n))
+            rows, cols = np.nonzero(pattern)
+            sparse = SparseMatrix((n, n), rows, cols, rng.normal(size=rows.size))
+            row = rng.normal(size=n)
+            reference = np.zeros(n)
+            np.add.at(reference, cols, row[rows] * sparse.vals)
+            assert np.array_equal(sparse_chain_apply(row, sparse), reference)
 
     def test_dimension_check(self):
         single = SparseMatrix((3, 3), np.array([0]), np.array([0]), np.array([1.0]))

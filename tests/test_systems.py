@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msid import (NoiseSpec, NonPositiveInertia, angular_rates,
+from msid import (DimensionMismatch, NoiseSpec, NonPositiveInertia, angular_rates,
                   euler_attitude_model, euler_jacobians, euler_step,
                   generate_dataset, numeric_jacobian, rollout,
                   rotational_energy, rotational_energy_gradient,
@@ -79,6 +79,16 @@ class TestEulerStep:
                        np.array([0.1, -0.1, 0.1]), 0.1)
         with pytest.raises(NonPositiveInertia):
             rotational_energy(ATTITUDE_OMEGA0, np.array([0.0, 0.1, 0.1]))
+
+    @pytest.mark.parametrize("integrator", ["forward_euler", "rk4"])
+    def test_every_bad_inertia_raises_from_euler_step(self, integrator):
+        for bad, error in ((np.array([0.04, 0.04]), DimensionMismatch),
+                           (np.full((3, 1), 0.04), DimensionMismatch),
+                           (np.array([0.04, 0.0, 0.008]), NonPositiveInertia),
+                           (np.array([0.04, -0.04, 0.008]), NonPositiveInertia),
+                           (np.array([0.04, np.nan, 0.008]), NonPositiveInertia)):
+            with pytest.raises(error):
+                euler_step(ATTITUDE_OMEGA0, np.zeros(3), bad, 0.1, integrator)
 
     def test_cyclic_permutation_commutes(self):
         rng = np.random.default_rng(0)
@@ -178,7 +188,8 @@ class TestAttitudeJacobianForms:
                          lambda: model.jac_f_theta(states[0], inputs[0], bad),
                          lambda: model.jac_f_x_batch(states, inputs, bad),
                          lambda: model.jac_f_theta_batch(states, inputs, bad),
-                         lambda: model.jac_f_x_entry(states[0], inputs[0], bad, 0, 1)):
+                         lambda: model.jac_f_x_entry(states[0], inputs[0], bad, 0, 1),
+                         lambda: model.jac_f_x_entry(states, inputs, bad, 0, 1)):
             with pytest.raises(NonPositiveInertia):
                 evaluate()
 
