@@ -99,17 +99,25 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     return np.stack(columns, axis=-1)
 
 
-def _rows(fn, *blocks) -> Array:
-    """``fn`` applied to the matching rows of the blocks, stacked."""
-    return np.stack([np.asarray(fn(*row), dtype=float) for row in zip(*blocks)])
-
-
 def _stacked(jac_at_point, shares_theta: bool):
     """Batched form of a per-point Jacobian: one call per row, stacked."""
     if shares_theta:
-        return lambda states, inputs, theta: _rows(
-            lambda x, u: jac_at_point(x, u, theta), states, inputs)
-    return lambda states: _rows(jac_at_point, states)
+        return lambda states, inputs, theta: np.stack(
+            [np.asarray(jac_at_point(x, u, theta), dtype=float)
+             for x, u in zip(states, inputs)])
+    return lambda states: np.stack(
+        [np.asarray(jac_at_point(x), dtype=float) for x in states])
+
+
+def check_rows(name: str, result, shape: tuple) -> Array:
+    """``result`` of the map ``name`` as an array, checked to have ``shape``,
+    one row per row of the block the map was handed (a map written for one
+    point may broadcast a block into another shape)."""
+    result = np.asarray(result, dtype=float)
+    if result.shape != shape:
+        raise DimensionMismatch(
+            f"{name} must be row-wise: gave shape {result.shape}, expected {shape}")
+    return result
 
 
 def _batch_of_one(jac_batch, shares_theta: bool):
@@ -141,7 +149,11 @@ class DynamicalModel:
     per-point form stacked row by row; a missing per-point form is the
     batch of one.  A map given in neither form is differenced centrally:
     its batched form is one :func:`numeric_jacobian` call on the whole block
-    of rows.
+    of rows, which calls ``f`` or ``g`` on blocks.  So a model that omits a
+    Jacobian of ``f`` (or of ``g``) must give a row-wise ``f`` (or ``g``): it
+    maps (N, n_x) states, (N, n_u) inputs and one theta or N of them to
+    (N, n_x) (or (N, n_z)); on any other shape the fallback raises
+    :class:`DimensionMismatch`.
 
     Two optional extras serve the sparsity-aware path:
     ``jac_f_x_entry(x, u, theta, i, j)`` gives entry (i, j) of the state
@@ -165,15 +177,17 @@ class DynamicalModel:
 
     def __post_init__(self):
         f, g = self.f, self.g
+        n_x, n_z = self.dims.n_x, self.dims.n_z
         # central differences of each map over the whole block of rows
         differenced = {
             "jac_f_x": lambda states, inputs, theta: numeric_jacobian(
-                lambda block: _rows(lambda x, u: f(x, u, theta), block, inputs), states),
+                lambda block: check_rows("f", f(block, inputs, theta), (len(block), n_x)),
+                states),
             "jac_f_theta": lambda states, inputs, theta: numeric_jacobian(
-                lambda block: _rows(f, states, inputs, block),
+                lambda block: check_rows("f", f(states, inputs, block), (len(block), n_x)),
                 np.broadcast_to(theta, (len(states),) + np.shape(theta))),
             "jac_g_x": lambda states: numeric_jacobian(
-                lambda block: _rows(g, block), states),
+                lambda block: check_rows("g", g(block), (len(block), n_z)), states),
         }
         for name, fallback in differenced.items():
             shares_theta = name != "jac_g_x"

@@ -32,7 +32,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox
-from .model import numeric_jacobian
+from .model import check_rows, numeric_jacobian
 
 Array = np.ndarray
 
@@ -260,7 +260,8 @@ class PenaltySpec:
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape[:-1])
         for t in self._state_terms():
-            total += t.weight * _rows(t, "value", t.value(x, theta), total.shape)
+            total += t.weight * check_rows(f"penalty term {type(t).__name__}.value",
+                                           t.value(x, theta), total.shape)
         return total
 
     def step_grad_x(self, x, theta) -> Array:
@@ -268,7 +269,8 @@ class PenaltySpec:
         x = np.asarray(x, dtype=float)
         grad = np.zeros_like(x)
         for t in self._state_terms():
-            grad += t.weight * _rows(t, "grad_x", t.grad_x(x, theta), grad.shape)
+            grad += t.weight * check_rows(f"penalty term {type(t).__name__}.grad_x",
+                                          t.grad_x(x, theta), grad.shape)
         return grad
 
     def step_grad_theta(self, x, theta) -> Array:
@@ -277,7 +279,8 @@ class PenaltySpec:
         x = np.asarray(x, dtype=float)
         grad = _zero_theta_rows(x, theta)
         for t in self._state_terms():
-            grad += t.weight * _rows(t, "grad_theta", t.grad_theta(x, theta), grad.shape)
+            grad += t.weight * check_rows(f"penalty term {type(t).__name__}.grad_theta",
+                                          t.grad_theta(x, theta), grad.shape)
         return grad
 
     def param_value(self, theta) -> float:
@@ -293,18 +296,6 @@ class PenaltySpec:
     def total_value(self, states, theta) -> float:
         """Weighted penalty over a whole trajectory (states = first T rows)."""
         return float(self.param_value(theta) + np.sum(self.step_value(states, theta)))
-
-
-def _rows(term, method: str, result, shape: tuple) -> Array:
-    """``result`` of ``term.method`` as an array, checked to hold one row per
-    state; a term written for a single point would otherwise be charged once
-    for the whole block."""
-    result = np.asarray(result, dtype=float)
-    if result.shape != shape:
-        raise DimensionMismatch(
-            f"penalty term {type(term).__name__}.{method} returned shape "
-            f"{result.shape}, expected {shape}: terms must return one row per state")
-    return result
 
 
 def project_box(theta, lower, upper) -> Array:

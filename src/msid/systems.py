@@ -30,18 +30,25 @@ RK4 = "rk4"
 INTEGRATORS = (FORWARD_EULER, RK4)
 
 
-def _check_inertia(inertia) -> Array:
+def _check_inertia(inertia, rows: bool = False) -> Array:
+    """The inertia as an array, checked: shape (3,), or (..., 3) with
+    ``rows``, and every entry positive (NaN is not)."""
     inertia = np.asarray(inertia, dtype=float)
-    if inertia.shape != (3,):
-        raise DimensionMismatch(f"inertia must have shape (3,), got {inertia.shape}")
-    ix, iy, iz = inertia.tolist()
-    if not (ix > 0 and iy > 0 and iz > 0):
-        raise NonPositiveInertia(f"inertia components must be positive, got {inertia}")
-    return inertia
+    if inertia.shape == (3,):
+        ix, iy, iz = inertia.tolist()
+        if ix > 0 and iy > 0 and iz > 0:
+            return inertia
+    elif rows and inertia.shape[-1:] == (3,):
+        if (inertia > 0).all():
+            return inertia
+    else:
+        expected = "(..., 3)" if rows else "(3,)"
+        raise DimensionMismatch(f"inertia must have shape {expected}, got {inertia.shape}")
+    raise NonPositiveInertia(f"inertia components must be positive, got {inertia}")
 
 
 def _rates(omega, torque, inertia) -> tuple:
-    """Angular acceleration from (x, y, z) sequences of Python floats."""
+    """Angular acceleration from (x, y, z) sequences: floats or columns."""
     wx, wy, wz = omega
     ix, iy, iz = inertia
     return ((torque[0] - (iz - iy) * wy * wz) / ix,
@@ -59,25 +66,43 @@ def angular_rates(omega, torque, inertia) -> Array:
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
     """One integrator step of the rigid-body equations (torque held constant).
 
-    The arithmetic runs on Python floats, which round exactly as numpy
-    float64 scalars do, at a fraction of their per-operation cost.
+    Row-wise: each of ``omega``, ``torque`` and ``inertia`` may be a point
+    (3,) or a block (..., 3), giving one row per broadcast row.  Three points
+    run on Python floats, which round as numpy float64 does at a fraction of
+    its per-operation cost; a block runs the same formulas elementwise on its
+    columns, so each row equals the step on that row alone bit for bit.
     """
-    inertia = _check_inertia(inertia).tolist()
-    omega = np.asarray(omega, dtype=float).tolist()
-    torque = np.asarray(torque, dtype=float).tolist()
+    omega = np.asarray(omega, dtype=float)
+    torque = np.asarray(torque, dtype=float)
+    inertia = np.asarray(inertia, dtype=float)
+    point = omega.ndim == torque.ndim == inertia.ndim == 1
+    if point:
+        w, m, i = omega.tolist(), torque.tolist(), inertia.tolist()
+        # the inertia check on the floats at hand; _check_inertia names the fault
+        if not (len(i) == 3 and i[0] > 0 and i[1] > 0 and i[2] > 0):
+            _check_inertia(inertia)
+    elif omega.shape[-1:] == torque.shape[-1:] == (3,):
+        inertia = _check_inertia(inertia, rows=True)
+        w, m, i = ((a[..., 0], a[..., 1], a[..., 2])
+                   for a in np.broadcast_arrays(omega, torque, inertia))
+    else:
+        raise DimensionMismatch(
+            f"omega and torque must have shape (..., 3), got {omega.shape} and {torque.shape}")
     if integrator == FORWARD_EULER:
-        rates = _rates(omega, torque, inertia)
-        return np.array([w + dt * r for w, r in zip(omega, rates)])
-    if integrator == RK4:
+        rates = _rates(w, m, i)
+        step = [a + dt * r for a, r in zip(w, rates)]
+    elif integrator == RK4:
         half = 0.5 * dt
-        k1 = _rates(omega, torque, inertia)
-        k2 = _rates([w + half * k for w, k in zip(omega, k1)], torque, inertia)
-        k3 = _rates([w + half * k for w, k in zip(omega, k2)], torque, inertia)
-        k4 = _rates([w + dt * k for w, k in zip(omega, k3)], torque, inertia)
+        k1 = _rates(w, m, i)
+        k2 = _rates([a + half * k for a, k in zip(w, k1)], m, i)
+        k3 = _rates([a + half * k for a, k in zip(w, k2)], m, i)
+        k4 = _rates([a + dt * k for a, k in zip(w, k3)], m, i)
         sixth = dt / 6.0
-        return np.array([w + sixth * (a + 2.0 * b + 2.0 * c + d)
-                         for w, a, b, c, d in zip(omega, k1, k2, k3, k4)])
-    raise ValueError(f"unknown integrator {integrator!r}")
+        step = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+                for a, p, q, r, s in zip(w, k1, k2, k3, k4)]
+    else:
+        raise ValueError(f"unknown integrator {integrator!r}")
+    return np.array(step) if point else np.stack(step, axis=-1)
 
 
 def euler_jacobians(omega, torque, inertia, dt: float) -> tuple[Array, Array]:
@@ -199,7 +224,7 @@ def scalar_linear_model() -> DynamicalModel:
     one.setflags(write=False)
     return DynamicalModel(
         dims=dims,
-        f=lambda x, u, th: np.array([th[0] * x[0] + u[0]]),
+        f=lambda x, u, th: th[..., :1] * x + u,
         g=lambda x: x,
         jac_f_x_batch=lambda s, i, th: np.full((s.shape[0], 1, 1), th[0]),
         jac_f_theta_batch=lambda s, i, th: s[:, :, None].copy(),

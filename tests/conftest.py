@@ -29,12 +29,23 @@ def report_gap(first, second):
                max_rel_gap(first.grad_x0, second.grad_x0))
 
 
+def rows_times(block, mat):
+    """``mat @ row`` for each row of a point (n,) or block (..., n).
+
+    One (1, n) @ (n, m) product per row: each rounds as ``mat @ row`` does,
+    where a single (N, n) @ (n, m) product rounds differently.
+    """
+    return (np.asarray(block)[..., None, :] @ mat.T)[..., 0, :]
+
+
 def random_smooth_model(rng, n_x, n_u, n_z, n_theta, dt=0.1):
     """A random stable-ish model with polynomial/trigonometric dynamics and
     analytic Jacobians.
 
     f(x, u, th) = x + dt*(S1 sin(x) + S2 u + S3 th + (S4 th) o cos(x)
                           + S5 (th o th)),  g(x) = G tanh(x).
+    f and g are row-wise, so the central-difference fallback of a model
+    without the Jacobians can evaluate them on blocks.
     """
     s1 = 0.4 * rng.normal(size=(n_x, n_x))
     s2 = 0.5 * rng.normal(size=(n_x, n_u))
@@ -44,8 +55,9 @@ def random_smooth_model(rng, n_x, n_u, n_z, n_theta, dt=0.1):
     gmat = rng.normal(size=(n_z, n_x))
 
     def f(x, u, th):
-        return x + dt * (s1 @ np.sin(x) + s2 @ u + s3 @ th
-                         + (s4 @ th) * np.cos(x) + s5 @ (th * th))
+        return x + dt * (rows_times(np.sin(x), s1) + rows_times(u, s2)
+                         + rows_times(th, s3) + rows_times(th, s4) * np.cos(x)
+                         + rows_times(th * th, s5))
 
     def jac_f_x(x, u, th):
         return np.eye(n_x) + dt * (s1 * np.cos(x)[None, :]
@@ -55,7 +67,7 @@ def random_smooth_model(rng, n_x, n_u, n_z, n_theta, dt=0.1):
         return dt * (s3 + np.cos(x)[:, None] * s4 + 2.0 * s5 * th[None, :])
 
     def g(x):
-        return gmat @ np.tanh(x)
+        return rows_times(np.tanh(x), gmat)
 
     def jac_g_x(x):
         return gmat / np.cosh(x)[None, :] ** 2

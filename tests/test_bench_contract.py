@@ -79,6 +79,17 @@ EXPECTED = {
     "scalar": (0, 0, 0, 3),
 }
 
+# euler_step calls of one rollout plus one gradient: one per rollout step,
+# three for the gradient's spot check of the stored trajectory, and on RK4
+# one per side and perturbed column of each differenced map (2 * (3 + 3)),
+# each on the whole block of transitions.
+EULER_STEPS = {
+    "euler": HORIZON + 3,
+    "euler-sparse": HORIZON + 3,
+    "rk4": HORIZON + 3 + 12,
+    "scalar": 0,
+}
+
 
 @pytest.mark.parametrize("name", EXPECTED)
 def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
@@ -89,3 +100,4 @@ def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
     assert counts["chain_applications"] == HORIZON - 1
     assert (counts["structure.masked_jac_f_x"], counts["structure.sparse_chain_apply"],
             counts["model.numeric_jacobian"], counts["model.jacobians"]) == EXPECTED[name]
+    assert counts["systems.euler_step"] == EULER_STEPS[name]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from msid import (Dataset, DimensionMismatch, GradientReport, LossSpec,
-                  PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
-                  cost, euler_attitude_model, fd_gradient, gamma_terms, gradient,
-                  gradient_naive, masked_jac_f_x, prediction_error, rollout,
+                  NoiseSpec, PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
+                  cost, euler_attitude_model, fd_gradient, gamma_terms,
+                  generate_dataset, gradient, gradient_naive, masked_jac_f_x,
+                  prediction_error, rollout,
                   rotational_energy, rotational_energy_term, scalar_linear_model)
 from conftest import max_rel_gap, random_instance, report_gap
 
@@ -430,3 +431,28 @@ class TestBackwardPass:
         assert report_gap(masked, naive) <= 1e-10
         assert report_gap(masked, fd) <= 1e-5
         assert masked.chain_applications == len(dataset) - 1
+
+
+@pytest.mark.parametrize("penalty", [False, True])
+def test_rk4_fallback_three_way_anchor(penalty):
+    # the RK4 model has no analytic Jacobian of f: the adjoint pass runs on
+    # the block central-difference fallback
+    from conftest import ATTITUDE_NOISE, ATTITUDE_OMEGA0, ATTITUDE_THETA
+    model = euler_attitude_model(dt=0.1, integrator="rk4")
+    noise = NoiseSpec(seed=3, **ATTITUDE_NOISE)
+    dataset = generate_dataset(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, 50, noise, dt=0.1)
+    theta = ATTITUDE_THETA * np.array([1.1, 0.93, 1.05])
+    x0 = ATTITUDE_OMEGA0
+    penalty_spec = None
+    if penalty:
+        reference = float(rotational_energy(dataset.observations[0], ATTITUDE_THETA))
+        # weighted so that the term moves the gradient by about 6%
+        penalty_spec = PenaltySpec(
+            (rotational_energy_term(ATTITUDE_THETA, reference, weight=1e5),))
+    spec = LossSpec.scaled_identity(3, len(dataset), penalty=penalty_spec)
+    trajectory = rollout(model, x0, theta, dataset.inputs)
+    adjoint = gradient(model, trajectory, dataset, spec, theta)
+    naive = gradient_naive(model, trajectory, dataset, spec, theta)
+    fd = fd_gradient(model, x0, theta, dataset, spec, step=1e-6)
+    assert report_gap(adjoint, naive) <= 1e-10
+    assert report_gap(adjoint, fd) <= 1e-5

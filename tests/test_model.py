@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from msid import (Dataset, DimensionMismatch, DynamicalModel, ModelDims,
-                  NonFiniteState, NonFiniteValue, load_dataset,
+from msid import (Dataset, DimensionMismatch, DynamicalModel, LossSpec, ModelDims,
+                  NonFiniteState, NonFiniteValue, gradient, load_dataset,
                   numeric_jacobian, rollout, save_dataset, scalar_linear_model)
 from conftest import (ATTITUDE_DT, ATTITUDE_OMEGA0, ATTITUDE_THETA,
                       max_rel_gap, random_smooth_model)
@@ -298,3 +298,49 @@ class TestOneJacobianForm:
         assert np.array_equal(bare.jac_f_x(states[4], inputs[4], theta), jac_x[4])
         assert np.array_equal(bare.jac_f_theta(states[4], inputs[4], theta), jac_theta[4])
         assert np.array_equal(bare.jac_g_x(states[4]), jac_g[4])
+
+
+class TestRowWiseContract:
+    """A map the fallback differences must be row-wise."""
+
+    def test_per_point_f_without_jacobians_is_refused(self):
+        # handed a block, this per-point f broadcasts into one (1, 1) value
+        model = DynamicalModel(dims=ModelDims(1, 1, 1, 1),
+                               f=lambda x, u, th: np.array([th[0] * x[0] + u[0]]),
+                               g=lambda x: x)
+        rng = np.random.default_rng(25)
+        states, inputs, theta = rng.normal(size=(199, 1)), rng.normal(size=(199, 1)), [0.8]
+        message = r"f must be row-wise: gave shape \(1, 1\), expected \(199, 1\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            model.jac_f_x_batch(states, inputs, theta)
+        with pytest.raises(DimensionMismatch, match=message):
+            model.jac_f_theta_batch(states, inputs, np.array(theta))
+        trajectory = rollout(model, [0.5], theta, inputs)
+        dataset = Dataset(inputs, trajectory.predictions + 0.1)
+        with pytest.raises(DimensionMismatch, match="f must be row-wise"):
+            gradient(model, trajectory, dataset, LossSpec.scaled_identity(1, 199), theta)
+
+    def test_per_point_g_without_jacobian_is_refused(self):
+        model = DynamicalModel(dims=ModelDims(2, 1, 1, 1),
+                               f=lambda x, u, th: x, g=lambda x: np.array([x[0] + x[1]]),
+                               jac_f_x_batch=lambda s, i, th: np.broadcast_to(
+                                   np.eye(2), (len(s), 2, 2)),
+                               jac_f_theta_batch=lambda s, i, th: np.zeros((len(s), 2, 1)))
+        with pytest.raises(DimensionMismatch,
+                           match=r"g must be row-wise: gave shape \(1, 2\), expected \(5, 1\)"):
+            model.jac_g_x_batch(np.ones((5, 2)))
+
+    def test_scalar_model_f_is_row_wise(self):
+        model = scalar_linear_model()
+        rng = np.random.default_rng(26)
+        states, inputs = rng.normal(size=(50, 1)), rng.normal(size=(50, 1))
+        thetas = rng.normal(size=(50, 1))
+        for theta in (thetas[0], thetas):
+            per_row = np.stack([model.f(x, u, th) for x, u, th
+                                in zip(*np.broadcast_arrays(states, inputs, theta))])
+            assert np.array_equal(model.f(states, inputs, theta), per_row)
+        bare = DynamicalModel(dims=model.dims, f=model.f, g=model.g)
+        assert max_rel_gap(bare.jac_f_x_batch(states, inputs, thetas[0]),
+                           model.jac_f_x_batch(states, inputs, thetas[0])) <= 1e-9
+        assert max_rel_gap(bare.jac_f_theta_batch(states, inputs, thetas[0]),
+                           model.jac_f_theta_batch(states, inputs, thetas[0])) <= 1e-9

@@ -103,6 +103,62 @@ class TestEulerStep:
                 assert np.array_equal(direct, permuted)
 
 
+INTEGRATORS = ("forward_euler", "rk4")
+
+
+def random_step_arguments(rng, n):
+    omega = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 1, (n, 1))
+    torque = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-7, 0, (n, 1))
+    inertia = rng.uniform(1e-3, 1.0, (n, 3))
+    return omega, torque, inertia
+
+
+class TestBlockEulerStep:
+    """A block step equals the per-point steps of its rows bit for bit."""
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_block_equals_per_row_calls(self, integrator):
+        omega, torque, inertia = random_step_arguments(np.random.default_rng(41), 2000)
+
+        def step(w, m, i):
+            return euler_step(w, m, i, ATTITUDE_DT, integrator)
+
+        def per_row(w, m, i):
+            return np.stack([step(*row) for row in zip(*np.broadcast_arrays(w, m, i))])
+
+        w0, m0, i0 = omega[0], torque[0], inertia[0]
+        for args in ((omega, torque, inertia),     # every argument a block
+                     (omega, m0, i0),              # an omega block
+                     (w0, m0, inertia),            # an inertia block
+                     (omega, m0, inertia),         # mixed points and blocks
+                     (w0, torque, i0)):
+            assert np.array_equal(step(*args), per_row(*args))
+        nested = [a[:10].reshape(2, 5, 3) for a in (omega, torque, inertia)]
+        assert np.array_equal(step(*nested).reshape(10, 3),
+                              per_row(omega[:10], torque[:10], inertia[:10]))
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_one_bad_inertia_row_raises(self, integrator):
+        omega, torque, inertia = random_step_arguments(np.random.default_rng(42), 5)
+        for bad in (0.0, -0.02, np.nan):
+            block = inertia.copy()
+            block[3, 1] = bad
+            with pytest.raises(NonPositiveInertia):
+                euler_step(omega, torque, block, 0.1, integrator)
+            with pytest.raises(NonPositiveInertia):
+                euler_step(omega[0], torque[0], block, 0.1, integrator)
+
+    def test_wrong_block_shapes_raise(self):
+        omega, torque, inertia = random_step_arguments(np.random.default_rng(43), 5)
+        for args in ((omega[:, :2], torque, inertia),
+                     (omega, torque[:, :2], inertia),
+                     (omega, torque, inertia[:, :2])):
+            with pytest.raises(DimensionMismatch):
+                euler_step(*args, 0.1)
+        with pytest.raises(ValueError, match="broadcast"):
+            euler_step(omega[:4], torque, inertia, 0.1)
+
+
 class TestEulerJacobians:
     def test_identity_at_rest(self):
         jac_x, _ = euler_jacobians(np.zeros(3), np.zeros(3), ATTITUDE_THETA, 0.1)
@@ -192,6 +248,54 @@ class TestAttitudeJacobianForms:
                          lambda: model.jac_f_x_entry(states, inputs, bad, 0, 1)):
             with pytest.raises(NonPositiveInertia):
                 evaluate()
+
+
+def reference_row_differencing(model, states, inputs, theta):
+    """The fallback before f took blocks: numeric_jacobian over blocks whose
+    f evaluations run one row per call, stacked."""
+    def rows(fn, *blocks):
+        return np.stack([np.asarray(fn(*row), dtype=float) for row in zip(*blocks)])
+
+    jac_x = numeric_jacobian(
+        lambda block: rows(lambda x, u: model.f(x, u, theta), block, inputs), states)
+    jac_theta = numeric_jacobian(
+        lambda block: rows(model.f, states, inputs, block),
+        np.broadcast_to(theta, (len(states),) + theta.shape))
+    return jac_x, jac_theta
+
+
+class TestRk4Fallback:
+    def test_block_differences_equal_row_by_row_differencing(self):
+        model = euler_attitude_model(dt=ATTITUDE_DT, integrator="rk4")
+        rng = np.random.default_rng(44)
+        states = rng.normal(scale=0.8, size=(400, 3))
+        inputs = rng.normal(scale=0.1, size=(400, 3))
+        for theta in rng.uniform(0.005, 1.0, size=(3, 3)):
+            jac_x, jac_theta = reference_row_differencing(model, states, inputs, theta)
+            assert np.array_equal(model.jac_f_x_batch(states, inputs, theta), jac_x)
+            assert np.array_equal(model.jac_f_theta_batch(states, inputs, theta), jac_theta)
+
+
+ONE_INERTIA_CALLERS = {
+    "jac_f_x_batch": lambda model, s, block: model.jac_f_x_batch(s, s, block),
+    "jac_f_theta_batch": lambda model, s, block: model.jac_f_theta_batch(s, s, block),
+    "jac_f_x_entry": lambda model, s, block: model.jac_f_x_entry(s, s, block, 0, 1),
+    "rotational_energy": lambda model, s, block: rotational_energy(s, block),
+    "rotational_energy_gradient":
+        lambda model, s, block: rotational_energy_gradient(s, block),
+    "rotational_energy_term": lambda model, s, block: rotational_energy_term(block, 0.0),
+}
+
+
+@pytest.mark.parametrize("caller", ONE_INERTIA_CALLERS)
+@pytest.mark.parametrize("rows", [2, 3])
+def test_one_inertia_callers_reject_an_inertia_block(caller, rows):
+    # only euler_step takes inertia rows; the formulas that unpack one
+    # inertia must not unpack the three rows of a (3, 3) block instead
+    model = euler_attitude_model(dt=ATTITUDE_DT)
+    states = np.full((rows, 3), 0.1)
+    with pytest.raises(DimensionMismatch):
+        ONE_INERTIA_CALLERS[caller](model, states, np.full((rows, 3), 0.04))
 
 
 class TestGenerateDataset:
