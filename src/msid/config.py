@@ -14,6 +14,7 @@ configuration.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
@@ -31,11 +32,17 @@ from .systems import (INTEGRATORS, NoiseSpec, euler_attitude_model,
 
 MODEL_KINDS = ("euler_attitude", "scalar_linear")
 
-PENALTY_TYPES = ("upper_barrier", "lower_barrier", "parameter_box",
-                 "energy_conservation", "relu_upper_bound")
+# the keys each penalty type takes besides "type" and "lambda"
+PENALTY_KEYS = {"upper_barrier": ("alpha", "bounds"), "lower_barrier": ("alpha", "bounds"),
+                "parameter_box": ("alpha", "lower", "upper"),
+                "energy_conservation": ("inertia", "reference"),
+                "relu_upper_bound": ("bounds",)}
+PENALTY_TYPES = tuple(PENALTY_KEYS)
 
 
 def _check_keys(mapping: dict, allowed, path: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: expected an object")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -44,7 +51,11 @@ def _check_keys(mapping: dict, allowed, path: str) -> None:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    # an integer beyond the float range counts as infinite
+    number = np.inf if abs(value) > sys.float_info.max else float(value)
+    if not np.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -164,6 +175,8 @@ class LossConfig:
         q = data.get("q", 1.0)
         if isinstance(q, (list, tuple)):
             q = [_as_float_list(row, f"{path}.q[{i}]") for i, row in enumerate(q)]
+            if len({len(row) for row in q}) > 1:
+                raise ConfigError(f"{path}.q: rows must have equal lengths")
         else:
             q = _as_float(q, f"{path}.q")
             if q < 0:
@@ -288,34 +301,22 @@ def _validate_penalty(entry: dict, index: int) -> dict:
     kind = entry.get("type")
     if kind not in PENALTY_TYPES:
         raise ConfigError(f"{path}.type: must be one of {PENALTY_TYPES}, got {kind!r}")
+    keys = PENALTY_KEYS[kind]
+    _check_keys(entry, ("type", "lambda") + keys, path)
     weight = _as_float(entry.get("lambda", 1.0), f"{path}.lambda")
     if weight < 0:
         raise ConfigError(f"{path}.lambda: must be nonnegative, got {weight}")
-    if kind in ("upper_barrier", "lower_barrier"):
-        _check_keys(entry, ("type", "alpha", "bounds", "lambda"), path)
-        if "bounds" not in entry:
-            raise ConfigError(f"{path}.bounds: required")
-        _as_float_list(entry["bounds"], f"{path}.bounds")
-        if _as_float(entry.get("alpha", 1.0), f"{path}.alpha") <= 0:
-            raise ConfigError(f"{path}.alpha: must be positive")
-    elif kind == "parameter_box":
-        _check_keys(entry, ("type", "alpha", "lower", "upper", "lambda"), path)
+    for key in ("bounds", "inertia"):
+        if key in keys:
+            if key not in entry:
+                raise ConfigError(f"{path}.{key}: required")
+            _as_float_list(entry[key], f"{path}.{key}")
+    if kind == "parameter_box":
         BoxConfig.from_dict({"lower": entry.get("lower"), "upper": entry.get("upper")}, path)
-        if _as_float(entry.get("alpha", 1.0), f"{path}.alpha") <= 0:
-            raise ConfigError(f"{path}.alpha: must be positive")
-    elif kind == "energy_conservation":
-        _check_keys(entry, ("type", "inertia", "reference", "lambda"), path)
-        if "inertia" not in entry:
-            raise ConfigError(f"{path}.inertia: required")
-        _as_float_list(entry["inertia"], f"{path}.inertia")
-        reference = entry.get("reference", "first_observation")
-        if reference != "first_observation":
-            _as_float(reference, f"{path}.reference")
-    elif kind == "relu_upper_bound":
-        _check_keys(entry, ("type", "bounds", "lambda"), path)
-        if "bounds" not in entry:
-            raise ConfigError(f"{path}.bounds: required")
-        _as_float_list(entry["bounds"], f"{path}.bounds")
+    if "alpha" in keys and _as_float(entry.get("alpha", 1.0), f"{path}.alpha") <= 0:
+        raise ConfigError(f"{path}.alpha: must be positive")
+    if entry.get("reference", "first_observation") != "first_observation":
+        _as_float(entry["reference"], f"{path}.reference")
     return dict(entry)
 
 
@@ -491,6 +492,9 @@ def build_loss(config: RunConfig, model: DynamicalModel, horizon: int,
         matrix = float(q) * np.eye(n_z)
     else:
         matrix = np.asarray(q, dtype=float)
+        if matrix.shape != (n_z, n_z):
+            raise ConfigError(
+                f"loss.q: expected a {n_z}x{n_z} matrix, got shape {matrix.shape}")
     try:
         return LossSpec(matrix, horizon, penalty)
     except DimensionMismatch as exc:

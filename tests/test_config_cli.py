@@ -268,6 +268,34 @@ class TestMainEntryPoint:
         assert err.startswith("error: dataset.path: ")
         assert message in err
 
+    # one bad field per config: (path of the field, value, expected message)
+    BAD_FIELDS = {
+        "nan-q": (("loss", "q"), float("nan"), "loss.q: expected a finite number, got nan"),
+        "infinite-dt": (("model", "dt"), float("inf"),
+                        "model.dt: expected a finite number, got inf"),
+        "nan-learning-rate": (("optimizer", "lr_theta"), float("nan"),
+                              "optimizer.lr_theta: expected a finite number, got nan"),
+        "null-dataset": (("dataset",), None, "dataset: expected an object"),
+        "list-model": (("model",), [1], "model: expected an object"),
+        "null-noise": (("dataset", "generate", "noise"), None,
+                       "dataset.generate.noise: expected an object"),
+        "ragged-q": (("loss", "q"), [[1, 0, 0], [0, 1], [0, 0, 1]],
+                     "loss.q: rows must have equal lengths"),
+        "wrong-size-q": (("loss", "q"), [[1, 0], [0, 1]],
+                         "loss.q: expected a 3x3 matrix, got shape (2, 2)"),
+    }
+
+    @pytest.mark.parametrize("keys,value,message", BAD_FIELDS.values(),
+                             ids=BAD_FIELDS.keys())
+    def test_bad_field_fails_at_load_time(self, tmp_path, capsys, keys, value, message):
+        raw = attitude_config(tmp_path, epochs=20)
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_seed_override_changes_data(self, tmp_path):
         path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))
         assert main(["generate", "--config", str(path),

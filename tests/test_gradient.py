@@ -11,6 +11,7 @@ from msid import (Dataset, DimensionMismatch, GradientReport, LossSpec,
                   generate_dataset, gradient, gradient_naive, masked_jac_f_x,
                   prediction_error, rollout,
                   rotational_energy, rotational_energy_term, scalar_linear_model)
+from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
 from conftest import max_rel_gap, random_instance, report_gap
 
 
@@ -431,6 +432,81 @@ class TestBackwardPass:
         assert report_gap(masked, naive) <= 1e-10
         assert report_gap(masked, fd) <= 1e-5
         assert masked.chain_applications == len(dataset) - 1
+
+
+class TestChunkedScan:
+    """Above SCAN_MIN_HORIZON, with at most SCAN_MAX_STATES dense states, the
+    backward recurrence runs as a chunked scan: equal to the loop to rounding."""
+
+    @pytest.mark.parametrize("horizon", [SCAN_MIN_HORIZON + 1, 3200])
+    @pytest.mark.parametrize("penalty_kind", [None, "energy", "upper"])
+    @pytest.mark.parametrize("n_x", [1, 2, 4])
+    def test_scan_equals_step_by_step_loop(self, n_x, penalty_kind, horizon):
+        model, dataset, spec, theta, x0 = random_instance(
+            40 + n_x, penalty_kind=penalty_kind, n_x=n_x, horizon=horizon)
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        report = gradient(model, trajectory, dataset, spec, theta)
+        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        assert max_rel_gap(report.grad_theta, grad_theta) <= 1e-12
+        assert max_rel_gap(report.grad_x0, grad_x0) <= 1e-12
+        assert report.chain_applications == horizon - 1
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs a long double wider than a double")
+    def test_as_accurate_as_the_loop_on_an_expanding_chain(self):
+        # the Jacobian chain of this instance grows by about 1e21 over the
+        # horizon, and the scan and the loop differ by 1.3e-12; each is within
+        # 1e-12 of the recurrence evaluated in long double
+        horizon = 3200
+        model, dataset, spec, theta, x0 = random_instance(
+            24, penalty_kind="energy", n_x=4, horizon=horizon)
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        _, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+        jac_x = model.jac_f_x_batch(trajectory.states[:horizon - 1],
+                                    dataset.inputs[:horizon - 1], theta)
+        exact = big_gamma.astype(np.longdouble)
+        for k in range(horizon - 1, 0, -1):
+            exact[k - 1] += exact[k] @ jac_x[k - 1].astype(np.longdouble)
+        report = gradient(model, trajectory, dataset, spec, theta)
+        _, loop_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        assert max_rel_gap(report.grad_x0, exact[0]) <= 1e-12
+        assert max_rel_gap(loop_x0, exact[0]) <= 1e-12
+
+    def test_large_state_stays_on_the_loop(self):
+        model, dataset, spec, theta, x0 = random_instance(
+            31, penalty_kind="energy", n_x=SCAN_MAX_STATES + 1, horizon=SCAN_MIN_HORIZON + 1)
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        report = gradient(model, trajectory, dataset, spec, theta)
+        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        assert np.array_equal(report.grad_theta, grad_theta)
+        assert np.array_equal(report.grad_x0, grad_x0)
+
+    def test_overflowing_transfer_products_fall_back_to_the_loop(self):
+        # x[k+1] = 1e200 x[k] from x0 = 0: every state and every adjoint
+        # but the first is zero, while the chunk products overflow
+        horizon = SCAN_MIN_HORIZON + 1
+        model = scalar_linear_model()
+        observations = np.zeros((horizon, 1))
+        observations[0] = 1.0
+        dataset = Dataset(np.zeros((horizon, 1)), observations)
+        theta = np.array([1e200])
+        trajectory = rollout(model, [0.0], theta, dataset.inputs)
+        report = gradient(model, trajectory, dataset,
+                          LossSpec.scaled_identity(1, horizon), theta)
+        assert np.array_equal(report.grad_theta, [0.0])
+        assert np.array_equal(report.grad_x0, [-2.0 / horizon])
+
+    def test_attitude_three_way_anchor(self):
+        from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset
+        model, dataset = attitude_dataset(seed=3, horizon=400)
+        theta = ATTITUDE_THETA * np.array([1.1, 0.93, 1.05])
+        spec = LossSpec.scaled_identity(3, len(dataset))
+        trajectory = rollout(model, ATTITUDE_OMEGA0, theta, dataset.inputs)
+        adjoint = gradient(model, trajectory, dataset, spec, theta)
+        naive = gradient_naive(model, trajectory, dataset, spec, theta)
+        fd = fd_gradient(model, ATTITUDE_OMEGA0, theta, dataset, spec, step=1e-6)
+        assert report_gap(adjoint, naive) <= 1e-10
+        assert report_gap(adjoint, fd) <= 1e-5
 
 
 @pytest.mark.parametrize("penalty", [False, True])
