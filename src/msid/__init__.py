@@ -16,12 +16,10 @@ from .penalties import (EnergyConservation, LowerBarrier, ParameterBox,
                         PenaltySpec, ReluUpperBound, UpperBarrier,
                         project_box)
 from .structure import (SparseMatrix, SparsityMask, entry_evaluations,
-                        infer_mask, masked_jac_f_x, sparse_chain_apply,
-                        validate_mask)
+                        masked_jac_f_x, sparse_chain_apply, validate_mask)
 from .systems import (NoiseSpec, angular_rates, euler_attitude_model,
-                      euler_jacobians, euler_sparsity_mask, euler_step,
-                      generate_dataset, rotational_energy,
-                      rotational_energy_gradient, rotational_energy_term,
-                      scalar_linear_model)
+                      euler_sparsity_mask, euler_step, generate_dataset,
+                      rotational_energy, rotational_energy_gradient,
+                      rotational_energy_term, scalar_linear_model)
 
 __version__ = "0.1.0"

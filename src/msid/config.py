@@ -343,7 +343,10 @@ class RunConfig:
         penalties = data.get("penalties", [])
         if not isinstance(penalties, list):
             raise ConfigError("penalties: expected a list")
-        return cls(
+        out_dir = data.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir: expected a string, got {out_dir!r}")
+        cfg = cls(
             model=ModelConfig.from_dict(data.get("model", {})),
             dataset=DatasetConfig.from_dict(data["dataset"]),
             loss=LossConfig.from_dict(data.get("loss", {})),
@@ -351,7 +354,36 @@ class RunConfig:
             init=None if data.get("init") is None else InitConfig.from_dict(data["init"]),
             penalties=[_validate_penalty(p, i) for i, p in enumerate(penalties)],
             seed=_as_int(data.get("seed", 0), "seed"),
-            out_dir=data.get("out_dir"))
+            out_dir=out_dir)
+        cfg._check_model_fit()
+        return cfg
+
+    def _check_model_fit(self) -> None:
+        """Refuse a penalty the model cannot take, or a list whose length does
+        not match the model's dimensions, naming its path."""
+        dims = build_model(self.model).dims
+        lists = [("dataset.nominal_input", self.dataset.nominal_input, dims.n_u)]
+        if self.dataset.generate is not None:
+            lists += [("dataset.generate.theta_true", self.dataset.generate.theta_true,
+                       dims.n_theta),
+                      ("dataset.generate.x0_true", self.dataset.generate.x0_true, dims.n_x)]
+        if self.optimizer.box is not None:
+            lists += [(f"optimizer.box.{key}", getattr(self.optimizer.box, key), dims.n_theta)
+                      for key in ("lower", "upper")]
+        if self.init is not None:
+            lists += [("init.theta", self.init.theta, dims.n_theta),
+                      ("init.x0", self.init.x0, dims.n_x)]
+        sizes = {"bounds": dims.n_x, "lower": dims.n_theta, "upper": dims.n_theta,
+                 "inertia": dims.n_theta}
+        for index, entry in enumerate(self.penalties):
+            if entry["type"] == "energy_conservation" and self.model.kind != "euler_attitude":
+                raise ConfigError(
+                    f"penalties[{index}]: energy_conservation requires the attitude model")
+            lists += [(f"penalties[{index}].{key}", entry[key], n)
+                      for key, n in sizes.items() if key in entry]
+        for path, values, n in lists:
+            if isinstance(values, (list, tuple)) and len(values) != n:
+                raise ConfigError(f"{path}: expected {n} components, got {len(values)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -456,7 +488,7 @@ def build_penalty_spec(config: RunConfig, model: DynamicalModel,
     if not config.penalties:
         return None
     terms = []
-    for index, entry in enumerate(config.penalties):
+    for entry in config.penalties:
         kind = entry["type"]
         weight = float(entry.get("lambda", 1.0))
         if kind == "upper_barrier":
@@ -473,9 +505,6 @@ def build_penalty_spec(config: RunConfig, model: DynamicalModel,
             terms.append(ReluUpperBound(bounds=np.asarray(entry["bounds"], dtype=float),
                                         weight=weight))
         elif kind == "energy_conservation":
-            if config.model.kind != "euler_attitude":
-                raise ConfigError(
-                    f"penalties[{index}]: energy_conservation requires the attitude model")
             inertia = np.asarray(entry["inertia"], dtype=float)
             reference = entry.get("reference", "first_observation")
             if reference == "first_observation":
@@ -537,12 +566,6 @@ def build_init(config: RunConfig, truth: Optional[dict],
         fraction_x0 = init.perturb_x0 or 0.0
         theta0 = theta_true * (1.0 + fraction_theta * rng.uniform(-1.0, 1.0, theta_true.size))
         x00 = x0_true * (1.0 + fraction_x0 * rng.uniform(-1.0, 1.0, x0_true.size))
-    if theta0.shape != (model.dims.n_theta,):
-        raise ConfigError(
-            f"init.theta: expected {model.dims.n_theta} components, got {theta0.shape}")
-    if x00.shape != (model.dims.n_x,):
-        raise ConfigError(
-            f"init.x0: expected {model.dims.n_x} components, got {x00.shape}")
     return theta0, x00
 
 

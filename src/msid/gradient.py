@@ -150,12 +150,12 @@ def _cost_parts(trajectory, dataset, spec, theta):
     penalty_total = 0.0
     if spec.penalty is not None:
         penalty_total = spec.penalty.total_value(trajectory.states[:horizon], theta)
-    return per_step, penalty_total, weighted
+    return per_step, penalty_total
 
 
 def cost(trajectory: Trajectory, dataset: Dataset, spec: LossSpec, theta) -> float:
     """Multi-step cost of one candidate, penalties included."""
-    per_step, penalty_total, _ = _cost_parts(trajectory, dataset, spec, theta)
+    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
     total = float(per_step.sum() + penalty_total)
     if not np.isfinite(total):
         raise NonFiniteValue("cost is not finite")
@@ -278,7 +278,7 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     theta = np.asarray(theta, dtype=float)
     _spot_check_trajectory(model, trajectory, dataset, theta)
     horizon = _check_pair(trajectory, dataset, spec)
-    per_step, penalty_total, _ = _cost_parts(trajectory, dataset, spec, theta)
+    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
     total_cost = float(per_step.sum() + penalty_total)
     gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
@@ -313,7 +313,7 @@ def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Datas
     theta = np.asarray(theta, dtype=float)
     _spot_check_trajectory(model, trajectory, dataset, theta)
     horizon = _check_pair(trajectory, dataset, spec)
-    per_step, penalty_total, _ = _cost_parts(trajectory, dataset, spec, theta)
+    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
     total_cost = float(per_step.sum() + penalty_total)
     gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
@@ -363,7 +363,7 @@ def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
         return cost(rollout(model, x, th, dataset.inputs), dataset, spec, th)
 
     center = rollout(model, x0, theta, dataset.inputs)
-    per_step, penalty_total, _ = _cost_parts(center, dataset, spec, theta)
+    per_step, penalty_total = _cost_parts(center, dataset, spec, theta)
     total_cost = float(per_step.sum() + penalty_total)
     grad = numeric_jacobian(evaluate, np.concatenate([theta, x0]), step)
     if not np.all(np.isfinite(grad)):

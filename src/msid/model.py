@@ -155,12 +155,10 @@ class DynamicalModel:
     (N, n_x) (or (N, n_z)); on any other shape the fallback raises
     :class:`DimensionMismatch`.
 
-    Two optional extras serve the sparsity-aware path:
-    ``jac_f_x_entry(x, u, theta, i, j)`` gives entry (i, j) of the state
-    Jacobian for each row of a point (n_x,) or block (..., n_x), shape (...),
-    so that structurally-zero entries are never computed; ``sparsity``
-    attaches a :class:`~msid.structure.SparsityMask`, with which the gradient
-    evaluates the state Jacobian through the masked path, once per trajectory.
+    ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
+    the gradient then gathers the masked entries of the state Jacobian from
+    one ``jac_f_x_batch`` call per trajectory, and
+    ``msid.structure.entry_evaluations`` counts the entries gathered.
     """
 
     dims: ModelDims
@@ -172,7 +170,6 @@ class DynamicalModel:
     jac_f_x_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_f_theta_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_g_x_batch: Optional[Callable[[Array], Array]] = None
-    jac_f_x_entry: Optional[Callable[[Array, Array, Array, int, int], Array]] = None
     sparsity: Optional["SparsityMask"] = None
 
     def __post_init__(self):

@@ -3,9 +3,8 @@
 Physical dynamics usually couple each state to only a few others.  A
 :class:`SparsityMask` records which entries of the state Jacobian (and of
 the input Jacobian) are structurally nonzero, so the backward gradient pass
-can evaluate and multiply only those entries.  A module-level counter tracks
-how many Jacobian entries were actually evaluated, which makes the work
-bound testable.
+keeps and multiplies only those entries.  A module-level counter tracks how
+many masked entries were gathered, which makes the work bound testable.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, MaskViolation
-from .model import numeric_jacobian
 
 if TYPE_CHECKING:
     from .model import DynamicalModel
@@ -28,7 +26,7 @@ STRUCTURAL_ZERO_TOL = 1e-10
 
 
 class EvalCounter:
-    """Counts Jacobian-entry evaluations; reset it before a measurement."""
+    """Counts the masked Jacobian entries gathered; reset it before a measurement."""
 
     def __init__(self):
         self.count = 0
@@ -93,14 +91,6 @@ class SparsityMask:
     def n_nz(self) -> int:
         return int(self.rows.size)
 
-    def to_json_dict(self) -> dict:
-        return {"P": self.state_mask.astype(int).tolist(),
-                "Q": self.input_mask.astype(int).tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SparsityMask":
-        return cls(np.asarray(data["P"]), np.asarray(data["Q"]))
-
 
 @dataclass(frozen=True)
 class SparseMatrix:
@@ -126,13 +116,11 @@ class SparseMatrix:
 def masked_jac_f_x(model: "DynamicalModel", x, u, theta,
                    mask: SparsityMask) -> SparseMatrix:
     """State Jacobian at a point (n_x,) or at each row of a block (..., n_x),
-    evaluated only where the mask is 1; ``vals`` has shape (..., n_nz).
+    kept only where the mask is 1; ``vals`` has shape (..., n_nz).
 
-    With ``jac_f_x_entry`` each masked entry is computed once for all rows
-    and nothing else is evaluated; otherwise one ``jac_f_x_batch`` call on
-    the block is gathered at the mask.  Either way the entry counter grows
-    by n_nz per row.  :func:`validate_mask` checks a mask against the dense
-    Jacobian.
+    One ``jac_f_x_batch`` call on the block, gathered at the mask; the entry
+    counter grows by n_nz per row, the masked entries gathered.
+    :func:`validate_mask` checks a mask against the dense Jacobian.
     """
     n_x = model.dims.n_x
     if mask.n_x != n_x:
@@ -142,14 +130,9 @@ def masked_jac_f_x(model: "DynamicalModel", x, u, theta,
     if x.shape[-1:] != (n_x,):
         raise DimensionMismatch(f"states must have shape (..., {n_x}), got {x.shape}")
     lead = x.shape[:-1]
-    if model.jac_f_x_entry is not None:
-        vals = np.empty(lead + (mask.n_nz,))
-        for idx, (i, j) in enumerate(zip(mask.rows.tolist(), mask.cols.tolist())):
-            vals[..., idx] = model.jac_f_x_entry(x, u, theta, i, j)
-    else:
-        states = x.reshape(-1, n_x)
-        dense = model.jac_f_x_batch(states, u.reshape(len(states), -1), theta)
-        vals = np.asarray(dense, dtype=float)[:, mask.rows, mask.cols].reshape(lead + (-1,))
+    states = x.reshape(-1, n_x)
+    dense = model.jac_f_x_batch(states, u.reshape(len(states), -1), theta)
+    vals = np.asarray(dense, dtype=float)[:, mask.rows, mask.cols].reshape(lead + (-1,))
     entry_evaluations.add(mask.n_nz * math.prod(lead))
     return SparseMatrix((n_x, n_x), mask.rows, mask.cols, vals)
 
@@ -183,32 +166,3 @@ def sparse_chain_apply(adjoint_row, jac: SparseMatrix) -> Array:
             f"adjoint row has shape {a.shape}, expected ({jac.shape[0]},)")
     # bincount adds the products into each column in storage order, from 0.0
     return np.bincount(jac.cols, weights=a[jac.rows] * jac.vals, minlength=jac.shape[1])
-
-
-def infer_mask(model: "DynamicalModel", probes: int = 20,
-               threshold: float = STRUCTURAL_ZERO_TOL, seed: int = 0,
-               scale: float = 1.0, sampler=None) -> SparsityMask:
-    """Guess the dependency pattern by probing Jacobians at random points.
-
-    An entry is marked nonzero as soon as its magnitude exceeds ``threshold``
-    at any probe.  ``sampler(rng) -> (x, u, theta)`` overrides the default
-    normal draws, e.g. when the model restricts its parameter domain.  A
-    hand-specified mask should always win over an inferred one when they
-    disagree.
-    """
-    dims = model.dims
-    rng = np.random.default_rng(seed)
-    state = np.zeros((dims.n_x, dims.n_x), dtype=np.int8)
-    inputs = np.zeros((dims.n_x, dims.n_u), dtype=np.int8)
-    for _ in range(probes):
-        if sampler is not None:
-            x, u, theta = sampler(rng)
-        else:
-            x = rng.normal(scale=scale, size=dims.n_x)
-            u = rng.normal(scale=scale, size=dims.n_u)
-            theta = rng.normal(scale=scale, size=dims.n_theta)
-        jac_x = np.asarray(model.jac_f_x(x, u, theta), dtype=float)
-        state |= (np.abs(jac_x) > threshold).astype(np.int8)
-        jac_u = numeric_jacobian(lambda v: model.f(x, v, theta), u)
-        inputs |= (np.abs(jac_u) > threshold).astype(np.int8)
-    return SparsityMask(state, inputs)

@@ -105,32 +105,6 @@ def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULE
     return np.array(step) if point else np.stack(step, axis=-1)
 
 
-def euler_jacobians(omega, torque, inertia, dt: float) -> tuple[Array, Array]:
-    """Exact Jacobians of the forward-Euler step w.r.t. the state and the
-    inertia entries at one point: the batch of one of the batched formulas
-    the attitude model uses.  (The RK4 map has no closed form here; models
-    built with RK4 fall back to numeric differentiation.)
-    """
-    states = np.asarray(omega, dtype=float)[None]
-    inputs = np.asarray(torque, dtype=float)[None]
-    return (_euler_jac_x_batch(states, inputs, inertia, dt)[0],
-            _euler_jac_theta_batch(states, inputs, inertia, dt)[0])
-
-
-def _euler_jac_x_entry(omega, torque, inertia, dt, i, j):
-    """Entry (i, j) of the forward-Euler state Jacobian for each row of
-    ``omega``, shape (...)."""
-    if i == j:
-        return np.ones(np.shape(omega)[:-1])
-    wx, wy, wz = omega[..., 0], omega[..., 1], omega[..., 2]
-    ix, iy, iz = inertia[0], inertia[1], inertia[2]
-    if i == 0:
-        return -dt * (iz - iy) * wz / ix if j == 1 else -dt * (iz - iy) * wy / ix
-    if i == 1:
-        return -dt * (ix - iz) * wz / iy if j == 0 else -dt * (ix - iz) * wx / iy
-    return -dt * (iy - ix) * wy / iz if j == 0 else -dt * (iy - ix) * wx / iz
-
-
 def _euler_jac_x_batch(states, inputs, inertia, dt):
     ix, iy, iz = _check_inertia(inertia)
     wx = states[:, 0]
@@ -184,7 +158,8 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     State: angular velocity (rad/s).  Input: torque (N*m).  Parameters:
     diagonal inertia entries (kg*m^2), which must be positive at evaluation
     time (the optimizer may propose nonpositive values; evaluation rejects
-    them).  Observation: the full state.
+    them).  Observation: the full state.  The forward-Euler map has exact
+    Jacobians; the RK4 map falls back to central differences.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -211,8 +186,6 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
         jac_f_theta_batch=(lambda s, u, th: _euler_jac_theta_batch(s, u, th, dt))
         if analytic else None,
         jac_g_x_batch=jac_g_x_batch,
-        jac_f_x_entry=(lambda x, u, th, i, j: _euler_jac_x_entry(x, u, _check_inertia(th), dt, i, j))
-        if analytic else None,
         sparsity=euler_sparsity_mask() if with_sparsity else None,
     )
 

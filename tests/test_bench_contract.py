@@ -7,9 +7,11 @@ tracer in a fresh process, runs one rollout and one gradient on each bundled
 model and checks which spans fired.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,14 +69,14 @@ def span_counts():
 
 
 # (masked_jac_f_x calls, sparse_chain_apply calls, numeric_jacobian calls,
-#  Jacobian-field calls) for one gradient.  The gradient calls only the batched
-# fields: three of them, or two on the masked path, which evaluates the state
-# Jacobian entry by entry, once for the whole trajectory, and makes one sparse
+#  Jacobian-field calls) for one gradient.  The gradient calls only the three
+# batched fields; the masked path gathers its state Jacobian from the
+# jac_f_x_batch call, once for the whole trajectory, and makes one sparse
 # chain product per transition; the RK4 model differences f once per batched
 # map.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
-    "euler-sparse": (1, HORIZON - 1, 0, 2),
+    "euler-sparse": (1, HORIZON - 1, 0, 3),
     "rk4": (0, 0, 2, 3),
     "scalar": (0, 0, 0, 3),
 }
@@ -101,3 +103,26 @@ def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
     assert (counts["structure.masked_jac_f_x"], counts["structure.sparse_chain_apply"],
             counts["model.numeric_jacobian"], counts["model.jacobians"]) == EXPECTED[name]
     assert counts["systems.euler_step"] == EULER_STEPS[name]
+
+
+def load_benchmark_driver():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_untraced_masked_energy_job_counts_entries_and_passes_the_gate(tmp_path):
+    # an untraced job builds the masked model itself and reads msid's entry
+    # counter; the traced tests above take neither path
+    run = load_benchmark_driver()
+    runner = run.Runner(run.workloads.WORKLOADS["masked-energy"], tmp_path,
+                        time.monotonic() + 300)
+    record = runner.spawn(3000)
+    assert record["exit_code"] == 0
+    assert record["errors"] == []
+    assert record["entry_evaluations"] == 9 * 399 * record["epochs"]
+    report, errors = run.gate(runner, 3000)
+    assert errors == []
+    assert report["adjoint_vs_naive"] <= 1e-10
+    assert report["adjoint_vs_fd"] <= 1e-5

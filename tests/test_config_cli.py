@@ -283,6 +283,26 @@ class TestMainEntryPoint:
                      "loss.q: rows must have equal lengths"),
         "wrong-size-q": (("loss", "q"), [[1, 0], [0, 1]],
                          "loss.q: expected a 3x3 matrix, got shape (2, 2)"),
+        "non-string-out-dir": (("out_dir",), 5, "out_dir: expected a string, got 5"),
+        "short-barrier-bounds": (
+            ("penalties",), [{"type": "upper_barrier", "alpha": 2000.0,
+                              "bounds": [0.01, 0.01], "lambda": 1e-9}],
+            "penalties[0].bounds: expected 3 components, got 2"),
+        "short-parameter-box": (
+            ("penalties",), [{"type": "parameter_box", "lower": [0.0, 0.0],
+                              "upper": [1.0, 1.0]}],
+            "penalties[0].lower: expected 3 components, got 2"),
+        "short-energy-inertia": (
+            ("penalties",), [{"type": "energy_conservation", "inertia": [0.0403, 0.0404]}],
+            "penalties[0].inertia: expected 3 components, got 2"),
+        "short-optimizer-box": (("optimizer", "box"), {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                                "optimizer.box.lower: expected 3 components, got 2"),
+        "short-nominal-input": (("dataset", "nominal_input"), [1e-5, 1e-5],
+                                "dataset.nominal_input: expected 3 components, got 2"),
+        "short-theta-true": (("dataset", "generate", "theta_true"), [0.0403, 0.0404],
+                             "dataset.generate.theta_true: expected 3 components, got 2"),
+        "short-x0-true": (("dataset", "generate", "x0_true"), [9.915e-6, -1.102e-3],
+                          "dataset.generate.x0_true: expected 3 components, got 2"),
     }
 
     @pytest.mark.parametrize("keys,value,message", BAD_FIELDS.values(),

@@ -7,22 +7,20 @@ import pytest
 
 from msid import (DimensionMismatch, DynamicalModel, LossSpec, MaskViolation,
                   ModelDims, SparseMatrix, SparsityMask, euler_attitude_model,
-                  euler_sparsity_mask, gradient, infer_mask, masked_jac_f_x,
-                  rollout, sparse_chain_apply, validate_mask)
+                  euler_sparsity_mask, gradient, masked_jac_f_x, rollout,
+                  sparse_chain_apply, validate_mask)
 from msid.structure import entry_evaluations
 from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, max_rel_gap
 
 
 def diagonal_square_model(n=3):
-    """Decoupled dynamics f_j(x) = x_j^2 with a row-wise entry form of the
-    state Jacobian."""
+    """Decoupled dynamics f_j(x) = x_j^2."""
     dims = ModelDims(n, 1, n, 1)
     return DynamicalModel(
         dims=dims,
         f=lambda x, u, th: x * x,
         g=lambda x: x,
         jac_f_x=lambda x, u, th: np.diag(2.0 * x),
-        jac_f_x_entry=lambda x, u, th, i, j: 2.0 * x[..., i] if i == j else 0.0,
     )
 
 
@@ -35,14 +33,6 @@ class TestSparsityMask:
     def test_rejects_non_binary(self):
         with pytest.raises(DimensionMismatch):
             SparsityMask(np.full((2, 2), 0.5), np.zeros((2, 1)))
-
-    def test_json_round_trip(self):
-        mask = euler_sparsity_mask()
-        again = SparsityMask.from_json_dict(mask.to_json_dict())
-        assert np.array_equal(again.state_mask, mask.state_mask)
-        assert np.array_equal(again.input_mask, mask.input_mask)
-        payload = mask.to_json_dict()
-        assert set(payload) == {"P", "Q"}
 
 
 class TestMaskedJacobian:
@@ -90,16 +80,11 @@ class TestMaskedJacobian:
 
 
 def reference_masked_values(model, states, inputs, theta, mask):
-    """The per-point, per-entry loop that block evaluation replaced: one
-    entry call per nonzero and point, or one dense Jacobian per point."""
+    """The per-point loop that block evaluation replaced: one dense Jacobian
+    per point, gathered at the mask."""
     vals = np.empty((len(states), mask.n_nz))
     for k, (x, u) in enumerate(zip(states, inputs)):
-        if model.jac_f_x_entry is not None:
-            for idx in range(mask.n_nz):
-                vals[k, idx] = model.jac_f_x_entry(x, u, theta, int(mask.rows[idx]),
-                                                   int(mask.cols[idx]))
-        else:
-            vals[k] = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[mask.rows, mask.cols]
+        vals[k] = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[mask.rows, mask.cols]
     return vals
 
 
@@ -108,11 +93,8 @@ ATTITUDE_MASKS = (euler_sparsity_mask(),
 
 
 class TestBlockMaskedJacobian:
-    @pytest.mark.parametrize("entry_form", [True, False])
-    def test_block_equals_per_point_loop_bit_for_bit(self, entry_form):
+    def test_block_equals_per_point_loop_bit_for_bit(self):
         model = euler_attitude_model(dt=0.1)
-        if not entry_form:
-            model = dataclasses.replace(model, jac_f_x_entry=None)
         rng = np.random.default_rng(41)
         for inertia in rng.uniform(0.005, 1.0, size=(4, 3)):
             # 4 x 500 = 2,000 random attitude points
@@ -142,11 +124,8 @@ class TestBlockMaskedJacobian:
         assert np.array_equal(block.vals,
                               reference_masked_values(model, states, inputs, theta, mask))
 
-    @pytest.mark.parametrize("entry_form", [True, False])
-    def test_entry_count_grows_by_n_nz_per_row(self, entry_form):
+    def test_entry_count_grows_by_n_nz_per_row(self):
         model = euler_attitude_model()
-        if not entry_form:
-            model = dataclasses.replace(model, jac_f_x_entry=None)
         mask = ATTITUDE_MASKS[1]
         for shape, rows in (((3,), 1), ((7, 3), 7), ((2, 4, 3), 8)):
             entry_evaluations.reset()
@@ -272,21 +251,3 @@ class TestMaskedGradientEquivalence:
         assert max_rel_gap(dense.grad_theta, masked.grad_theta) <= 1e-12
         assert max_rel_gap(dense.grad_x0, masked.grad_x0) <= 1e-12
 
-
-class TestInferMask:
-    def test_recovers_diagonal_structure(self):
-        model = diagonal_square_model(3)
-        mask = infer_mask(model, probes=20, seed=4)
-        assert np.array_equal(mask.state_mask, np.eye(3, dtype=int))
-        assert mask.n_nz == 3
-
-    def test_euler_mask_is_full(self):
-        model = euler_attitude_model()
-
-        def sampler(rng):
-            return (rng.normal(scale=0.5, size=3), rng.normal(scale=0.5, size=3),
-                    rng.uniform(0.2, 1.0, 3))
-
-        mask = infer_mask(model, probes=10, seed=5, sampler=sampler)
-        assert np.array_equal(mask.state_mask, np.ones((3, 3), dtype=int))
-        assert np.array_equal(mask.input_mask, np.eye(3, dtype=int))

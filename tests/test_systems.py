@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from msid import (DimensionMismatch, NoiseSpec, NonPositiveInertia, angular_rates,
-                  euler_attitude_model, euler_jacobians, euler_step,
-                  generate_dataset, numeric_jacobian, rollout,
-                  rotational_energy, rotational_energy_gradient,
-                  rotational_energy_term)
+                  euler_attitude_model, euler_step, generate_dataset,
+                  numeric_jacobian, rollout, rotational_energy,
+                  rotational_energy_gradient, rotational_energy_term)
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0,
                       ATTITUDE_THETA, max_rel_gap)
 
@@ -161,20 +160,24 @@ class TestBlockEulerStep:
 
 class TestEulerJacobians:
     def test_identity_at_rest(self):
-        jac_x, _ = euler_jacobians(np.zeros(3), np.zeros(3), ATTITUDE_THETA, 0.1)
+        model = euler_attitude_model(dt=0.1)
+        jac_x = model.jac_f_x(np.zeros(3), np.zeros(3), ATTITUDE_THETA)
         assert np.array_equal(jac_x, np.eye(3))
 
     def test_parameter_jacobian_zero_at_rest_without_torque(self):
-        _, jac_theta = euler_jacobians(np.zeros(3), np.zeros(3), ATTITUDE_THETA, 0.1)
+        model = euler_attitude_model(dt=0.1)
+        jac_theta = model.jac_f_theta(np.zeros(3), np.zeros(3), ATTITUDE_THETA)
         assert np.array_equal(jac_theta, np.zeros((3, 3)))
 
     def test_matches_finite_differences_at_random_points(self):
+        model = euler_attitude_model(dt=0.1)
         rng = np.random.default_rng(1)
         for _ in range(100):
             omega = rng.normal(scale=0.8, size=3)
             torque = rng.normal(scale=0.1, size=3)
             inertia = rng.uniform(0.05, 1.0, 3)
-            jac_x, jac_theta = euler_jacobians(omega, torque, inertia, 0.1)
+            jac_x = model.jac_f_x(omega, torque, inertia)
+            jac_theta = model.jac_f_theta(omega, torque, inertia)
             fd_x = numeric_jacobian(
                 lambda w: euler_step(w, torque, inertia, 0.1), omega)
             fd_theta = numeric_jacobian(
@@ -214,7 +217,7 @@ def reference_euler_jacobians(omega, torque, inertia, dt):
 
 
 class TestAttitudeJacobianForms:
-    def test_point_batch_and_entry_forms_agree_bit_for_bit(self):
+    def test_point_and_batch_forms_agree_bit_for_bit(self):
         model = euler_attitude_model(dt=ATTITUDE_DT)
         rng = np.random.default_rng(31)
         states = rng.normal(scale=0.8, size=(500, 3))
@@ -225,16 +228,10 @@ class TestAttitudeJacobianForms:
             for k, (omega, torque) in enumerate(zip(states, inputs)):
                 ref_x, ref_theta = reference_euler_jacobians(
                     omega, torque, inertia, ATTITUDE_DT)
-                jac_x, jac_theta = euler_jacobians(omega, torque, inertia, ATTITUDE_DT)
-                assert np.array_equal(jac_x, ref_x)
-                assert np.array_equal(jac_theta, ref_theta)
                 assert np.array_equal(model.jac_f_x(omega, torque, inertia), ref_x)
                 assert np.array_equal(model.jac_f_theta(omega, torque, inertia), ref_theta)
                 assert np.array_equal(batch_x[k], ref_x)
                 assert np.array_equal(batch_theta[k], ref_theta)
-                entries = [[model.jac_f_x_entry(omega, torque, inertia, i, j)
-                            for j in range(3)] for i in range(3)]
-                assert np.array_equal(entries, ref_x)
 
     def test_nonpositive_inertia_rejected_by_every_form(self):
         model = euler_attitude_model(dt=ATTITUDE_DT)
@@ -243,9 +240,7 @@ class TestAttitudeJacobianForms:
         for evaluate in (lambda: model.jac_f_x(states[0], inputs[0], bad),
                          lambda: model.jac_f_theta(states[0], inputs[0], bad),
                          lambda: model.jac_f_x_batch(states, inputs, bad),
-                         lambda: model.jac_f_theta_batch(states, inputs, bad),
-                         lambda: model.jac_f_x_entry(states[0], inputs[0], bad, 0, 1),
-                         lambda: model.jac_f_x_entry(states, inputs, bad, 0, 1)):
+                         lambda: model.jac_f_theta_batch(states, inputs, bad)):
             with pytest.raises(NonPositiveInertia):
                 evaluate()
 
@@ -279,7 +274,6 @@ class TestRk4Fallback:
 ONE_INERTIA_CALLERS = {
     "jac_f_x_batch": lambda model, s, block: model.jac_f_x_batch(s, s, block),
     "jac_f_theta_batch": lambda model, s, block: model.jac_f_theta_batch(s, s, block),
-    "jac_f_x_entry": lambda model, s, block: model.jac_f_x_entry(s, s, block, 0, 1),
     "rotational_energy": lambda model, s, block: rotational_energy(s, block),
     "rotational_energy_gradient":
         lambda model, s, block: rotational_energy_gradient(s, block),
