@@ -280,6 +280,8 @@ def _parse_horizons(text: str) -> list:
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_json(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be nonnegative, got {args.seed}")
         config = replace(config, seed=args.seed)
     return config
 

@@ -5,8 +5,19 @@ where the data comes from (a CSV file or a generation spec), the loss, the
 penalties, the optimizer options, and the initialization.  All randomness
 flows from a single top-level seed; sub-seeds (data noise, initialization
 perturbation) can be pinned explicitly but default to values derived from
-it.  Parsing is strict: unknown keys and out-of-range values raise
-:class:`ConfigError` with the offending field path, and
+it.
+
+Each field is declared once, by the spec in its dataclass field
+(:func:`_spec`): the default, the parser of the JSON value (a number, an
+integer, a number list, a choice, a string, a boolean or a nested section),
+an optional bound and, for a list, the model dimension its length must
+match.  Penalty entries take the same specs, one table per penalty type
+(:data:`PENALTIES`).  :func:`_parse` applies the specs of one section: an
+unknown key, a value of the wrong type or outside its bound raises
+:class:`ConfigError` naming the field's JSON path, and null stands for the
+default only where the default is null.  The rules that tie fields together
+(one dataset source, the init modes, box ordering, and the list lengths and
+parameter domain that the model sets) run after the specs, and
 ``RunConfig.from_dict(cfg.to_dict()) == cfg`` holds for every valid
 configuration.
 """
@@ -15,12 +26,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonFiniteValue
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue, OutsideDomain
 from .gradient import LossSpec
 from .model import Dataset, DynamicalModel, load_dataset
 from .optimizer import GRADIENT_METHODS, IdentifyOptions, StoppingCriteria
@@ -32,15 +43,17 @@ from .systems import (INTEGRATORS, NoiseSpec, euler_attitude_model,
 
 MODEL_KINDS = ("euler_attitude", "scalar_linear")
 
-# the keys each penalty type takes besides "type" and "lambda"
-PENALTY_KEYS = {"upper_barrier": ("alpha", "bounds"), "lower_barrier": ("alpha", "bounds"),
-                "parameter_box": ("alpha", "lower", "upper"),
-                "energy_conservation": ("inertia", "reference"),
-                "relu_upper_bound": ("bounds",)}
-PENALTY_TYPES = tuple(PENALTY_KEYS)
+# bounds: (test, what the test asks of a value)
+POSITIVE = (lambda v: v > 0, "must be positive")
+NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 
-def _check_keys(mapping: dict, allowed, path: str) -> None:
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+def _check_keys(mapping, allowed, path: str) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(mapping) - set(allowed)
@@ -70,320 +83,267 @@ def _as_float_list(value, path: str) -> list:
     return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _as_number_or_list(value, path: str):
+    return (_as_float_list if isinstance(value, (list, tuple)) else _as_float)(value, path)
+
+
+def _as_weight(value, path: str):
+    """A nonnegative scalar weight, or a matrix given as equal-length rows."""
+    if isinstance(value, (list, tuple)):
+        rows = [_as_float_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
+        if len({len(row) for row in rows}) > 1:
+            raise ConfigError(f"{path}: rows must have equal lengths")
+        return rows
+    weight = _as_float(value, path)
+    if weight < 0:
+        raise ConfigError(f"{path}: scalar weight must be nonnegative")
+    return weight
+
+
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean, got {value!r}")
+    return value
+
+
+def _choice(options: tuple):
+    def parse(value, path: str):
+        if value not in options:
+            raise ConfigError(f"{path}: must be one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _section(cls):
+    return lambda value, path: _parse(cls, value, path)
+
+
+def _spec(parse, default=MISSING, bound=None, size=None, factory=MISSING):
+    """One config field.  ``parse(value, path)`` turns the JSON value into
+    the field's value; ``bound`` is an optional (test, message) pair; ``size``
+    names the model dimension a list's length must match ("theta" is a
+    parameter vector, n_theta long, that the model must also accept).  A
+    field with neither ``default`` nor ``factory`` is required."""
+    return field(default=default, default_factory=factory,
+                 metadata={"parse": parse, "bound": bound, "size": size})
+
+
+def _parse_fields(specs: dict, data, path: str) -> dict:
+    """The parsed value of each key that ``data`` gives, by its spec."""
+    _check_keys(data, specs, path or "config")
+    values = {}
+    for name, spec in specs.items():
+        where = f"{path}.{name}" if path else name
+        if name not in data:
+            if spec.default is MISSING and spec.default_factory is MISSING:
+                raise ConfigError(f"{where}: required")
+        elif data[name] is not None or spec.default is not None:
+            value = spec.metadata["parse"](data[name], where)
+            bound = spec.metadata["bound"]
+            if bound is not None and not bound[0](value):
+                raise ConfigError(f"{where}: {bound[1]}, got {value}")
+            values[name] = value
+    return values
+
+
+def _parse(cls, data, path: str):
+    """A config section from its JSON object: the field specs of ``cls``,
+    then the section's cross-field rules (its ``_check``), if it has any."""
+    cfg = cls(**_parse_fields({f.name: f for f in fields(cls)}, data, path))
+    if hasattr(cfg, "_check"):
+        cfg._check(path)
+    return cfg
+
+
+def _check_box(lower: list, upper: list, path: str) -> None:
+    if any(lo > up for lo, up in zip(lower, upper)):
+        raise ConfigError(f"{path}: lower bound exceeds upper bound")
+
+
 @dataclass
 class ModelConfig:
-    kind: str = "euler_attitude"
-    dt: float = 0.1
-    integrator: str = "forward_euler"
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "model") -> "ModelConfig":
-        _check_keys(data, ("kind", "dt", "integrator"), path)
-        cfg = cls(kind=data.get("kind", "euler_attitude"),
-                  dt=_as_float(data.get("dt", 0.1), f"{path}.dt"),
-                  integrator=data.get("integrator", "forward_euler"))
-        if cfg.kind not in MODEL_KINDS:
-            raise ConfigError(f"{path}.kind: must be one of {MODEL_KINDS}, got {cfg.kind!r}")
-        if cfg.dt <= 0:
-            raise ConfigError(f"{path}.dt: must be positive, got {cfg.dt}")
-        if cfg.integrator not in INTEGRATORS:
-            raise ConfigError(
-                f"{path}.integrator: must be one of {INTEGRATORS}, got {cfg.integrator!r}")
-        return cfg
+    kind: str = _spec(_choice(MODEL_KINDS), "euler_attitude")
+    dt: float = _spec(_as_float, 0.1, POSITIVE)
+    integrator: str = _spec(_choice(INTEGRATORS), "forward_euler")
 
 
 @dataclass
 class NoiseConfig:
-    torque_mean: float = 0.0
-    torque_std: float = 0.0
-    obs_std: float = 0.0
-    seed: Optional[int] = None
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str) -> "NoiseConfig":
-        _check_keys(data, ("torque_mean", "torque_std", "obs_std", "seed"), path)
-        cfg = cls(
-            torque_mean=_as_float(data.get("torque_mean", 0.0), f"{path}.torque_mean"),
-            torque_std=_as_float(data.get("torque_std", 0.0), f"{path}.torque_std"),
-            obs_std=_as_float(data.get("obs_std", 0.0), f"{path}.obs_std"),
-            seed=None if data.get("seed") is None
-            else _as_int(data["seed"], f"{path}.seed"))
-        if cfg.torque_std < 0 or cfg.obs_std < 0:
-            raise ConfigError(f"{path}: standard deviations must be nonnegative")
-        return cfg
+    torque_mean: float = _spec(_as_float, 0.0)
+    torque_std: float = _spec(_as_float, 0.0, NONNEGATIVE)
+    obs_std: float = _spec(_as_float, 0.0, NONNEGATIVE)
+    seed: Optional[int] = _spec(_as_int, None, NONNEGATIVE)
 
 
 @dataclass
 class GenerateConfig:
-    theta_true: list
-    x0_true: list
-    horizon: int
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str) -> "GenerateConfig":
-        _check_keys(data, ("theta_true", "x0_true", "horizon", "noise"), path)
-        for key in ("theta_true", "x0_true", "horizon"):
-            if key not in data:
-                raise ConfigError(f"{path}.{key}: required")
-        horizon = _as_int(data["horizon"], f"{path}.horizon")
-        if horizon < 2:
-            raise ConfigError(f"{path}.horizon: must be >= 2, got {horizon}")
-        return cls(theta_true=_as_float_list(data["theta_true"], f"{path}.theta_true"),
-                   x0_true=_as_float_list(data["x0_true"], f"{path}.x0_true"),
-                   horizon=horizon,
-                   noise=NoiseConfig.from_dict(data.get("noise", {}), f"{path}.noise"))
+    theta_true: list = _spec(_as_float_list, size="theta")
+    x0_true: list = _spec(_as_float_list, size="n_x")
+    horizon: int = _spec(_as_int, bound=_at_least(2))
+    noise: NoiseConfig = _spec(_section(NoiseConfig), factory=NoiseConfig)
 
 
 @dataclass
 class DatasetConfig:
-    path: Optional[str] = None
-    generate: Optional[GenerateConfig] = None
-    known_inputs: bool = True
-    nominal_input: Optional[Union[float, list]] = None
+    path: Optional[str] = _spec(_as_str, None)
+    generate: Optional[GenerateConfig] = _spec(_section(GenerateConfig), None)
+    known_inputs: bool = _spec(_as_bool, True)
+    nominal_input: Optional[Union[float, list]] = _spec(_as_number_or_list, None, size="n_u")
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "dataset") -> "DatasetConfig":
-        _check_keys(data, ("path", "generate", "known_inputs", "nominal_input"), path)
-        file_path = data.get("path")
-        generate = data.get("generate")
-        if (file_path is None) == (generate is None):
+    def _check(self, path: str) -> None:
+        if (self.path is None) == (self.generate is None):
             raise ConfigError(f"{path}: give exactly one of 'path' or 'generate'")
-        known_inputs = data.get("known_inputs", True)
-        if not isinstance(known_inputs, bool):
-            raise ConfigError(f"{path}.known_inputs: expected a boolean")
-        nominal = data.get("nominal_input")
-        if nominal is not None:
-            if isinstance(nominal, (list, tuple)):
-                nominal = _as_float_list(nominal, f"{path}.nominal_input")
-            else:
-                nominal = _as_float(nominal, f"{path}.nominal_input")
-        return cls(path=file_path,
-                   generate=None if generate is None
-                   else GenerateConfig.from_dict(generate, f"{path}.generate"),
-                   known_inputs=known_inputs, nominal_input=nominal)
 
 
 @dataclass
 class LossConfig:
-    q: Union[float, list] = 1.0
-    horizon: Optional[int] = None
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "loss") -> "LossConfig":
-        _check_keys(data, ("q", "horizon"), path)
-        q = data.get("q", 1.0)
-        if isinstance(q, (list, tuple)):
-            q = [_as_float_list(row, f"{path}.q[{i}]") for i, row in enumerate(q)]
-            if len({len(row) for row in q}) > 1:
-                raise ConfigError(f"{path}.q: rows must have equal lengths")
-        else:
-            q = _as_float(q, f"{path}.q")
-            if q < 0:
-                raise ConfigError(f"{path}.q: scalar weight must be nonnegative")
-        horizon = data.get("horizon")
-        if horizon is not None:
-            horizon = _as_int(horizon, f"{path}.horizon")
-            if horizon < 2:
-                raise ConfigError(f"{path}.horizon: must be >= 2, got {horizon}")
-        return cls(q=q, horizon=horizon)
+    q: Union[float, list] = _spec(_as_weight, 1.0)
+    horizon: Optional[int] = _spec(_as_int, None, _at_least(2))
 
 
 @dataclass
 class BoxConfig:
-    lower: list
-    upper: list
+    lower: list = _spec(_as_float_list, size="n_theta")
+    upper: list = _spec(_as_float_list, size="n_theta")
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str) -> "BoxConfig":
-        _check_keys(data, ("lower", "upper"), path)
-        if "lower" not in data or "upper" not in data:
-            raise ConfigError(f"{path}: both 'lower' and 'upper' are required")
-        lower = _as_float_list(data["lower"], f"{path}.lower")
-        upper = _as_float_list(data["upper"], f"{path}.upper")
-        if len(lower) != len(upper):
-            raise ConfigError(f"{path}: bound lengths differ")
-        if any(lo > up for lo, up in zip(lower, upper)):
-            raise ConfigError(f"{path}: lower bound exceeds upper bound")
-        return cls(lower=lower, upper=upper)
+    def _check(self, path: str) -> None:
+        _check_box(self.lower, self.upper, path)
 
 
 @dataclass
 class OptimizerConfig:
-    lr_theta: float = 1e-3
-    lr_x0: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_epochs: int = 1000
-    cost_tol: float = 0.0
-    grad_tol: float = 0.0
-    box: Optional[BoxConfig] = None
-    gradient_method: str = "adjoint"
-    fd_step: float = 1e-6
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "optimizer") -> "OptimizerConfig":
-        allowed = ("lr_theta", "lr_x0", "beta1", "beta2", "eps", "max_epochs",
-                   "cost_tol", "grad_tol", "box", "gradient_method", "fd_step")
-        _check_keys(data, allowed, path)
-        defaults = cls()
-        cfg = cls(
-            lr_theta=_as_float(data.get("lr_theta", defaults.lr_theta), f"{path}.lr_theta"),
-            lr_x0=_as_float(data.get("lr_x0", defaults.lr_x0), f"{path}.lr_x0"),
-            beta1=_as_float(data.get("beta1", defaults.beta1), f"{path}.beta1"),
-            beta2=_as_float(data.get("beta2", defaults.beta2), f"{path}.beta2"),
-            eps=_as_float(data.get("eps", defaults.eps), f"{path}.eps"),
-            max_epochs=_as_int(data.get("max_epochs", defaults.max_epochs),
-                               f"{path}.max_epochs"),
-            cost_tol=_as_float(data.get("cost_tol", 0.0), f"{path}.cost_tol"),
-            grad_tol=_as_float(data.get("grad_tol", 0.0), f"{path}.grad_tol"),
-            box=None if data.get("box") is None
-            else BoxConfig.from_dict(data["box"], f"{path}.box"),
-            gradient_method=data.get("gradient_method", "adjoint"),
-            fd_step=_as_float(data.get("fd_step", defaults.fd_step), f"{path}.fd_step"))
-        if cfg.max_epochs < 1:
-            raise ConfigError(f"{path}.max_epochs: must be >= 1, got {cfg.max_epochs}")
-        if not 0 < cfg.beta1 < 1 or not 0 < cfg.beta2 < 1:
-            raise ConfigError(f"{path}: beta1 and beta2 must lie in (0, 1)")
-        if cfg.lr_theta <= 0 or cfg.lr_x0 <= 0 or cfg.eps <= 0 or cfg.fd_step <= 0:
-            raise ConfigError(f"{path}: learning rates, eps, and fd_step must be positive")
-        if cfg.cost_tol < 0 or cfg.grad_tol < 0:
-            raise ConfigError(f"{path}: tolerances must be nonnegative")
-        if cfg.gradient_method not in GRADIENT_METHODS:
-            raise ConfigError(
-                f"{path}.gradient_method: must be one of {GRADIENT_METHODS}, "
-                f"got {cfg.gradient_method!r}")
-        return cfg
+    lr_theta: float = _spec(_as_float, 1e-3, POSITIVE)
+    lr_x0: float = _spec(_as_float, 1e-4, POSITIVE)
+    beta1: float = _spec(_as_float, 0.9, OPEN_UNIT)
+    beta2: float = _spec(_as_float, 0.999, OPEN_UNIT)
+    eps: float = _spec(_as_float, 1e-8, POSITIVE)
+    max_epochs: int = _spec(_as_int, 1000, _at_least(1))
+    cost_tol: float = _spec(_as_float, 0.0, NONNEGATIVE)
+    grad_tol: float = _spec(_as_float, 0.0, NONNEGATIVE)
+    box: Optional[BoxConfig] = _spec(_section(BoxConfig), None)
+    gradient_method: str = _spec(_choice(GRADIENT_METHODS), "adjoint")
+    fd_step: float = _spec(_as_float, 1e-6, POSITIVE)
 
 
 @dataclass
 class InitConfig:
-    theta: Optional[list] = None
-    x0: Optional[list] = None
-    perturb_theta: Optional[float] = None
-    perturb_x0: Optional[float] = None
-    seed: Optional[int] = None
+    theta: Optional[list] = _spec(_as_float_list, None, size="theta")
+    x0: Optional[list] = _spec(_as_float_list, None, size="n_x")
+    perturb_theta: Optional[float] = _spec(_as_float, None, NONNEGATIVE)
+    perturb_x0: Optional[float] = _spec(_as_float, None, NONNEGATIVE)
+    seed: Optional[int] = _spec(_as_int, None, NONNEGATIVE)
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "init") -> "InitConfig":
-        _check_keys(data, ("theta", "x0", "perturb_theta", "perturb_x0", "seed"), path)
-        explicit = data.get("theta") is not None or data.get("x0") is not None
-        perturbed = data.get("perturb_theta") is not None or data.get("perturb_x0") is not None
+    def _check(self, path: str) -> None:
+        explicit = self.theta is not None or self.x0 is not None
+        perturbed = self.perturb_theta is not None or self.perturb_x0 is not None
         if explicit and perturbed:
             raise ConfigError(f"{path}: give explicit values or perturbation fractions, not both")
         if not explicit and not perturbed:
             raise ConfigError(f"{path}: initialization is required")
-        if explicit and (data.get("theta") is None or data.get("x0") is None):
+        if explicit and (self.theta is None or self.x0 is None):
             raise ConfigError(f"{path}: explicit initialization needs both 'theta' and 'x0'")
-        cfg = cls(
-            theta=None if data.get("theta") is None
-            else _as_float_list(data["theta"], f"{path}.theta"),
-            x0=None if data.get("x0") is None
-            else _as_float_list(data["x0"], f"{path}.x0"),
-            perturb_theta=None if data.get("perturb_theta") is None
-            else _as_float(data["perturb_theta"], f"{path}.perturb_theta"),
-            perturb_x0=None if data.get("perturb_x0") is None
-            else _as_float(data["perturb_x0"], f"{path}.perturb_x0"),
-            seed=None if data.get("seed") is None
-            else _as_int(data["seed"], f"{path}.seed"))
-        for name in ("perturb_theta", "perturb_x0"):
-            value = getattr(cfg, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{path}.{name}: must be nonnegative, got {value}")
-        return cfg
 
 
-def _validate_penalty(entry: dict, index: int) -> dict:
-    path = f"penalties[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = entry.get("type")
-    if kind not in PENALTY_TYPES:
-        raise ConfigError(f"{path}.type: must be one of {PENALTY_TYPES}, got {kind!r}")
-    keys = PENALTY_KEYS[kind]
-    _check_keys(entry, ("type", "lambda") + keys, path)
-    weight = _as_float(entry.get("lambda", 1.0), f"{path}.lambda")
-    if weight < 0:
-        raise ConfigError(f"{path}.lambda: must be nonnegative, got {weight}")
-    for key in ("bounds", "inertia"):
-        if key in keys:
-            if key not in entry:
-                raise ConfigError(f"{path}.{key}: required")
-            _as_float_list(entry[key], f"{path}.{key}")
-    if kind == "parameter_box":
-        BoxConfig.from_dict({"lower": entry.get("lower"), "upper": entry.get("upper")}, path)
-    if "alpha" in keys and _as_float(entry.get("alpha", 1.0), f"{path}.alpha") <= 0:
-        raise ConfigError(f"{path}.alpha: must be positive")
-    if entry.get("reference", "first_observation") != "first_observation":
-        _as_float(entry["reference"], f"{path}.reference")
-    return dict(entry)
+def _as_reference(value, path: str):
+    return value if value == "first_observation" else _as_float(value, path)
 
 
-@dataclass
+_BOUNDS = _spec(_as_float_list, size="n_x")
+_ALPHA = _spec(_as_float, 1.0, POSITIVE)
+# per penalty type: the term it builds and the spec of each key besides
+# "type" and "lambda" (the term's keyword arguments)
+PENALTIES = {
+    "upper_barrier": (UpperBarrier, {"bounds": _BOUNDS, "alpha": _ALPHA}),
+    "lower_barrier": (LowerBarrier, {"bounds": _BOUNDS, "alpha": _ALPHA}),
+    "parameter_box": (ParameterBox, {"lower": _spec(_as_float_list, size="n_theta"),
+                                     "upper": _spec(_as_float_list, size="n_theta"),
+                                     "alpha": _ALPHA}),
+    "energy_conservation": (rotational_energy_term, {
+        "inertia": _spec(_as_float_list, size="theta"),
+        "reference": _spec(_as_reference, "first_observation")}),
+    "relu_upper_bound": (ReluUpperBound, {"bounds": _BOUNDS}),
+}
+PENALTY_TYPES = tuple(PENALTIES)
+_TYPE = _spec(_choice(PENALTY_TYPES))
+_WEIGHT = _spec(_as_float, 1.0, NONNEGATIVE)
+
+
+def _as_penalties(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    entries = []
+    for index, entry in enumerate(value):
+        where = f"{path}[{index}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: expected an object")
+        kind = entry.get("type")
+        if kind not in PENALTY_TYPES:
+            raise ConfigError(f"{where}.type: must be one of {PENALTY_TYPES}, got {kind!r}")
+        parsed = _parse_fields({"type": _TYPE, "lambda": _WEIGHT, **PENALTIES[kind][1]},
+                               entry, where)
+        if kind == "parameter_box":
+            _check_box(parsed["lower"], parsed["upper"], where)
+        entries.append(parsed)
+    return entries
+
+
+def _sized_lists(cfg, path: str):
+    """(JSON path, list, size) of each list field below ``cfg`` whose spec
+    names a model dimension."""
+    for spec in fields(cfg):
+        value, where = getattr(cfg, spec.name), path + spec.name
+        if is_dataclass(value):
+            yield from _sized_lists(value, where + ".")
+        elif spec.metadata["size"] is not None and isinstance(value, list):
+            yield where, value, spec.metadata["size"]
+
+
+@dataclass(kw_only=True)
 class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    init: Optional[InitConfig] = None
-    penalties: list = field(default_factory=list)
-    seed: int = 0
-    out_dir: Optional[str] = None
+    model: ModelConfig = _spec(_section(ModelConfig), factory=ModelConfig)
+    dataset: DatasetConfig = _spec(_section(DatasetConfig))
+    loss: LossConfig = _spec(_section(LossConfig), factory=LossConfig)
+    optimizer: OptimizerConfig = _spec(_section(OptimizerConfig), factory=OptimizerConfig)
+    init: Optional[InitConfig] = _spec(_section(InitConfig), None)
+    penalties: list = _spec(_as_penalties, factory=list)
+    seed: int = _spec(_as_int, 0, NONNEGATIVE)
+    out_dir: Optional[str] = _spec(_as_str, None)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("configuration root must be an object")
-        allowed = ("model", "dataset", "loss", "optimizer", "init",
-                   "penalties", "seed", "out_dir")
-        _check_keys(data, allowed, "config")
-        if "dataset" not in data:
-            raise ConfigError("dataset: required")
-        penalties = data.get("penalties", [])
-        if not isinstance(penalties, list):
-            raise ConfigError("penalties: expected a list")
-        out_dir = data.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigError(f"out_dir: expected a string, got {out_dir!r}")
-        cfg = cls(
-            model=ModelConfig.from_dict(data.get("model", {})),
-            dataset=DatasetConfig.from_dict(data["dataset"]),
-            loss=LossConfig.from_dict(data.get("loss", {})),
-            optimizer=OptimizerConfig.from_dict(data.get("optimizer", {})),
-            init=None if data.get("init") is None else InitConfig.from_dict(data["init"]),
-            penalties=[_validate_penalty(p, i) for i, p in enumerate(penalties)],
-            seed=_as_int(data.get("seed", 0), "seed"),
-            out_dir=out_dir)
-        cfg._check_model_fit()
-        return cfg
+        return _parse(cls, data, "")
 
-    def _check_model_fit(self) -> None:
-        """Refuse a penalty the model cannot take, or a list whose length does
-        not match the model's dimensions, naming its path."""
-        dims = build_model(self.model).dims
-        lists = [("dataset.nominal_input", self.dataset.nominal_input, dims.n_u)]
-        if self.dataset.generate is not None:
-            lists += [("dataset.generate.theta_true", self.dataset.generate.theta_true,
-                       dims.n_theta),
-                      ("dataset.generate.x0_true", self.dataset.generate.x0_true, dims.n_x)]
-        if self.optimizer.box is not None:
-            lists += [(f"optimizer.box.{key}", getattr(self.optimizer.box, key), dims.n_theta)
-                      for key in ("lower", "upper")]
-        if self.init is not None:
-            lists += [("init.theta", self.init.theta, dims.n_theta),
-                      ("init.x0", self.init.x0, dims.n_x)]
-        sizes = {"bounds": dims.n_x, "lower": dims.n_theta, "upper": dims.n_theta,
-                 "inertia": dims.n_theta}
+    def _check_model_fit(self, path: str = "") -> None:
+        """Refuse a penalty the model cannot take, a list whose length does
+        not match the model's dimensions, or a parameter vector outside the
+        model's domain, naming its path."""
+        model = build_model(self.model)
+        dims = model.dims
+        lists = list(_sized_lists(self, ""))
         for index, entry in enumerate(self.penalties):
             if entry["type"] == "energy_conservation" and self.model.kind != "euler_attitude":
                 raise ConfigError(
                     f"penalties[{index}]: energy_conservation requires the attitude model")
-            lists += [(f"penalties[{index}].{key}", entry[key], n)
-                      for key, n in sizes.items() if key in entry]
-        for path, values, n in lists:
-            if isinstance(values, (list, tuple)) and len(values) != n:
-                raise ConfigError(f"{path}: expected {n} components, got {len(values)}")
+            lists += [(f"penalties[{index}].{key}", entry[key], spec.metadata["size"])
+                      for key, spec in PENALTIES[entry["type"]][1].items()
+                      if key in entry and spec.metadata["size"] is not None]
+        for where, values, size in lists:
+            n = getattr(dims, "n_theta" if size == "theta" else size)
+            if len(values) != n:
+                raise ConfigError(f"{where}: expected {n} components, got {len(values)}")
+            if size == "theta":
+                try:
+                    model.f(np.zeros(dims.n_x), np.zeros(dims.n_u), np.asarray(values))
+                except OutsideDomain as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
+
+    _check = _check_model_fit
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -489,27 +449,13 @@ def build_penalty_spec(config: RunConfig, model: DynamicalModel,
         return None
     terms = []
     for entry in config.penalties:
-        kind = entry["type"]
-        weight = float(entry.get("lambda", 1.0))
-        if kind == "upper_barrier":
-            terms.append(UpperBarrier(bounds=np.asarray(entry["bounds"], dtype=float),
-                                      alpha=float(entry.get("alpha", 1.0)), weight=weight))
-        elif kind == "lower_barrier":
-            terms.append(LowerBarrier(bounds=np.asarray(entry["bounds"], dtype=float),
-                                      alpha=float(entry.get("alpha", 1.0)), weight=weight))
-        elif kind == "parameter_box":
-            terms.append(ParameterBox(lower=np.asarray(entry["lower"], dtype=float),
-                                      upper=np.asarray(entry["upper"], dtype=float),
-                                      alpha=float(entry.get("alpha", 1.0)), weight=weight))
-        elif kind == "relu_upper_bound":
-            terms.append(ReluUpperBound(bounds=np.asarray(entry["bounds"], dtype=float),
-                                        weight=weight))
-        elif kind == "energy_conservation":
-            inertia = np.asarray(entry["inertia"], dtype=float)
-            reference = entry.get("reference", "first_observation")
-            if reference == "first_observation":
-                reference = rotational_energy(dataset.observations[0], inertia)
-            terms.append(rotational_energy_term(inertia, float(reference), weight=weight))
+        term, keys = PENALTIES[entry["type"]]
+        args = {key: entry.get(key, spec.default) for key, spec in keys.items()}
+        args = {key: np.asarray(value, dtype=float) if isinstance(value, list) else value
+                for key, value in args.items()}
+        if args.get("reference") == "first_observation":
+            args["reference"] = rotational_energy(dataset.observations[0], args["inertia"])
+        terms.append(term(**args, weight=entry.get("lambda", _WEIGHT.default)))
     return PenaltySpec(tuple(terms))
 
 

@@ -232,7 +232,8 @@ def _backward_adjoints(big_gamma, jac_x, masked):
     zero incoming adjoint and form each position's transfer product to the
     chunk's end, one step per chunk carries the true incoming adjoints back,
     and one batched product adds them in.  A transfer product that overflows
-    falls back to the step-by-step loop.
+    falls back to the step-by-step loop (:func:`gradient` runs this under
+    ``np.errstate``, so an overflow warns nothing).
     """
     horizon, n_x = big_gamma.shape
     if not masked and horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
@@ -244,11 +245,10 @@ def _backward_adjoints(big_gamma, jac_x, masked):
         local, jac = local.reshape(chunks, size, n_x), jac.reshape(chunks, size, n_x, n_x)
         transfer = np.empty_like(jac)
         row, chain = np.zeros((chunks, 1, n_x)), np.eye(n_x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(size - 1, -1, -1):
-                row = local[:, j, None] + row @ jac[:, j]
-                local[:, j] = row[:, 0]
-                chain = transfer[:, j] = chain @ jac[:, j]
+        for j in range(size - 1, -1, -1):
+            row = local[:, j, None] + row @ jac[:, j]
+            local[:, j] = row[:, 0]
+            chain = transfer[:, j] = chain @ jac[:, j]
         if np.all(np.isfinite(transfer)):
             incoming = np.zeros((chunks, n_x))
             for c in range(chunks - 2, -1, -1):
@@ -283,15 +283,16 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
 
-    adjoints = _backward_adjoints(big_gamma, jac_x, model.sparsity is not None)
-    grad_x0 = adjoints[0]
-
     grad_theta = gamma.sum(axis=0)
     if spec.penalty is not None:
         grad_theta = grad_theta + spec.penalty.param_grad(theta)
-    # the transition terms, summed in backward-pass order (not pairwise)
-    products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
-    grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]
+    # the products may overflow; the finiteness check below reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoints = _backward_adjoints(big_gamma, jac_x, model.sparsity is not None)
+        # the transition terms, summed in backward-pass order (not pairwise)
+        products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
+        grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]
+    grad_x0 = adjoints[0]
 
     if not (np.isfinite(total_cost)
             and np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):

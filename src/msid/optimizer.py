@@ -172,6 +172,8 @@ def _evaluate(model, dataset, spec, theta, x0, method, fd_step):
     return gradient(model, trajectory, dataset, spec, theta)
 
 
+# a non-finite candidate is rejected or raised below, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
              theta0, x0, options: Optional[IdentifyOptions] = None) -> IdentificationRun:
     """Fit parameters and initial state by gradient descent on the

@@ -1,6 +1,7 @@
 """Run configuration parsing and the command-line surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import msid
 from msid.cli import (cmd_generate, cmd_gradcheck, cmd_identify, cmd_sweep,
@@ -51,7 +54,66 @@ def scalar_config(tmp_path, theta0=0.8, epochs=50):
     }
 
 
+def full_config(tmp_path):
+    """A small attitude config that sets every field but the ones exclusive
+    of those set (``dataset.path``, ``init.perturb_*``)."""
+    return {
+        "seed": 4,
+        "out_dir": str(tmp_path / "out"),
+        "model": {"kind": "euler_attitude", "dt": 0.1, "integrator": "forward_euler"},
+        "dataset": {
+            "generate": {
+                "theta_true": [0.0403, 0.0404, 0.0080],
+                "x0_true": [9.915e-6, -1.102e-3, 1.3179e-5],
+                "horizon": 10,
+                "noise": {"torque_mean": 1e-5, "torque_std": 1e-7, "obs_std": 1e-4,
+                          "seed": 7},
+            },
+            "known_inputs": False,
+            "nominal_input": [1e-5, 1e-5, 1e-5],
+        },
+        "loss": {"q": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]], "horizon": 10},
+        "penalties": [
+            {"type": "upper_barrier", "alpha": 2000.0, "bounds": [0.01, 0.01, 0.01],
+             "lambda": 1e-9},
+            {"type": "lower_barrier", "alpha": 2000.0, "bounds": [-0.01, -0.01, -0.01],
+             "lambda": 1e-9},
+            {"type": "parameter_box", "alpha": 10.0, "lower": [0.001, 0.001, 0.001],
+             "upper": [1.0, 1.0, 1.0], "lambda": 1e-9},
+            {"type": "energy_conservation", "inertia": [0.0403, 0.0404, 0.0080],
+             "reference": "first_observation", "lambda": 1e-3},
+            {"type": "relu_upper_bound", "bounds": [0.01, 0.01, 0.01], "lambda": 1e-9},
+        ],
+        "optimizer": {"lr_theta": 1e-3, "lr_x0": 1e-6, "beta1": 0.9, "beta2": 0.999,
+                      "eps": 1e-8, "max_epochs": 2, "cost_tol": 0.0, "grad_tol": 0.0,
+                      "box": {"lower": [0.001, 0.001, 0.001], "upper": [1.0, 1.0, 1.0]},
+                      "gradient_method": "adjoint", "fd_step": 1e-6},
+        "init": {"theta": [0.045, 0.035, 0.009], "x0": [1.2e-5, -1.0e-3, 1.0e-5], "seed": 9},
+    }
+
+
+def leaf_paths(node, path=()):
+    """The key path of every value in ``node`` that is not an object,
+    list elements included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    else:
+        yield path
+        if isinstance(node, list):
+            for index, value in enumerate(node):
+                yield from leaf_paths(value, path + (index,))
+
+
 class TestRunConfig:
+    def test_round_trip_of_every_field(self, tmp_path):
+        config = RunConfig.from_dict(full_config(tmp_path))
+        assert config.optimizer.box is not None and len(config.penalties) == 5
+        assert RunConfig.from_dict(config.to_dict()) == config
+        path = tmp_path / "config.json"
+        config.to_json(path)
+        assert RunConfig.from_json(path) == config
+
     def test_round_trip_identity(self, tmp_path):
         config = RunConfig.from_dict(attitude_config(tmp_path))
         assert RunConfig.from_dict(config.to_dict()) == config
@@ -303,6 +365,23 @@ class TestMainEntryPoint:
                              "dataset.generate.theta_true: expected 3 components, got 2"),
         "short-x0-true": (("dataset", "generate", "x0_true"), [9.915e-6, -1.102e-3],
                           "dataset.generate.x0_true: expected 3 components, got 2"),
+        "negative-seed": (("seed",), -1, "seed: must be nonnegative, got -1"),
+        "negative-noise-seed": (("dataset", "generate", "noise", "seed"), -3,
+                                "dataset.generate.noise.seed: must be nonnegative, got -3"),
+        "negative-init-seed": (("init", "seed"), -3, "init.seed: must be nonnegative, got -3"),
+        "list-dataset-path": (("dataset", "path"), ["data.csv"],
+                              "dataset.path: expected a string, got ['data.csv']"),
+        "nonpositive-theta-true": (
+            ("dataset", "generate", "theta_true"), [0.0403, -0.0404, 0.0080],
+            "dataset.generate.theta_true: inertia components must be positive, "
+            "got [ 0.0403 -0.0404  0.008 ]"),
+        "nonpositive-init-theta": (
+            ("init",), {"theta": [0.0403, 0.0404, 0.0], "x0": [9.915e-6, -1.102e-3, 1.3179e-5]},
+            "init.theta: inertia components must be positive, got [0.0403 0.0404 0.    ]"),
+        "nonpositive-energy-inertia": (
+            ("penalties",), [{"type": "energy_conservation", "inertia": [-0.0403, 0.0404, 0.0080]}],
+            "penalties[0].inertia: inertia components must be positive, "
+            "got [-0.0403  0.0404  0.008 ]"),
     }
 
     @pytest.mark.parametrize("keys,value,message", BAD_FIELDS.values(),
@@ -315,6 +394,41 @@ class TestMainEntryPoint:
         target[keys[-1]] = value
         assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_seed_override_fails_at_load_time(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))
+        assert main(["identify", "--config", str(path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed: must be nonnegative, got -1\n"
+
+    # one value of each kind a fuzzed leaf takes; WRONG_TYPE is a string, or
+    # a number where the leaf is a string (never a path: out_dir stays put)
+    WRONG_TYPE = "wrong type"
+    BAD_VALUES = (WRONG_TYPE, True, math.nan, math.inf, -math.inf, -1, -2.5, None,
+                  [1.0], [[1.0], [1.0, 2.0]])
+    LEAVES = tuple(leaf_paths(full_config(Path("."))))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(keys=st.sampled_from(LEAVES), bad=st.sampled_from(BAD_VALUES))
+    @example(keys=("dataset", "generate", "noise", "seed"), bad=-1)
+    @pytest.mark.filterwarnings("error")
+    def test_any_bad_leaf_exits_cleanly(self, tmp_path, keys, bad):
+        raw = full_config(tmp_path)
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        if bad == self.WRONG_TYPE:
+            bad = 5 if isinstance(target[keys[-1]], str) else "x"
+        target[keys[-1]] = bad
+        assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) in (0, 2, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_candidate_prints_only_the_error(self, tmp_path, capsys):
+        raw = full_config(tmp_path)
+        raw["dataset"]["nominal_input"] = -2.5
+        assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_seed_override_changes_data(self, tmp_path):
         path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))
