@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonFiniteValue, OutsideDomain
+from .errors import ConfigError, DimensionMismatch, MsidError, NonFiniteValue, OutsideDomain
 from .gradient import LossSpec
 from .model import Dataset, DynamicalModel, load_dataset
 from .optimizer import GRADIENT_METHODS, IdentifyOptions, StoppingCriteria
@@ -403,10 +403,16 @@ def make_dataset(config: RunConfig, model: DynamicalModel) -> tuple[Dataset, Opt
     spec = config.dataset
     if spec.generate is not None:
         generate = spec.generate
-        dataset = generate_dataset(model, np.asarray(generate.x0_true),
-                                   np.asarray(generate.theta_true),
-                                   generate.horizon, build_noise(config),
-                                   dt=config.model.dt)
+        try:
+            dataset = generate_dataset(model, np.asarray(generate.x0_true),
+                                       np.asarray(generate.theta_true),
+                                       generate.horizon, build_noise(config),
+                                       dt=config.model.dt)
+        except MsidError:
+            raise
+        except (ValueError, MemoryError) as exc:
+            # numpy refuses, or cannot allocate, the (horizon, n) noise arrays
+            raise ConfigError("dataset.generate.horizon: too large to generate") from exc
         truth = {"theta_true": list(generate.theta_true),
                  "x0_true": list(generate.x0_true)}
         return dataset, truth

@@ -134,6 +134,11 @@ class DynamicalModel:
 
     ``f(x, u, theta)`` and ``g(x)`` must be pure functions: identical inputs
     yield identical outputs across calls, with no hidden time dependence.
+    Both are row-wise, for every model: ``f`` maps (N, n_x) states, (N, n_u)
+    inputs and one theta or N of them to (N, n_x), and ``g`` maps (N, n_x)
+    states to (N, n_z); a single point (n_x,) maps to one row.
+    :func:`rollout` calls ``f`` on points and ``g`` once on the whole block
+    of states, and raises :class:`DimensionMismatch` on any other shape.
 
     Each of the three Jacobians (of f by the state, of f by the parameters,
     of g by the state) may be given in either of two forms:
@@ -149,11 +154,7 @@ class DynamicalModel:
     per-point form stacked row by row; a missing per-point form is the
     batch of one.  A map given in neither form is differenced centrally:
     its batched form is one :func:`numeric_jacobian` call on the whole block
-    of rows, which calls ``f`` or ``g`` on blocks.  So a model that omits a
-    Jacobian of ``f`` (or of ``g``) must give a row-wise ``f`` (or ``g``): it
-    maps (N, n_x) states, (N, n_u) inputs and one theta or N of them to
-    (N, n_x) (or (N, n_z)); on any other shape the fallback raises
-    :class:`DimensionMismatch`.
+    of rows, which calls ``f`` or ``g`` on blocks.
 
     ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
     the gradient then gathers the masked entries of the state Jacobian from
@@ -280,10 +281,10 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
     """Apply the dynamics recursively over an input sequence.
 
     Returns a trajectory with T+1 states and T predictions for T inputs.
-    Raises :class:`NonFiniteState` with the first step whose state has a
-    non-finite component, signalling a divergent rollout.  Finiteness is
-    checked once over all states after the loop, so ``f`` and ``g`` may be
-    called on non-finite states past that step.
+    The shape of ``f`` is checked at step 0, and ``g`` is called once, on
+    the (T, n_x) block of states.  Raises :class:`NonFiniteState` with the
+    first step whose state has a non-finite component, signalling a
+    divergent rollout; finiteness is checked once, after the loop.
     """
     dims = model.dims
     x0 = _vector(x0, dims.n_x, "x0")
@@ -297,24 +298,15 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
         raise DimensionMismatch("inputs must contain at least one step")
 
     states = np.empty((horizon + 1, dims.n_x))
-    predictions = np.empty((horizon, dims.n_z))
     states[0] = x0
-    x = x0
-    for k in range(horizon):
-        z = np.asarray(model.g(x), dtype=float)
-        if z.shape != (dims.n_z,):
-            raise DimensionMismatch(
-                f"g returned shape {z.shape}, expected ({dims.n_z},)")
-        predictions[k] = z
-        x = np.asarray(model.f(x, inputs[k], theta), dtype=float)
-        if x.shape != (dims.n_x,):
-            raise DimensionMismatch(
-                f"f returned shape {x.shape}, expected ({dims.n_x},)")
-        states[k + 1] = x
+    states[1] = check_rows("f", model.f(x0, inputs[0], theta), (dims.n_x,))
+    for k in range(1, horizon):
+        states[k + 1] = model.f(states[k], inputs[k], theta)
     finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         step = int(np.argmin(finite)) + 1
         raise NonFiniteState(f"state became non-finite at step {step}", step=step)
+    predictions = check_rows("g", model.g(states[:horizon]), (horizon, dims.n_z))
     return Trajectory(states=states, predictions=predictions,
                       parameters=theta, initial_state=x0)
 

@@ -215,9 +215,8 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
     rejected = 0
     consecutive = 0
     epoch = 0
-    stop_reason = None
 
-    while stop_reason is None:
+    while True:
         try:
             report = _evaluate(model, dataset, spec, theta, x0,
                                options.gradient_method, options.fd_step)
@@ -235,36 +234,31 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
             theta, x0, adam_theta, adam_x0, grad_theta, grad_x0 = previous
             adam_theta = replace(adam_theta, lr=adam_theta.lr / 2.0)
             adam_x0 = replace(adam_x0, lr=adam_x0.lr / 2.0)
-            previous = (theta, x0, adam_theta, adam_x0, grad_theta, grad_x0)
-            theta, adam_theta = adam_step(adam_theta, grad_theta, theta)
-            if box is not None:
-                theta = project_box(theta, box[0], box[1])
-            x0, adam_x0 = adam_step(adam_x0, grad_x0, x0)
-            continue
+        else:
+            consecutive = 0
+            grad_theta = report.grad_theta
+            grad_x0 = report.grad_x0
+            grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+            history.append(HistoryRecord(epoch=epoch, cost=report.cost,
+                                         grad_norm=grad_norm,
+                                         theta=theta.copy(), x0=x0.copy()))
+            if stopping.cost_tol > 0.0 and report.cost < stopping.cost_tol:
+                stop_reason = StopReason.COST_BELOW_TOL
+                break
+            if stopping.grad_tol > 0.0 and grad_norm < stopping.grad_tol:
+                stop_reason = StopReason.GRAD_BELOW_TOL
+                break
+            if epoch >= stopping.max_epochs:
+                stop_reason = StopReason.MAX_EPOCHS
+                break
+            epoch += 1
 
-        consecutive = 0
-        grad_theta = report.grad_theta
-        grad_x0 = report.grad_x0
-        grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
-        history.append(HistoryRecord(epoch=epoch, cost=report.cost,
-                                     grad_norm=grad_norm,
-                                     theta=theta.copy(), x0=x0.copy()))
-        if stopping.cost_tol > 0.0 and report.cost < stopping.cost_tol:
-            stop_reason = StopReason.COST_BELOW_TOL
-            break
-        if stopping.grad_tol > 0.0 and grad_norm < stopping.grad_tol:
-            stop_reason = StopReason.GRAD_BELOW_TOL
-            break
-        if epoch >= stopping.max_epochs:
-            stop_reason = StopReason.MAX_EPOCHS
-            break
-
+        # a rejected step retries the update from the restored candidate
         previous = (theta, x0, adam_theta, adam_x0, grad_theta, grad_x0)
         theta, adam_theta = adam_step(adam_theta, grad_theta, theta)
         if box is not None:
             theta = project_box(theta, box[0], box[1])
         x0, adam_x0 = adam_step(adam_x0, grad_x0, x0)
-        epoch += 1
 
     best = min(history, key=lambda record: record.cost)
     return IdentificationRun(theta_hat=best.theta.copy(), x0_hat=best.x0.copy(),

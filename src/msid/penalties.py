@@ -18,10 +18,10 @@ its own nonnegative weight and exposes analytic gradients with respect to
 the state and the parameters; one of the two is identically zero for
 single-argument terms.
 
-Exponential barriers saturate their exponent at ``exp_cap`` (default 700,
-just under the double-precision overflow boundary) so that a grossly
-infeasible iterate yields a huge but finite value and a finite gradient
-that still points back toward feasibility.
+Exponential barriers saturate their exponent at the module constant
+``EXP_CAP`` (700, just under the double-precision overflow boundary) so
+that a grossly infeasible iterate yields a huge but finite value and a
+finite gradient that still points back toward feasibility.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ Array = np.ndarray
 EXP_CAP = 700.0
 
 
-def _clipped_exp(exponent, cap):
-    return np.exp(np.minimum(exponent, cap))
+def _clipped_exp(exponent):
+    return np.exp(np.minimum(exponent, EXP_CAP))
 
 
 def _zero_theta_rows(x, theta) -> Array:
@@ -87,19 +87,17 @@ class EnergyConservation:
 
 
 @dataclass(frozen=True)
-class UpperBarrier:
-    """Exponential barrier pushing each state component below its bound.
-
-    ``h(x) = sum_i exp(2 * alpha * (x_i - bounds_i))``; a bound of +inf
-    deactivates its component (contributes exactly zero).
-    """
+class _ExpBarrier:
+    """Exponential barrier on each state component against its bound:
+    ``h(x) = sum_i exp(2 * alpha * sign * (x_i - bounds_i))``, with the
+    class-level ``sign`` of a subclass."""
 
     bounds: Array
     alpha: float
     weight: float = 1.0
-    exp_cap: float = EXP_CAP
 
     depends_on_state: ClassVar[bool] = True
+    sign: ClassVar[float]
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
@@ -107,21 +105,31 @@ class UpperBarrier:
             raise InvalidBox(f"alpha must be positive, got {self.alpha}")
 
     def _exp(self, x) -> Array:
-        exponent = 2.0 * self.alpha * (np.asarray(x, dtype=float) - self.bounds)
-        return _clipped_exp(exponent, self.exp_cap)
+        # negation is exact, so sign -1 rounds as 2*alpha*(bounds - x) does
+        return _clipped_exp(
+            2.0 * self.alpha * self.sign * (np.asarray(x, dtype=float) - self.bounds))
 
     def value(self, x, theta) -> Array:
         return np.sum(self._exp(x), axis=-1)
 
     def grad_x(self, x, theta) -> Array:
-        return 2.0 * self.alpha * self._exp(x)
+        return 2.0 * self.alpha * self.sign * self._exp(x)
 
     def grad_theta(self, x, theta) -> Array:
         return _zero_theta_rows(x, theta)
 
 
-@dataclass(frozen=True)
-class LowerBarrier:
+class UpperBarrier(_ExpBarrier):
+    """Exponential barrier pushing each state component below its bound.
+
+    ``h(x) = sum_i exp(2 * alpha * (x_i - bounds_i))``; a bound of +inf
+    deactivates its component (contributes exactly zero).
+    """
+
+    sign = 1.0
+
+
+class LowerBarrier(_ExpBarrier):
     """Exponential barrier pushing each state component above its bound.
 
     ``h(x) = sum_i exp(2 * alpha * (bounds_i - x_i))``; a bound of -inf
@@ -129,30 +137,7 @@ class LowerBarrier:
     non-negativity constraint on the state.
     """
 
-    bounds: Array
-    alpha: float
-    weight: float = 1.0
-    exp_cap: float = EXP_CAP
-
-    depends_on_state: ClassVar[bool] = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
-        if not self.alpha > 0:
-            raise InvalidBox(f"alpha must be positive, got {self.alpha}")
-
-    def _exp(self, x) -> Array:
-        exponent = 2.0 * self.alpha * (self.bounds - np.asarray(x, dtype=float))
-        return _clipped_exp(exponent, self.exp_cap)
-
-    def value(self, x, theta) -> Array:
-        return np.sum(self._exp(x), axis=-1)
-
-    def grad_x(self, x, theta) -> Array:
-        return -2.0 * self.alpha * self._exp(x)
-
-    def grad_theta(self, x, theta) -> Array:
-        return _zero_theta_rows(x, theta)
+    sign = -1.0
 
 
 @dataclass(frozen=True)
@@ -169,7 +154,6 @@ class ParameterBox:
     upper: Array
     alpha: float
     weight: float = 1.0
-    exp_cap: float = EXP_CAP
 
     depends_on_state: ClassVar[bool] = False
 
@@ -185,22 +169,22 @@ class ParameterBox:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def value(self, x, theta) -> float:
+    def _exps(self, theta) -> tuple:
+        """The exponentials above the upper and below the lower bound."""
         theta = np.asarray(theta, dtype=float)
-        above = 2.0 * self.alpha * (theta - self.upper)
-        below = 2.0 * self.alpha * (self.lower - theta)
-        return float(np.sum(_clipped_exp(above, self.exp_cap))
-                     + np.sum(_clipped_exp(below, self.exp_cap)))
+        return (_clipped_exp(2.0 * self.alpha * (theta - self.upper)),
+                _clipped_exp(2.0 * self.alpha * (self.lower - theta)))
+
+    def value(self, x, theta) -> float:
+        above, below = self._exps(theta)
+        return float(np.sum(above) + np.sum(below))
 
     def grad_x(self, x, theta) -> Array:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def grad_theta(self, x, theta) -> Array:
-        theta = np.asarray(theta, dtype=float)
-        above = 2.0 * self.alpha * (theta - self.upper)
-        below = 2.0 * self.alpha * (self.lower - theta)
-        return 2.0 * self.alpha * (_clipped_exp(above, self.exp_cap)
-                                   - _clipped_exp(below, self.exp_cap))
+        above, below = self._exps(theta)
+        return 2.0 * self.alpha * (above - below)
 
 
 @dataclass(frozen=True)
@@ -249,39 +233,32 @@ class PenaltySpec:
                 raise InvalidBox(f"penalty weight must be nonnegative, got {term.weight}")
         object.__setattr__(self, "terms", terms)
 
-    def _state_terms(self):
-        return (t for t in self.terms if t.depends_on_state)
-
     def _param_terms(self):
         return (t for t in self.terms if not t.depends_on_state)
 
+    def _row_sum(self, method: str, x, theta, tail: tuple) -> Array:
+        """Weighted sum of ``method`` over the state-dependent terms, each
+        checked to give one row of shape ``tail`` per state row of ``x``."""
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape[:-1] + tail)
+        for t in self.terms:
+            if t.depends_on_state:
+                total += t.weight * check_rows(f"penalty term {type(t).__name__}.{method}",
+                                               getattr(t, method)(x, theta), total.shape)
+        return total
+
     def step_value(self, x, theta) -> Array:
         """Weighted penalty charged at each state row of ``x``, shape (...)."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(x.shape[:-1])
-        for t in self._state_terms():
-            total += t.weight * check_rows(f"penalty term {type(t).__name__}.value",
-                                           t.value(x, theta), total.shape)
-        return total
+        return self._row_sum("value", x, theta, ())
 
     def step_grad_x(self, x, theta) -> Array:
         """Gradient of :meth:`step_value` w.r.t. each state row, shape (..., n_x)."""
-        x = np.asarray(x, dtype=float)
-        grad = np.zeros_like(x)
-        for t in self._state_terms():
-            grad += t.weight * check_rows(f"penalty term {type(t).__name__}.grad_x",
-                                          t.grad_x(x, theta), grad.shape)
-        return grad
+        return self._row_sum("grad_x", x, theta, np.shape(x)[-1:])
 
     def step_grad_theta(self, x, theta) -> Array:
         """Gradient of :meth:`step_value` w.r.t. the parameters, one row per
         state, shape (..., n_theta)."""
-        x = np.asarray(x, dtype=float)
-        grad = _zero_theta_rows(x, theta)
-        for t in self._state_terms():
-            grad += t.weight * check_rows(f"penalty term {type(t).__name__}.grad_theta",
-                                          t.grad_theta(x, theta), grad.shape)
-        return grad
+        return self._row_sum("grad_theta", x, theta, np.shape(theta))
 
     def param_value(self, theta) -> float:
         """Weighted parameter-only penalty, charged once per evaluation."""

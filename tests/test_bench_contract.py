@@ -37,14 +37,19 @@ models = {
     "euler-sparse": (msid.euler_attitude_model(dt=0.1, with_sparsity=True), attitude),
     "rk4": (msid.euler_attitude_model(dt=0.1, integrator="rk4"), attitude),
     "scalar": (msid.scalar_linear_model(), (np.array([0.8]), np.array([1.0]))),
+    "euler-penalty": (msid.euler_attitude_model(dt=0.1), attitude),
 }
+penalties = {"euler-penalty": msid.PenaltySpec((
+    msid.UpperBarrier(np.full(3, 0.05), alpha=10.0),
+    msid.ParameterBox(np.full(3, 1e-3), np.ones(3), alpha=10.0)))}
 rng = np.random.default_rng(0)
 counts = {}
 for name, (model, (theta, x0)) in models.items():
     inputs = 1e-3 * rng.normal(size=(horizon, model.dims.n_u))
     truth = msid.rollout(model, x0, theta, inputs)
     dataset = msid.Dataset(inputs, truth.predictions + 1e-3)
-    spec = msid.LossSpec.scaled_identity(model.dims.n_z, horizon)
+    spec = msid.LossSpec.scaled_identity(model.dims.n_z, horizon,
+                                         penalty=penalties.get(name))
     traced = tracer.wrap_model(model)
     before = {span: stats[0] for span, stats in tracer.spans.items()}
     chains = tracer.chain_applications
@@ -79,6 +84,7 @@ EXPECTED = {
     "euler-sparse": (1, HORIZON - 1, 0, 3),
     "rk4": (0, 0, 2, 3),
     "scalar": (0, 0, 0, 3),
+    "euler-penalty": (0, 0, 0, 3),
 }
 
 # euler_step calls of one rollout plus one gradient: one per rollout step,
@@ -90,7 +96,13 @@ EULER_STEPS = {
     "euler-sparse": HORIZON + 3,
     "rk4": HORIZON + 3 + 12,
     "scalar": 0,
+    "euler-penalty": HORIZON + 3,
 }
+
+# PenaltySpec calls of one gradient: total_value with its inner param_value
+# and step_value for the cost, step_grad_x and step_grad_theta for the
+# seeds, and param_grad; the other models carry no penalty.
+PENALTY_CALLS = {"euler-penalty": 6}
 
 
 @pytest.mark.parametrize("name", EXPECTED)
@@ -103,6 +115,7 @@ def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
     assert (counts["structure.masked_jac_f_x"], counts["structure.sparse_chain_apply"],
             counts["model.numeric_jacobian"], counts["model.jacobians"]) == EXPECTED[name]
     assert counts["systems.euler_step"] == EULER_STEPS[name]
+    assert counts.get("penalties", 0) == PENALTY_CALLS.get(name, 0)
 
 
 def load_benchmark_driver():

@@ -378,6 +378,11 @@ class TestMainEntryPoint:
         "nonpositive-init-theta": (
             ("init",), {"theta": [0.0403, 0.0404, 0.0], "x0": [9.915e-6, -1.102e-3, 1.3179e-5]},
             "init.theta: inertia components must be positive, got [0.0403 0.0404 0.    ]"),
+        # numpy refuses both before it allocates anything
+        "horizon-beyond-numpy-dimensions": (("dataset", "generate", "horizon"), 10**400,
+                                            "dataset.generate.horizon: too large to generate"),
+        "horizon-beyond-numpy-size": (("dataset", "generate", "horizon"), 2**62,
+                                      "dataset.generate.horizon: too large to generate"),
         "nonpositive-energy-inertia": (
             ("penalties",), [{"type": "energy_conservation", "inertia": [-0.0403, 0.0404, 0.0080]}],
             "penalties[0].inertia: inertia components must be positive, "
@@ -394,6 +399,26 @@ class TestMainEntryPoint:
         target[keys[-1]] = value
         assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unallocatable_horizon_fails_at_load_time(self, tmp_path, capsys, monkeypatch):
+        # stands in for a horizon numpy accepts but the machine cannot hold
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(msid.config, "generate_dataset", out_of_memory)
+        path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))
+        assert main(["identify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: dataset.generate.horizon: too large to generate\n"
+
+    def test_generation_errors_of_msid_pass_through(self, tmp_path, capsys, monkeypatch):
+        # a DimensionMismatch is a ValueError too, but not the horizon's fault
+        def mismatch(*args, **kwargs):
+            raise msid.DimensionMismatch("inputs must be 2-D")
+
+        monkeypatch.setattr(msid.config, "generate_dataset", mismatch)
+        path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))
+        assert main(["identify", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: inputs must be 2-D\n"
 
     def test_negative_seed_override_fails_at_load_time(self, tmp_path, capsys):
         path = self.write_config(tmp_path, attitude_config(tmp_path, epochs=5))

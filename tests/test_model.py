@@ -88,6 +88,33 @@ class TestRollout:
         with pytest.raises(DimensionMismatch):
             rollout(model, [1.0, 2.0], [0.0], np.zeros((3, 2)))
 
+    def test_g_is_called_once_on_the_block_of_states(self):
+        calls = []
+
+        def g(x):
+            calls.append(np.shape(x))
+            return 2.0 * x
+
+        model = DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x + u, g=g)
+        traj = rollout(model, [1.0, 2.0], [0.0], np.ones((4, 1)))
+        assert calls == [(4, 2)]
+        states = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 5.0], [5.0, 6.0]])
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.predictions, 2.0 * states[:4])
+
+    def test_per_point_g_is_refused(self):
+        # on a block, x[0] + x[1] adds two states, not two components
+        model = DynamicalModel(dims=ModelDims(2, 1, 1, 1), f=lambda x, u, th: x,
+                               g=lambda x: np.array([x[0] + x[1]]))
+        with pytest.raises(DimensionMismatch, match="g must be row-wise"):
+            rollout(model, [1.0, 2.0], [0.0], np.zeros((3, 1)))
+
+    def test_wrong_shape_f_is_refused_at_step_0(self):
+        model = DynamicalModel(dims=ModelDims(2, 1, 2, 1),
+                               f=lambda x, u, th: np.append(x, 0.0), g=lambda x: x)
+        with pytest.raises(DimensionMismatch, match=r"^f .*\(3,\).*\(2,\)"):
+            rollout(model, [1.0, 2.0], [0.0], np.zeros((3, 1)))
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_first_step(self):
         model = DynamicalModel(dims=ModelDims(1, 1, 1, 1),

@@ -89,6 +89,27 @@ class TestBarriers:
         assert np.isfinite(huge) and huge > 1e300
         assert np.isfinite(grad_x[0]) and grad_x[0] > 0
 
+    # the two barriers' closed forms, written out separately: exponent,
+    # saturated at 700, and the sign of the state gradient
+    SEPARATE_FORMULAS = {
+        UpperBarrier: (lambda x, b, alpha: 2.0 * alpha * (x - b), 2.0),
+        LowerBarrier: (lambda x, b, alpha: 2.0 * alpha * (b - x), -2.0),
+    }
+
+    @pytest.mark.parametrize("cls", SEPARATE_FORMULAS)
+    def test_block_equals_the_separate_formulas_bit_for_bit(self, cls):
+        rng = np.random.default_rng(11)
+        alpha = 37.5
+        x = rng.normal(scale=0.05, size=(40, 3))
+        x[::6] *= 1e5  # rows whose exponent passes the cap on either side
+        bounds = np.array([0.02, np.inf, -np.inf])
+        exponent, factor = self.SEPARATE_FORMULAS[cls]
+        expected = np.exp(np.minimum(exponent(x, bounds, alpha), 700.0))
+        assert np.any(expected == np.exp(700.0)) and np.any(expected == 0.0)
+        term = cls(bounds=bounds, alpha=alpha)
+        assert np.array_equal(term.value(x, THETA), np.sum(expected, axis=-1))
+        assert np.array_equal(term.grad_x(x, THETA), factor * alpha * expected)
+
     @given(st.floats(-3.0, 3.0), st.floats(0.1, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_upper_monotone_in_state(self, x, alpha):
