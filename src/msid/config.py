@@ -420,9 +420,11 @@ def make_dataset(config: RunConfig, model: DynamicalModel) -> tuple[Dataset, Opt
         dataset, n_x = load_dataset(spec.path)
     except (DimensionMismatch, NonFiniteValue) as exc:
         raise ConfigError(f"dataset.path: {exc}") from exc
-    if n_x != model.dims.n_x:
-        raise ConfigError(
-            f"dataset.path: file has n_x={n_x} but the model expects {model.dims.n_x}")
+    found = {"n_x": n_x, "n_u": dataset.inputs.shape[1], "n_z": dataset.observations.shape[1]}
+    for name, value in found.items():
+        expected = getattr(model.dims, name)
+        if value != expected:
+            raise ConfigError(f"dataset.path: file has {name}={value} but the model expects {expected}")
     return dataset, None
 
 

@@ -137,8 +137,12 @@ class DynamicalModel:
     Both are row-wise, for every model: ``f`` maps (N, n_x) states, (N, n_u)
     inputs and one theta or N of them to (N, n_x), and ``g`` maps (N, n_x)
     states to (N, n_z); a single point (n_x,) maps to one row.
-    :func:`rollout` calls ``f`` on points and ``g`` once on the whole block
-    of states, and raises :class:`DimensionMismatch` on any other shape.
+    ``simulate(x0, inputs, theta)``, when given, rolls ``f`` out in one call:
+    (T+1, n_x) states for (T, n_u) inputs, row 0 being ``x0`` and row k+1
+    ``f(row k, inputs[k], theta)`` bit for bit.  :func:`rollout` calls it, or
+    else ``f`` on points, and ``g`` once on the whole block of states; it
+    raises :class:`DimensionMismatch` on any other shape.  ``simulate`` is
+    never derived from ``f``: a model that replaces ``f`` replaces it too.
 
     Each of the three Jacobians (of f by the state, of f by the parameters,
     of g by the state) may be given in either of two forms:
@@ -172,6 +176,7 @@ class DynamicalModel:
     jac_f_theta_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_g_x_batch: Optional[Callable[[Array], Array]] = None
     sparsity: Optional["SparsityMask"] = None
+    simulate: Optional[Callable[[Array, Array, Array], Array]] = None
 
     def __post_init__(self):
         f, g = self.f, self.g
@@ -281,10 +286,11 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
     """Apply the dynamics recursively over an input sequence.
 
     Returns a trajectory with T+1 states and T predictions for T inputs.
-    The shape of ``f`` is checked at step 0, and ``g`` is called once, on
-    the (T, n_x) block of states.  Raises :class:`NonFiniteState` with the
-    first step whose state has a non-finite component, signalling a
-    divergent rollout; finiteness is checked once, after the loop.
+    The states are one ``model.simulate`` call, shape-checked, if the model
+    has one, else one ``f`` call per step, the shape checked at step 0; ``g``
+    is called once, on the (T, n_x) block of states.  Raises
+    :class:`NonFiniteState` with the first step whose state has a non-finite
+    component, signalling a divergent rollout; finiteness is checked once.
     """
     dims = model.dims
     x0 = _vector(x0, dims.n_x, "x0")
@@ -297,11 +303,17 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
     if horizon < 1:
         raise DimensionMismatch("inputs must contain at least one step")
 
-    states = np.empty((horizon + 1, dims.n_x))
-    states[0] = x0
-    states[1] = check_rows("f", model.f(x0, inputs[0], theta), (dims.n_x,))
-    for k in range(1, horizon):
-        states[k + 1] = model.f(states[k], inputs[k], theta)
+    if model.simulate is not None:
+        states = np.asarray(model.simulate(x0, inputs, theta), dtype=float)
+        if states.shape != (horizon + 1, dims.n_x):
+            raise DimensionMismatch(f"simulate gave shape {states.shape}, expected "
+                                    f"{(horizon + 1, dims.n_x)}")
+    else:
+        states = np.empty((horizon + 1, dims.n_x))
+        states[0] = x0
+        states[1] = check_rows("f", model.f(x0, inputs[0], theta), (dims.n_x,))
+        for k in range(1, horizon):
+            states[k + 1] = model.f(states[k], inputs[k], theta)
     finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         step = int(np.argmin(finite)) + 1

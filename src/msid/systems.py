@@ -56,6 +56,23 @@ def _rates(omega, torque, inertia) -> tuple:
             (torque[2] - (iy - ix) * wx * wy) / iz)
 
 
+def _advance(w, m, i, dt, integrator: str) -> list:
+    """One integrator step on (x, y, z) sequences: floats or columns."""
+    if integrator == FORWARD_EULER:
+        rx, ry, rz = _rates(w, m, i)
+        return [w[0] + dt * rx, w[1] + dt * ry, w[2] + dt * rz]
+    if integrator == RK4:
+        half, sixth = 0.5 * dt, dt / 6.0
+        ax, ay, az = _rates(w, m, i)
+        bx, by, bz = _rates((w[0] + half * ax, w[1] + half * ay, w[2] + half * az), m, i)
+        cx, cy, cz = _rates((w[0] + half * bx, w[1] + half * by, w[2] + half * bz), m, i)
+        dx, dy, dz = _rates((w[0] + dt * cx, w[1] + dt * cy, w[2] + dt * cz), m, i)
+        return [w[0] + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
+                w[1] + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
+                w[2] + sixth * (az + 2.0 * bz + 2.0 * cz + dz)]
+    raise ValueError(f"unknown integrator {integrator!r}")
+
+
 def angular_rates(omega, torque, inertia) -> Array:
     """Angular acceleration of the rigid body: solve I*dw/dt = M - w x (I*w)."""
     return np.array(_rates(np.asarray(omega, dtype=float).tolist(),
@@ -88,21 +105,33 @@ def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULE
     else:
         raise DimensionMismatch(
             f"omega and torque must have shape (..., 3), got {omega.shape} and {torque.shape}")
-    if integrator == FORWARD_EULER:
-        rates = _rates(w, m, i)
-        step = [a + dt * r for a, r in zip(w, rates)]
-    elif integrator == RK4:
-        half = 0.5 * dt
-        k1 = _rates(w, m, i)
-        k2 = _rates([a + half * k for a, k in zip(w, k1)], m, i)
-        k3 = _rates([a + half * k for a, k in zip(w, k2)], m, i)
-        k4 = _rates([a + dt * k for a, k in zip(w, k3)], m, i)
-        sixth = dt / 6.0
-        step = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-                for a, p, q, r, s in zip(w, k1, k2, k3, k4)]
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+    step = _advance(w, m, i, dt, integrator)
     return np.array(step) if point else np.stack(step, axis=-1)
+
+
+def attitude_trajectory(omega0, torques, inertia, dt: float,
+                        integrator: str = FORWARD_EULER) -> Array:
+    """Every state of a rollout, shape (T+1, 3) for torques of shape (T, 3):
+    row 0 is ``omega0`` and row k+1 equals ``euler_step`` of row k under
+    ``torques[k]`` bit for bit.  The inertia is checked once, and the steps
+    run on Python floats, read from ``torques`` and written into the states
+    one at a time, so the Python objects held do not grow with T."""
+    inertia = _check_inertia(inertia).tolist()
+    torques = np.ascontiguousarray(torques, dtype=float)
+    if np.shape(omega0) != (3,) or torques.ndim != 2 or torques.shape[1] != 3:
+        raise DimensionMismatch(f"need omega0 (3,) and torques (T, 3), got "
+                                f"{np.shape(omega0)} and {torques.shape}")
+    states = np.empty((len(torques) + 1, 3))
+    states[0] = omega0
+    w = states[0].tolist()
+    out = memoryview(states.reshape(-1))
+    values = iter(memoryview(torques.reshape(-1)))
+    j = 3
+    for m in zip(values, values, values):
+        w = _advance(w, m, inertia, dt, integrator)
+        out[j], out[j + 1], out[j + 2] = w
+        j += 3
+    return states
 
 
 def _euler_jac_x_batch(states, inputs, inertia, dt):
@@ -159,7 +188,8 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     diagonal inertia entries (kg*m^2), which must be positive at evaluation
     time (the optimizer may propose nonpositive values; evaluation rejects
     them).  Observation: the full state.  The forward-Euler map has exact
-    Jacobians; the RK4 map falls back to central differences.
+    Jacobians; the RK4 map falls back to central differences.  Either one
+    rolls out through :func:`attitude_trajectory`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -187,6 +217,7 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
         if analytic else None,
         jac_g_x_batch=jac_g_x_batch,
         sparsity=euler_sparsity_mask() if with_sparsity else None,
+        simulate=lambda x0, u, th: attitude_trajectory(x0, u, th, dt, integrator),
     )
 
 

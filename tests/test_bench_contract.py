@@ -87,16 +87,17 @@ EXPECTED = {
     "euler-penalty": (0, 0, 0, 3),
 }
 
-# euler_step calls of one rollout plus one gradient: one per rollout step,
-# three for the gradient's spot check of the stored trajectory, and on RK4
-# one per side and perturbed column of each differenced map (2 * (3 + 3)),
-# each on the whole block of transitions.
+# euler_step calls of one rollout plus one gradient: none for the rollout,
+# which runs the whole trajectory in one attitude_trajectory call, three for
+# the gradient's spot check of the stored trajectory, and on RK4 one per side
+# and perturbed column of each differenced map (2 * (3 + 3)), each on the
+# whole block of transitions.
 EULER_STEPS = {
-    "euler": HORIZON + 3,
-    "euler-sparse": HORIZON + 3,
-    "rk4": HORIZON + 3 + 12,
+    "euler": 3,
+    "euler-sparse": 3,
+    "rk4": 3 + 12,
     "scalar": 0,
-    "euler-penalty": HORIZON + 3,
+    "euler-penalty": 3,
 }
 
 # PenaltySpec calls of one gradient: total_value with its inner param_value

@@ -330,6 +330,26 @@ class TestMainEntryPoint:
         assert err.startswith("error: dataset.path: ")
         assert message in err
 
+    # a well-formed file of the wrong dimensions for the scalar model:
+    # (n_x, n_u, n_z, known_inputs, expected message)
+    WRONG_DIMENSION_FILES = {
+        "n-x": (2, 1, 1, True, "file has n_x=2 but the model expects 1"),
+        "n-u-known-inputs": (1, 2, 1, True, "file has n_u=2 but the model expects 1"),
+        "n-u-nominal-inputs": (1, 2, 1, False, "file has n_u=2 but the model expects 1"),
+        "n-z": (1, 1, 2, True, "file has n_z=2 but the model expects 1"),
+    }
+
+    @pytest.mark.parametrize("n_x,n_u,n_z,known_inputs,message",
+                             WRONG_DIMENSION_FILES.values(), ids=WRONG_DIMENSION_FILES.keys())
+    def test_dataset_file_of_other_dimensions_is_input_error(
+            self, tmp_path, capsys, n_x, n_u, n_z, known_inputs, message):
+        data = tmp_path / "dataset.csv"
+        save_dataset(data, Dataset(np.zeros((10, n_u)), np.ones((10, n_z))), n_x=n_x)
+        raw = scalar_config(tmp_path)
+        raw["dataset"] = {"path": str(data), "known_inputs": known_inputs}
+        assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2
+        assert capsys.readouterr().err == f"error: dataset.path: {message}\n"
+
     # one bad field per config: (path of the field, value, expected message)
     BAD_FIELDS = {
         "nan-q": (("loss", "q"), float("nan"), "loss.q: expected a finite number, got nan"),

@@ -115,6 +115,14 @@ class TestRollout:
         with pytest.raises(DimensionMismatch, match=r"^f .*\(3,\).*\(2,\)"):
             rollout(model, [1.0, 2.0], [0.0], np.zeros((3, 1)))
 
+    def test_wrong_shape_simulate_is_refused(self):
+        for rows in (3, 5):  # one state short, one too many
+            model = DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
+                                   g=lambda x: x,
+                                   simulate=lambda x0, u, th, n=rows: np.zeros((n, 2)))
+            with pytest.raises(DimensionMismatch, match=r"^simulate .*\(4, 2\)"):
+                rollout(model, [1.0, 2.0], [0.0], np.zeros((3, 1)))
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_first_step(self):
         model = DynamicalModel(dims=ModelDims(1, 1, 1, 1),

@@ -1,12 +1,15 @@
 """Attitude dynamics, data generation, and rotational energy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from msid import (DimensionMismatch, NoiseSpec, NonPositiveInertia, angular_rates,
-                  euler_attitude_model, euler_step, generate_dataset,
+from msid import (DimensionMismatch, NoiseSpec, NonFiniteState, NonPositiveInertia,
+                  angular_rates, euler_attitude_model, euler_step, generate_dataset,
                   numeric_jacobian, rollout, rotational_energy,
                   rotational_energy_gradient, rotational_energy_term)
+from msid.systems import attitude_trajectory
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0,
                       ATTITUDE_THETA, max_rel_gap)
 
@@ -156,6 +159,68 @@ class TestBlockEulerStep:
                 euler_step(*args, 0.1)
         with pytest.raises(ValueError, match="broadcast"):
             euler_step(omega[:4], torque, inertia, 0.1)
+
+
+class TestAttitudeTrajectory:
+    """The attitude model's one-call rollout equals the step-by-step one."""
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    @pytest.mark.parametrize("horizon", [1, 511, 512, 513, 1200])
+    def test_equals_a_loop_of_euler_steps(self, integrator, horizon):
+        rng = np.random.default_rng(horizon)
+        torques = rng.normal(scale=1e-3, size=(horizon, 3))
+        omega0 = rng.normal(scale=0.1, size=3)
+        inertia = rng.uniform(0.2, 1.0, 3)
+        expected = [omega0]
+        for torque in torques:
+            expected.append(euler_step(expected[-1], torque, inertia, ATTITUDE_DT,
+                                       integrator))
+        states = attitude_trajectory(omega0, torques, inertia, ATTITUDE_DT, integrator)
+        assert states.shape == (horizon + 1, 3)
+        assert np.isfinite(states).all()
+        assert np.array_equal(states, np.array(expected))
+        # torques that are not C-contiguous give the same states
+        assert np.array_equal(attitude_trajectory(omega0, np.asfortranarray(torques), inertia,
+                                                  ATTITUDE_DT, integrator), states)
+
+    def test_wrong_shapes_raise(self):
+        for omega0, torques in ((np.zeros(2), np.zeros((4, 3))),
+                                (np.zeros(3), np.zeros((4, 2))),
+                                (np.zeros(3), np.zeros(3))):
+            with pytest.raises(DimensionMismatch):
+                attitude_trajectory(omega0, torques, ATTITUDE_THETA, ATTITUDE_DT)
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_rollout_equals_the_step_loop_of_f(self, integrator):
+        model = euler_attitude_model(dt=ATTITUDE_DT, integrator=integrator)
+        assert model.simulate is not None
+        stepwise = dataclasses.replace(model, simulate=None)
+        rng = np.random.default_rng(45)
+        inputs = rng.normal(scale=1e-3, size=(700, 3))
+        for theta in rng.uniform(0.005, 1.0, size=(3, 3)):
+            fast = rollout(model, ATTITUDE_OMEGA0, theta, inputs)
+            slow = rollout(stepwise, ATTITUDE_OMEGA0, theta, inputs)
+            assert np.array_equal(fast.states, slow.states)
+            assert np.array_equal(fast.predictions, slow.predictions)
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_bad_inertia_raises_from_rollout(self, integrator):
+        model = euler_attitude_model(dt=ATTITUDE_DT, integrator=integrator)
+        for candidate in (model, dataclasses.replace(model, simulate=None)):
+            for bad in (0.0, -0.02, np.nan):
+                theta = ATTITUDE_THETA.copy()
+                theta[1] = bad
+                with pytest.raises(NonPositiveInertia):
+                    rollout(candidate, ATTITUDE_OMEGA0, theta, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("integrator,step", [("forward_euler", 5), ("rk4", 2)])
+    def test_overflow_reports_the_same_step_as_the_loop(self, integrator, step):
+        model = euler_attitude_model(dt=ATTITUDE_DT, integrator=integrator)
+        omega0 = np.array([1e20, -2e20, 3e20])
+        for candidate in (model, dataclasses.replace(model, simulate=None)):
+            with pytest.raises(NonFiniteState) as excinfo:
+                rollout(candidate, omega0, ATTITUDE_THETA, np.zeros((40, 3)))
+            assert excinfo.value.step == step
 
 
 class TestEulerJacobians:
