@@ -71,7 +71,7 @@ def read_history_csv(path) -> dict:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def run_summary(run, truth=None) -> dict:
+def run_summary(run, seed, truth=None) -> dict:
     summary = {
         "theta_hat": [float(v) for v in run.theta_hat],
         "x0_hat": [float(v) for v in run.x0_hat],
@@ -81,7 +81,7 @@ def run_summary(run, truth=None) -> dict:
         "final_cost": float(run.final_record.cost),
         "initial_cost": float(run.history[0].cost),
         "rejected_steps": run.rejected_steps,
-        "seed": run.seed,
+        "seed": seed,
     }
     if truth is not None:
         error = np.asarray(run.theta_hat) - np.asarray(truth["theta_true"], dtype=float)
@@ -157,7 +157,7 @@ def cmd_identify(config: RunConfig, out_dir=None) -> dict:
     theta0, x00 = cfg_mod.build_init(config, truth, model)
     options = cfg_mod.build_options(config)
     run = identify(model, dataset, spec, theta0, x00, options)
-    summary = run_summary(run, _post_hoc_truth(config, truth))
+    summary = run_summary(run, config.seed, _post_hoc_truth(config, truth))
     _write_json(out / "summary.json", summary)
     write_history_csv(out / "history.csv", run)
     line = (f"identify: stop={summary['stop_reason']} epochs={summary['epochs']} "

@@ -534,5 +534,4 @@ def build_options(config: RunConfig) -> IdentifyOptions:
         eps=opt.eps,
         stopping=StoppingCriteria(max_epochs=opt.max_epochs, cost_tol=opt.cost_tol,
                                   grad_tol=opt.grad_tol),
-        box=box, seed=config.seed, gradient_method=opt.gradient_method,
-        fd_step=opt.fd_step)
+        box=box, gradient_method=opt.gradient_method, fd_step=opt.fd_step)

@@ -262,6 +262,36 @@ def _backward_adjoints(big_gamma, jac_x, masked):
     return adjoints
 
 
+def _analytic_parts(model, trajectory, dataset, spec, theta):
+    """What both analytic gradients start from: the spot-checked trajectory's
+    cost parts, the direct parameter gradient ``gamma.sum(0)`` plus the
+    parameter-penalty gradient, the state seeds ``big_gamma``, and the
+    transition Jacobians."""
+    theta = np.asarray(theta, dtype=float)
+    _spot_check_trajectory(model, trajectory, dataset, theta)
+    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
+    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+    jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
+    grad_theta = gamma.sum(axis=0)
+    if spec.penalty is not None:
+        grad_theta = grad_theta + spec.penalty.param_grad(theta)
+    return per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta
+
+
+def _report(per_step, penalty_total, grad_theta, grad_x0,
+            chain_applications=0) -> GradientReport:
+    """The report of one gradient evaluation; raises :class:`NonFiniteValue`
+    unless the cost and both gradients are finite."""
+    total_cost = float(per_step.sum() + penalty_total)
+    if not (np.isfinite(total_cost)
+            and np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):
+        raise NonFiniteValue("gradient evaluation produced non-finite values")
+    return GradientReport(
+        cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
+        per_step_loss=per_step, penalty_total=penalty_total,
+        chain_applications=chain_applications)
+
+
 def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
              spec: LossSpec, theta) -> GradientReport:
     """Exact cost gradient via one backward adjoint pass, O(T) chain products.
@@ -275,32 +305,15 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     the dynamics at the first, middle and last step and raises
     :class:`TrajectoryMismatch` if the stored states do not reproduce.
     """
-    theta = np.asarray(theta, dtype=float)
-    _spot_check_trajectory(model, trajectory, dataset, theta)
-    horizon = _check_pair(trajectory, dataset, spec)
-    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
-    total_cost = float(per_step.sum() + penalty_total)
-    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
-    jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
-
-    grad_theta = gamma.sum(axis=0)
-    if spec.penalty is not None:
-        grad_theta = grad_theta + spec.penalty.param_grad(theta)
-    # the products may overflow; the finiteness check below reports that
+    per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta = _analytic_parts(
+        model, trajectory, dataset, spec, theta)
+    # the products may overflow; the report's finiteness check reports that
     with np.errstate(over="ignore", invalid="ignore"):
         adjoints = _backward_adjoints(big_gamma, jac_x, model.sparsity is not None)
         # the transition terms, summed in backward-pass order (not pairwise)
         products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
         grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]
-    grad_x0 = adjoints[0]
-
-    if not (np.isfinite(total_cost)
-            and np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):
-        raise NonFiniteValue("gradient evaluation produced non-finite values")
-    return GradientReport(
-        cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
-        per_step_loss=per_step, penalty_total=penalty_total,
-        chain_applications=horizon - 1)
+    return _report(per_step, penalty_total, grad_theta, adjoints[0], trajectory.horizon - 1)
 
 
 def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
@@ -311,20 +324,12 @@ def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Datas
     Jx[tau]...Jx[k+1] is formed, so the cost is O(T^2) matrix products.
     Kept as a cross-check and benchmark baseline only.
     """
-    theta = np.asarray(theta, dtype=float)
-    _spot_check_trajectory(model, trajectory, dataset, theta)
-    horizon = _check_pair(trajectory, dataset, spec)
-    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
-    total_cost = float(per_step.sum() + penalty_total)
-    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
-    jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
+    per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta = _analytic_parts(
+        model, trajectory, dataset, spec, theta)
     if model.sparsity is not None:
         jac_x = jac_x.to_dense()
 
-    n_x = model.dims.n_x
-    grad_theta = gamma.sum(axis=0)
-    if spec.penalty is not None:
-        grad_theta = grad_theta + spec.penalty.param_grad(theta)
+    horizon, n_x = big_gamma.shape
     for k in range(1, horizon):
         grad_theta = grad_theta + big_gamma[k] @ jac_theta[k - 1]
         chain = np.eye(n_x)
@@ -337,12 +342,7 @@ def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Datas
     for k in range(1, horizon):
         chain = jac_x[k - 1] @ chain
         grad_x0 = grad_x0 + big_gamma[k] @ chain
-
-    if not (np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):
-        raise NonFiniteValue("gradient evaluation produced non-finite values")
-    return GradientReport(
-        cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
-        per_step_loss=per_step, penalty_total=penalty_total)
+    return _report(per_step, penalty_total, grad_theta, grad_x0)
 
 
 def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
@@ -365,10 +365,5 @@ def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
 
     center = rollout(model, x0, theta, dataset.inputs)
     per_step, penalty_total = _cost_parts(center, dataset, spec, theta)
-    total_cost = float(per_step.sum() + penalty_total)
     grad = numeric_jacobian(evaluate, np.concatenate([theta, x0]), step)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteValue("finite-difference gradient is not finite")
-    return GradientReport(
-        cost=total_cost, grad_theta=grad[:n_theta], grad_x0=grad[n_theta:],
-        per_step_loss=per_step, penalty_total=penalty_total)
+    return _report(per_step, penalty_total, grad[:n_theta], grad[n_theta:])

@@ -1,14 +1,14 @@
 """ADAM and the identification loop.
 
 One epoch rolls the model out under the current candidate, evaluates the
-multi-step cost and its gradient, and updates the parameters and the
-initial state with two independent ADAM instances (they usually live on
-very different scales).  The loop stops when the epoch budget is exhausted,
-the cost drops below its threshold, or the gradient norm does; the reason
-is recorded.  Because the cost can rise temporarily while the optimizer
-trades one parameter against another, the returned estimate is the iterate
-with the lowest recorded cost, not the last one; the full history is kept
-either way.
+multi-step cost and its gradient, and takes one ADAM step on p = (theta,
+x0), with one learning rate for the theta slots and one for the x0 slots
+(they usually live on very different scales).  The loop stops when the
+epoch budget is exhausted, the cost drops below its threshold, or the
+gradient norm does; the reason is recorded.  Because the cost can rise
+temporarily while the optimizer trades one parameter against another, the
+returned estimate is the iterate with the lowest recorded cost, not the
+last one; the full history is kept either way.
 """
 
 from __future__ import annotations
@@ -35,23 +35,30 @@ GRADIENT_METHODS = ("adjoint", "naive", "fd")
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment estimates and hyperparameters of one ADAM instance."""
+    """First/second moment estimates and hyperparameters of one ADAM instance.
+
+    ``lr`` is one learning rate for every component, or a vector of one rate
+    per component; ADAM acts element by element.  Each must be finite and > 0.
+    """
 
     m: Array
     v: Array
     t: int
-    lr: float
+    lr: Array
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, n: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+    def fresh(cls, n: int, lr, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> "AdamState":
         if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
             raise ValueError("decay rates must lie in (0, 1)")
-        if lr <= 0 or eps <= 0:
-            raise ValueError("learning rate and eps must be positive")
+        lr = np.array(lr, dtype=float)
+        if lr.shape not in ((), (n,)):
+            raise DimensionMismatch(f"lr must be a scalar or have shape ({n},), got {lr.shape}")
+        if not (np.all(lr > 0) and np.all(np.isfinite(lr)) and 0 < eps < math.inf):
+            raise ValueError("learning rate and eps must be finite and positive")
         return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr,
                    beta1=beta1, beta2=beta2, eps=eps)
 
@@ -123,7 +130,6 @@ class IdentifyOptions:
     eps: float = 1e-8
     stopping: StoppingCriteria = field(default_factory=lambda: StoppingCriteria(1000))
     box: Optional[tuple] = None
-    seed: Optional[int] = None
     gradient_method: str = "adjoint"
     fd_step: float = 1e-6
 
@@ -136,18 +142,13 @@ class IdentifyOptions:
 
 @dataclass(frozen=True)
 class IdentificationRun:
-    """Result of one identification: best iterate, history, and stop reason.
-
-    ``seed`` is carried through from the options for bookkeeping; the loop
-    itself is deterministic.
-    """
+    """Result of one identification: best iterate, history, and stop reason."""
 
     theta_hat: Array
     x0_hat: Array
     history: tuple
     stop_reason: StopReason
     rejected_steps: int = 0
-    seed: Optional[int] = None
 
     @property
     def epochs(self) -> int:
@@ -179,37 +180,36 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
     """Fit parameters and initial state by gradient descent on the
     multi-step cost.
 
-    Every epoch: rollout, cost and gradient, ADAM update of theta and x0
-    with their own learning rates, optional projection of theta onto a box,
+    Every epoch: rollout, cost and gradient, one ADAM update of p = (theta,
+    x0) with the learning rate ``lr_theta`` on the theta slots and ``lr_x0``
+    on the x0 slots, optional projection of the theta slice onto a box,
     stopping check.  An epoch whose candidate makes the rollout or the cost
     non-finite, or lies outside the model's domain (:class:`OutsideDomain`,
-    e.g. a nonpositive inertia), is rejected: the previous candidate is
-    restored, both learning rates are halved, and the update is retried;
-    after ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the run aborts
-    with :class:`DivergedRollout`.  At the initial candidate there is
-    nothing to restore: a non-finite evaluation raises
+    e.g. a nonpositive inertia), is rejected: the previous candidate and
+    ADAM state are restored, every learning rate is halved, and the update
+    is retried; after ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the
+    run aborts with :class:`DivergedRollout`.  At the initial candidate
+    there is nothing to restore: a non-finite evaluation raises
     :class:`DivergedRollout` and an out-of-domain one re-raises its error.
     """
     options = options or IdentifyOptions()
     stopping = options.stopping
     theta = np.array(theta0, dtype=float)
     x0 = np.array(x0, dtype=float)
-    if theta.shape != (model.dims.n_theta,):
-        raise DimensionMismatch(
-            f"theta0 must have shape ({model.dims.n_theta},), got {theta.shape}")
-    if x0.shape != (model.dims.n_x,):
-        raise DimensionMismatch(
-            f"x0 must have shape ({model.dims.n_x},), got {x0.shape}")
+    n_theta, n_x = model.dims.n_theta, model.dims.n_x
+    if theta.shape != (n_theta,):
+        raise DimensionMismatch(f"theta0 must have shape ({n_theta},), got {theta.shape}")
+    if x0.shape != (n_x,):
+        raise DimensionMismatch(f"x0 must have shape ({n_x},), got {x0.shape}")
     box = None
     if options.box is not None:
         lower, upper = options.box
         box = (np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-        project_box(theta, box[0], box[1])  # validates the box ordering
+        project_box(theta, *box)  # validates the box ordering
 
-    adam_theta = AdamState.fresh(theta.size, options.lr_theta, options.beta1,
-                                 options.beta2, options.eps)
-    adam_x0 = AdamState.fresh(x0.size, options.lr_x0, options.beta1,
-                              options.beta2, options.eps)
+    p = np.concatenate([theta, x0])
+    lr = np.concatenate([np.full(n_theta, options.lr_theta), np.full(n_x, options.lr_x0)])
+    adam = AdamState.fresh(p.size, lr, options.beta1, options.beta2, options.eps)
     history = []
     previous = None
     rejected = 0
@@ -218,7 +218,7 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
 
     while True:
         try:
-            report = _evaluate(model, dataset, spec, theta, x0,
+            report = _evaluate(model, dataset, spec, p[:n_theta], p[n_theta:],
                                options.gradient_method, options.fd_step)
         except (NonFiniteValue, OutsideDomain) as exc:
             rejected += 1
@@ -231,17 +231,17 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
             if consecutive >= MAX_CONSECUTIVE_REJECTIONS:
                 raise DivergedRollout(
                     f"{consecutive} consecutive rejected steps", epoch=epoch)
-            theta, x0, adam_theta, adam_x0, grad_theta, grad_x0 = previous
-            adam_theta = replace(adam_theta, lr=adam_theta.lr / 2.0)
-            adam_x0 = replace(adam_x0, lr=adam_x0.lr / 2.0)
+            p, adam, grad = previous
+            adam = replace(adam, lr=adam.lr / 2.0)
         else:
             consecutive = 0
-            grad_theta = report.grad_theta
-            grad_x0 = report.grad_x0
+            grad_theta, grad_x0 = report.grad_theta, report.grad_x0
+            grad = np.concatenate([grad_theta, grad_x0])
+            # block by block: the norm of p would sum in another order
             grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
             history.append(HistoryRecord(epoch=epoch, cost=report.cost,
                                          grad_norm=grad_norm,
-                                         theta=theta.copy(), x0=x0.copy()))
+                                         theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
             if stopping.cost_tol > 0.0 and report.cost < stopping.cost_tol:
                 stop_reason = StopReason.COST_BELOW_TOL
                 break
@@ -254,13 +254,12 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
             epoch += 1
 
         # a rejected step retries the update from the restored candidate
-        previous = (theta, x0, adam_theta, adam_x0, grad_theta, grad_x0)
-        theta, adam_theta = adam_step(adam_theta, grad_theta, theta)
+        previous = (p, adam, grad)
+        p, adam = adam_step(adam, grad, p)
         if box is not None:
-            theta = project_box(theta, box[0], box[1])
-        x0, adam_x0 = adam_step(adam_x0, grad_x0, x0)
+            p[:n_theta] = project_box(p[:n_theta], *box)
 
     best = min(history, key=lambda record: record.cost)
     return IdentificationRun(theta_hat=best.theta.copy(), x0_hat=best.x0.copy(),
                              history=tuple(history), stop_reason=stop_reason,
-                             rejected_steps=rejected, seed=options.seed)
+                             rejected_steps=rejected)

@@ -5,14 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from msid import (Dataset, DimensionMismatch, GradientReport, LossSpec,
-                  NoiseSpec, PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
+from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport,
+                  LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
                   cost, euler_attitude_model, fd_gradient, gamma_terms,
                   generate_dataset, gradient, gradient_naive, masked_jac_f_x,
                   prediction_error, rollout,
                   rotational_energy, rotational_energy_term, scalar_linear_model)
 from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
-from conftest import max_rel_gap, random_instance, report_gap
+from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
+                      random_instance, report_gap)
 
 
 @pytest.fixture
@@ -198,6 +199,19 @@ class TestGradient:
                                   per_step_loss=report.per_step_loss,
                                   penalty_total=payload["penalty_total"])
         assert restored.cost == report.cost
+
+    @pytest.mark.parametrize("method", [gradient, gradient_naive])
+    def test_non_finite_cost_raises(self, method):
+        # an energy of 1e160 squares to an infinite penalty while its zero
+        # gradient keeps every seed finite: only the cost is not finite
+        model, dataset = attitude_dataset(seed=1)
+        penalty = PenaltySpec((EnergyConservation(
+            lambda x: np.full(x.shape[:-1], 1e160), 0.0,
+            energy_grad=lambda x: np.zeros_like(x)),))
+        spec = LossSpec.scaled_identity(3, len(dataset), penalty=penalty)
+        trajectory = rollout(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, dataset.inputs)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            method(model, trajectory, dataset, spec, ATTITUDE_THETA)
 
 
 class TestOracleEquivalence:

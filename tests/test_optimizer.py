@@ -1,14 +1,16 @@
 """ADAM updates and the identification loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msid import (AdamState, Dataset, DivergedRollout, LossSpec,
-                  NonFiniteGradient, NonPositiveInertia, StoppingCriteria,
-                  StopReason, adam_step, cost, identify, rollout,
-                  scalar_linear_model)
+                  NonFiniteGradient, NonFiniteValue, NonPositiveInertia,
+                  OutsideDomain, StoppingCriteria, StopReason, adam_step, cost,
+                  gradient, identify, project_box, rollout, scalar_linear_model)
 from msid.optimizer import IdentifyOptions
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset,
                       perturbed_init)
@@ -49,6 +51,27 @@ class TestAdamStep:
         for _ in range(1000):
             params, state = adam_step(state, 2.0 * params, params)
         assert abs(params[0]) < 1e-2
+
+    def test_vector_lr_steps_each_component_at_its_own_rate(self):
+        grad, params = np.array([0.5, -2.0]), np.array([1.0, 1.0])
+        vector, _ = adam_step(AdamState.fresh(2, lr=[0.01, 1e-4]), grad, params)
+        for i, lr in enumerate([0.01, 1e-4]):
+            alone, _ = adam_step(AdamState.fresh(1, lr=lr), grad[i:i + 1], params[i:i + 1])
+            assert vector[i] == alone[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_rejects_learning_rate_not_finite_and_positive(self, bad, vector):
+        with pytest.raises(ValueError):
+            AdamState.fresh(3, lr=[0.01, bad, 0.01] if vector else bad)
+
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError):
+            AdamState.fresh(3, lr=0.01, eps=np.nan)
+
+    def test_rejects_lr_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            AdamState.fresh(3, lr=[0.01, 0.01])
 
 
 def scalar_fixture(theta_true=2.0, horizon=12):
@@ -133,7 +156,7 @@ class TestIdentify:
         model, dataset = attitude_dataset(seed=5, nominal_inputs=True)
         spec = LossSpec.scaled_identity(3, 50)
         theta0, x00 = perturbed_init(5)
-        options = IdentifyOptions(lr_x0=1e-6, seed=5,
+        options = IdentifyOptions(lr_x0=1e-6,
                                   stopping=StoppingCriteria(max_epochs=40))
         first = identify(model, dataset, spec, theta0, x00, options)
         second = identify(model, dataset, spec, theta0, x00, options)
@@ -234,6 +257,74 @@ class TestIdentify:
         assert record.grad_norm == pytest.approx(expected, rel=1e-12)
 
 
+def two_state_reference(model, dataset, spec, theta, x0, options):
+    """The identification loop with one ADAM state for theta and one for x0:
+    a rejection restores both and halves both rates, and the box clamps
+    theta only.  Returns the history rows (cost, grad_norm, theta, x0) and
+    the number of rejected steps; runs to ``max_epochs``."""
+    adam_theta = AdamState.fresh(theta.size, options.lr_theta, options.beta1,
+                                 options.beta2, options.eps)
+    adam_x0 = AdamState.fresh(x0.size, options.lr_x0, options.beta1,
+                              options.beta2, options.eps)
+    rows, rejected, epoch = [], 0, 0
+    while True:
+        try:
+            report = gradient(model, rollout(model, x0, theta, dataset.inputs),
+                              dataset, spec, theta)
+        except (NonFiniteValue, OutsideDomain):
+            rejected += 1
+            theta, x0, adam_theta, adam_x0, grad_theta, grad_x0 = previous
+            adam_theta = replace(adam_theta, lr=adam_theta.lr / 2.0)
+            adam_x0 = replace(adam_x0, lr=adam_x0.lr / 2.0)
+        else:
+            grad_theta, grad_x0 = report.grad_theta, report.grad_x0
+            grad_norm = np.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+            rows.append((report.cost, grad_norm, theta.copy(), x0.copy()))
+            if epoch >= options.stopping.max_epochs:
+                return rows, rejected
+            epoch += 1
+        previous = (theta, x0, adam_theta, adam_x0, grad_theta, grad_x0)
+        theta, adam_theta = adam_step(adam_theta, grad_theta, theta)
+        if options.box is not None:
+            theta = project_box(theta, *options.box)
+        x0, adam_x0 = adam_step(adam_x0, grad_x0, x0)
+
+
+class TestOneAdamState:
+    """One ADAM state over p = (theta, x0) runs the two-state loop bit for bit."""
+
+    def check(self, theta0, options):
+        model, dataset = attitude_dataset(seed=1)
+        spec = LossSpec.scaled_identity(3, len(dataset))
+        run = identify(model, dataset, spec, theta0, ATTITUDE_OMEGA0, options)
+        rows, rejected = two_state_reference(model, dataset, spec, theta0,
+                                             ATTITUDE_OMEGA0, options)
+        assert run.rejected_steps == rejected
+        assert len(run.history) == len(rows)
+        for record, (cost_, grad_norm, theta, x0) in zip(run.history, rows):
+            assert record.cost == cost_ and record.grad_norm == grad_norm
+            assert np.array_equal(record.theta, theta) and np.array_equal(record.x0, x0)
+        best = min(rows, key=lambda row: row[0])
+        assert np.array_equal(run.theta_hat, best[2]) and np.array_equal(run.x0_hat, best[3])
+        return run
+
+    def test_rejections_halve_both_rates(self):
+        options = IdentifyOptions(lr_theta=5e-2, lr_x0=1e-6,
+                                  stopping=StoppingCriteria(max_epochs=200))
+        run = self.check(1.2 * ATTITUDE_THETA, options)
+        assert run.rejected_steps >= 1
+
+    def test_box_clamps_theta_only(self):
+        # the x0 components lie below every lower bound, so a box that also
+        # clamped x0 would move them
+        box = (np.array([0.0405, 0.03, 0.007]), np.array([0.06, 0.0402, 0.0085]))
+        options = IdentifyOptions(lr_theta=2e-3, lr_x0=1e-6, box=box,
+                                  stopping=StoppingCriteria(max_epochs=200))
+        run = self.check(np.array([0.045, 0.038, 0.0082]), options)
+        thetas = np.array([record.theta for record in run.history])
+        assert np.any(thetas == box[0]) and np.any(thetas == box[1])
+
+
 class TestValidation:
     def test_max_epochs_at_least_one(self):
         with pytest.raises(ValueError):
@@ -242,3 +333,10 @@ class TestValidation:
     def test_unknown_gradient_method(self):
         with pytest.raises(ValueError):
             IdentifyOptions(gradient_method="newton")
+
+    @pytest.mark.parametrize("field", ["lr_theta", "lr_x0", "eps"])
+    def test_non_finite_rate_fails_at_entry(self, field):
+        model, dataset, spec = scalar_fixture()
+        options = IdentifyOptions(**{field: np.nan})
+        with pytest.raises(ValueError, match="finite and positive"):
+            identify(model, dataset, spec, [1.5], [1.0], options)
