@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport,
-                  LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, Trajectory, TrajectoryMismatch, UpperBarrier,
+                  LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, Trajectory,
+                  TrajectoryMismatch, UpperBarrier,
                   cost, euler_attitude_model, fd_gradient, gamma_terms,
                   generate_dataset, gradient, gradient_naive, masked_jac_f_x,
                   prediction_error, rollout,
