@@ -14,10 +14,11 @@ out trajectory.
 :func:`gradient` evaluates the exact gradient in a single backward pass:
 an adjoint row vector starts at the last step and is pulled back one state
 transition at a time, so the whole computation costs O(T) Jacobian-chain
-applications.  Above SCAN_MIN_HORIZON steps, with no sparsity mask and at
-most SCAN_MAX_STATES states, the same recurrence runs as a chunked two-level
-scan: O(T n_x^3) work in about 3 sqrt(T) numpy steps instead of O(T n_x^2)
-work in T Python steps, equal up to rounding.  :func:`gradient_naive`
+applications.  Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES
+states, the same recurrence runs as a chunked two-level scan: O(T n_x^3)
+work in about 3 sqrt(T) numpy steps instead of O(T n_x^2) work in T Python
+steps, equal up to rounding.  A masked model takes the same loop or scan,
+its products touching only the stored Jacobian entries.  :func:`gradient_naive`
 expands the same quantity as an explicit double sum over step pairs with
 O(T^2) matrix chains and exists as a cross-check and benchmark baseline.
 :func:`fd_gradient` differentiates the cost by central differences
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteValue, TrajectoryMismatch
 from .model import Dataset, DynamicalModel, Trajectory, numeric_jacobian, rollout
 from .penalties import PenaltySpec
-from .structure import masked_jac_f_x, sparse_chain_apply
+from .structure import SparseMatrix, masked_jac_f_x, sparse_chain_apply
 
 Array = np.ndarray
 
@@ -223,39 +224,47 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     return jac_x, jac_theta
 
 
-def _backward_adjoints(big_gamma, jac_x, masked):
+def _backward_adjoints(big_gamma, jac_x):
     """Adjoints ``a[k] = big_gamma[k] + a[k+1] @ jac_x[k]``, ``a[T-1] =
     big_gamma[T-1]``: row k is the cost gradient by x[k].
 
-    The scan (unmasked, T > SCAN_MIN_HORIZON, n_x <= SCAN_MAX_STATES) takes
-    chunks of B ~ sqrt(T)/2 steps.  B batched steps solve every chunk from a
-    zero incoming adjoint and form each position's transfer product to the
+    ``jac_x`` is the dense (T-1, n_x, n_x) stack or a masked
+    :class:`~msid.structure.SparseMatrix` stack; a product by it is
+    ``np.matmul`` or :func:`~msid.structure.sparse_chain_apply`.  The scan
+    (T > SCAN_MIN_HORIZON, n_x <= SCAN_MAX_STATES) takes chunks of
+    B ~ sqrt(T)/2 steps.  B batched steps solve every chunk from a zero
+    incoming adjoint and form each position's transfer product to the
     chunk's end, one step per chunk carries the true incoming adjoints back,
-    and one batched product adds them in.  A transfer product that overflows
-    falls back to the step-by-step loop (:func:`gradient` runs this under
-    ``np.errstate``, so an overflow warns nothing).
+    and one batched product adds them in; the transfer products and the
+    carry are dense, since they fill in anyway.  A transfer product that
+    overflows falls back to the step-by-step loop (:func:`gradient` runs
+    this under ``np.errstate``, so an overflow warns nothing).
     """
     horizon, n_x = big_gamma.shape
-    if not masked and horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
+    sparse = isinstance(jac_x, SparseMatrix)
+    product = sparse_chain_apply if sparse else np.matmul
+    if horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
         size = max(6, round(horizon ** 0.5 / 2))
         chunks, pad = -(-horizon // size), -horizon % size
         # zero seeds and Jacobians pad the horizon to whole chunks
         local = np.concatenate([big_gamma, np.zeros((pad, n_x))])
-        jac = np.concatenate([jac_x, np.zeros((pad + 1, n_x, n_x))])
-        local, jac = local.reshape(chunks, size, n_x), jac.reshape(chunks, size, n_x, n_x)
-        transfer = np.empty_like(jac)
+        stack = jac_x.vals if sparse else jac_x
+        stack = np.concatenate([stack, np.zeros((pad + 1,) + stack.shape[1:])])
+        local = local.reshape(chunks, size, n_x)
+        stack = stack.reshape((chunks, size) + stack.shape[1:])
+        jac = SparseMatrix(jac_x.shape, jac_x.rows, jac_x.cols, stack) if sparse else stack
+        transfer = np.empty((chunks, size, n_x, n_x))
         row, chain = np.zeros((chunks, 1, n_x)), np.eye(n_x)
         for j in range(size - 1, -1, -1):
-            row = local[:, j, None] + row @ jac[:, j]
+            row = local[:, j, None] + product(row, jac[:, j])
             local[:, j] = row[:, 0]
-            chain = transfer[:, j] = chain @ jac[:, j]
+            chain = transfer[:, j] = product(chain, jac[:, j])
         if np.all(np.isfinite(transfer)):
             incoming = np.zeros((chunks, n_x))
             for c in range(chunks - 2, -1, -1):
                 incoming[c] = local[c + 1, 0] + incoming[c + 1] @ transfer[c + 1, 0]
             local += (incoming[:, None, None, :] @ transfer)[..., 0, :]
             return local.reshape(-1, n_x)[:horizon]
-    product = sparse_chain_apply if masked else np.matmul
     adjoints = big_gamma.copy()
     for k in range(horizon - 1, 0, -1):
         adjoints[k - 1] += product(adjoints[k], jac_x[k - 1])
@@ -296,9 +305,10 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
              spec: LossSpec, theta) -> GradientReport:
     """Exact cost gradient via one backward adjoint pass, O(T) chain products.
 
-    Above SCAN_MIN_HORIZON steps, with no sparsity mask and at most
-    SCAN_MAX_STATES states, the pass runs as a chunked scan of O(T n_x^3) work
-    (:func:`_backward_adjoints`); ``chain_applications`` is T-1 either way.
+    Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES states, the
+    pass runs as a chunked scan of O(T n_x^3) work (:func:`_backward_adjoints`),
+    on a masked model as on a dense one; ``chain_applications`` is T-1 either
+    way.
 
     The trajectory must have been produced by :func:`~msid.model.rollout`
     under ``theta`` and its stored initial state; a spot check re-evaluates
@@ -309,7 +319,7 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
         model, trajectory, dataset, spec, theta)
     # the products may overflow; the report's finiteness check reports that
     with np.errstate(over="ignore", invalid="ignore"):
-        adjoints = _backward_adjoints(big_gamma, jac_x, model.sparsity is not None)
+        adjoints = _backward_adjoints(big_gamma, jac_x)
         # the transition terms, summed in backward-pass order (not pairwise)
         products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
         grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]

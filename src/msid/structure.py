@@ -130,8 +130,11 @@ def masked_jac_f_x(model: "DynamicalModel", x, u, theta,
     if x.shape[-1:] != (n_x,):
         raise DimensionMismatch(f"states must have shape (..., {n_x}), got {x.shape}")
     lead = x.shape[:-1]
-    states = x.reshape(-1, n_x)
-    dense = model.jac_f_x_batch(states, u.reshape(len(states), -1), theta)
+    if u.shape != lead + (model.dims.n_u,):
+        raise DimensionMismatch(
+            f"inputs must have shape {lead + (model.dims.n_u,)} to match states "
+            f"{x.shape}, got {u.shape}")
+    dense = model.jac_f_x_batch(x.reshape(-1, n_x), u.reshape(-1, model.dims.n_u), theta)
     vals = np.asarray(dense, dtype=float)[:, mask.rows, mask.cols].reshape(lead + (-1,))
     entry_evaluations.add(mask.n_nz * math.prod(lead))
     return SparseMatrix((n_x, n_x), mask.rows, mask.cols, vals)
@@ -158,11 +161,30 @@ def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
         _check_structural_zeros(dense, mask)
 
 
-def sparse_chain_apply(adjoint_row, jac: SparseMatrix) -> Array:
-    """Row-vector times sparse matrix, touching only stored nonzeros."""
-    a = np.asarray(adjoint_row, dtype=float)
-    if a.ndim != 1 or a.shape[0] != jac.shape[0]:
-        raise DimensionMismatch(
-            f"adjoint row has shape {a.shape}, expected ({jac.shape[0]},)")
-    # bincount adds the products into each column in storage order, from 0.0
-    return np.bincount(jac.cols, weights=a[jac.rows] * jac.vals, minlength=jac.shape[1])
+def sparse_chain_apply(rows, jac: SparseMatrix) -> Array:
+    """``rows @ jac.to_dense()`` touching only the stored nonzeros, O(n_nz)
+    work per row.
+
+    ``rows`` is a row (n,) or blocks of rows (..., m, n), and ``jac`` one
+    matrix or a stack (``vals`` of shape (..., n_nz)); the leading shapes
+    broadcast and the result is shaped as by ``np.matmul``.  Each result row
+    equals the one-row product bit for bit.
+    """
+    a = np.asarray(rows, dtype=float)
+    n_rows, n_cols = jac.shape
+    if a.ndim == 0 or a.shape[-1] != n_rows:
+        raise DimensionMismatch(f"rows have shape {a.shape}, expected (..., {n_rows})")
+    vals = np.asarray(jac.vals, dtype=float)
+    if a.ndim == 1 and vals.ndim == 1:
+        # bincount adds the products into each column in storage order, from 0.0
+        return np.bincount(jac.cols, weights=a[jac.rows] * vals, minlength=n_cols)
+    # the same bincount over every row at once, each row's columns offset
+    # into bins of their own
+    block = a[None] if a.ndim == 1 else a
+    products = block.take(jac.rows, axis=-1) * vals[..., None, :]
+    lead = products.shape[:-1]
+    count = math.prod(lead)
+    bins = np.add.outer(np.arange(0, count * n_cols, n_cols), jac.cols)
+    out = np.bincount(bins.ravel(), weights=products.ravel(), minlength=count * n_cols)
+    out = out.reshape(lead + (n_cols,))
+    return out[..., 0, :] if a.ndim == 1 else out

@@ -18,6 +18,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 HORIZON = 12
+# the masked-energy horizon, above SCAN_MIN_HORIZON: the backward pass runs
+# as a chunked scan in chunks of max(6, round(sqrt(T) / 2)) = 10 steps
+SCAN_HORIZON = 400
+SCAN_CHUNK = 10
 
 SCRIPT = r"""
 import json, sys
@@ -30,11 +34,12 @@ tracer.install()
 import msid
 optimizer = sys.modules["msid.optimizer"]
 
-horizon = int(sys.argv[3])
+short, long = int(sys.argv[3]), int(sys.argv[4])
 attitude = (np.array([0.0403, 0.0404, 0.0080]), np.array([0.02, -0.03, 0.01]))
 models = {
     "euler": (msid.euler_attitude_model(dt=0.1), attitude),
     "euler-sparse": (msid.euler_attitude_model(dt=0.1, with_sparsity=True), attitude),
+    "euler-sparse-scan": (msid.euler_attitude_model(dt=0.1, with_sparsity=True), attitude),
     "rk4": (msid.euler_attitude_model(dt=0.1, integrator="rk4"), attitude),
     "scalar": (msid.scalar_linear_model(), (np.array([0.8]), np.array([1.0]))),
     "euler-penalty": (msid.euler_attitude_model(dt=0.1), attitude),
@@ -45,6 +50,7 @@ penalties = {"euler-penalty": msid.PenaltySpec((
 rng = np.random.default_rng(0)
 counts = {}
 for name, (model, (theta, x0)) in models.items():
+    horizon = long if name.endswith("-scan") else short
     inputs = 1e-3 * rng.normal(size=(horizon, model.dims.n_u))
     truth = msid.rollout(model, x0, theta, inputs)
     dataset = msid.Dataset(inputs, truth.predictions + 1e-3)
@@ -67,7 +73,7 @@ print(json.dumps(counts))
 def span_counts():
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench"),
-         str(HORIZON)],
+         str(HORIZON), str(SCAN_HORIZON)],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -77,11 +83,13 @@ def span_counts():
 #  Jacobian-field calls) for one gradient.  The gradient calls only the three
 # batched fields; the masked path gathers its state Jacobian from the
 # jac_f_x_batch call, once for the whole trajectory, and makes one sparse
-# chain product per transition; the RK4 model differences f once per batched
-# map.
+# chain product per transition on the step-by-step loop, or two per step of
+# a chunk on the scan (the adjoint rows and the transfer products, one call
+# for all chunks); the RK4 model differences f once per batched map.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
     "euler-sparse": (1, HORIZON - 1, 0, 3),
+    "euler-sparse-scan": (1, 2 * SCAN_CHUNK, 0, 3),
     "rk4": (0, 0, 2, 3),
     "scalar": (0, 0, 0, 3),
     "euler-penalty": (0, 0, 0, 3),
@@ -95,6 +103,7 @@ EXPECTED = {
 EULER_STEPS = {
     "euler": 3,
     "euler-sparse": 3,
+    "euler-sparse-scan": 3,
     "rk4": 3 + 12,
     "scalar": 0,
     "euler-penalty": 3,
@@ -112,7 +121,8 @@ def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
     assert counts["model.rollout"] == 1
     assert counts["gradient.gradient"] == 1
     assert counts["gradient.gamma_terms"] == 1
-    assert counts["chain_applications"] == HORIZON - 1
+    horizon = SCAN_HORIZON if name.endswith("-scan") else HORIZON
+    assert counts["chain_applications"] == horizon - 1
     assert (counts["structure.masked_jac_f_x"], counts["structure.sparse_chain_apply"],
             counts["model.numeric_jacobian"], counts["model.jacobians"]) == EXPECTED[name]
     assert counts["systems.euler_step"] == EULER_STEPS[name]

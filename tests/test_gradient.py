@@ -1,13 +1,14 @@
 """Gradient engine: hand examples, oracle agreement, structural properties."""
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport,
-                  LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, Trajectory,
-                  TrajectoryMismatch, UpperBarrier,
+                  LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, SparsityMask,
+                  Trajectory, TrajectoryMismatch, UpperBarrier,
                   cost, euler_attitude_model, fd_gradient, gamma_terms,
                   generate_dataset, gradient, gradient_naive, masked_jac_f_x,
                   prediction_error, rollout,
@@ -399,9 +400,9 @@ def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
     return grad_theta, adjoint
 
 
-def masked_attitude_problem(penalty):
+def masked_attitude_problem(penalty, horizon=50):
     from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset
-    _, dataset = attitude_dataset(seed=3, horizon=50)
+    _, dataset = attitude_dataset(seed=3, horizon=horizon)
     theta = ATTITUDE_THETA * np.array([1.1, 0.93, 1.05])
     terms = ()
     if penalty:
@@ -409,6 +410,13 @@ def masked_attitude_problem(penalty):
         terms = (rotational_energy_term(ATTITUDE_THETA, reference, weight=1.0),)
     spec = LossSpec.scaled_identity(3, len(dataset), penalty=PenaltySpec(terms) if terms else None)
     return dataset, spec, theta, ATTITUDE_OMEGA0
+
+
+def with_full_mask(model):
+    """``model`` with a mask of all ones: the masked path on the same Jacobians."""
+    dims = model.dims
+    return dataclasses.replace(model, sparsity=SparsityMask(
+        np.ones((dims.n_x, dims.n_x), dtype=int), np.ones((dims.n_x, dims.n_u), dtype=int)))
 
 
 class TestBackwardPass:
@@ -422,29 +430,35 @@ class TestBackwardPass:
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
 
+    # up to SCAN_MIN_HORIZON steps both paths run the loop, bit for bit
+    @pytest.mark.parametrize("horizon", [50, SCAN_MIN_HORIZON])
     @pytest.mark.parametrize("with_sparsity", [False, True])
     @pytest.mark.parametrize("penalty", [False, True])
-    def test_attitude_paths_equal_step_by_step_loop(self, with_sparsity, penalty):
+    def test_attitude_paths_equal_step_by_step_loop(self, with_sparsity, penalty, horizon):
         model = euler_attitude_model(dt=0.1, with_sparsity=with_sparsity)
-        dataset, spec, theta, x0 = masked_attitude_problem(penalty)
+        dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
         trajectory = rollout(model, x0, theta, dataset.inputs)
         report = gradient(model, trajectory, dataset, spec, theta)
         grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
 
+    # T=50 runs the loop, T=65 and T=3200 the chunked scan; the O(T^2)
+    # double sum is left out at T=3200
+    @pytest.mark.parametrize("horizon", [50, SCAN_MIN_HORIZON + 1, 3200])
     @pytest.mark.parametrize("penalty", [False, True])
-    def test_masked_attitude_three_way_anchor(self, penalty):
+    def test_masked_attitude_three_way_anchor(self, penalty, horizon):
         dense_model = euler_attitude_model(dt=0.1)
         masked_model = euler_attitude_model(dt=0.1, with_sparsity=True)
-        dataset, spec, theta, x0 = masked_attitude_problem(penalty)
+        dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
         trajectory = rollout(masked_model, x0, theta, dataset.inputs)
         masked = gradient(masked_model, trajectory, dataset, spec, theta)
         dense = gradient(dense_model, trajectory, dataset, spec, theta)
-        naive = gradient_naive(masked_model, trajectory, dataset, spec, theta)
         fd = fd_gradient(masked_model, x0, theta, dataset, spec, step=1e-6)
         assert report_gap(masked, dense) <= 1e-14
-        assert report_gap(masked, naive) <= 1e-10
+        if horizon < 3200:
+            naive = gradient_naive(masked_model, trajectory, dataset, spec, theta)
+            assert report_gap(masked, naive) <= 1e-10
         assert report_gap(masked, fd) <= 1e-5
         assert masked.chain_applications == len(dataset) - 1
 
@@ -453,12 +467,15 @@ class TestChunkedScan:
     """Above SCAN_MIN_HORIZON, with at most SCAN_MAX_STATES dense states, the
     backward recurrence runs as a chunked scan: equal to the loop to rounding."""
 
+    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("horizon", [SCAN_MIN_HORIZON + 1, 3200])
     @pytest.mark.parametrize("penalty_kind", [None, "energy", "upper"])
     @pytest.mark.parametrize("n_x", [1, 2, 4])
-    def test_scan_equals_step_by_step_loop(self, n_x, penalty_kind, horizon):
+    def test_scan_equals_step_by_step_loop(self, n_x, penalty_kind, horizon, masked):
         model, dataset, spec, theta, x0 = random_instance(
             40 + n_x, penalty_kind=penalty_kind, n_x=n_x, horizon=horizon)
+        if masked:
+            model = with_full_mask(model)
         trajectory = rollout(model, x0, theta, dataset.inputs)
         report = gradient(model, trajectory, dataset, spec, theta)
         grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
@@ -496,11 +513,14 @@ class TestChunkedScan:
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
 
-    def test_overflowing_transfer_products_fall_back_to_the_loop(self):
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_overflowing_transfer_products_fall_back_to_the_loop(self, masked):
         # x[k+1] = 1e200 x[k] from x0 = 0: every state and every adjoint
         # but the first is zero, while the chunk products overflow
         horizon = SCAN_MIN_HORIZON + 1
         model = scalar_linear_model()
+        if masked:
+            model = with_full_mask(model)
         observations = np.zeros((horizon, 1))
         observations[0] = 1.0
         dataset = Dataset(np.zeros((horizon, 1)), observations)

@@ -132,10 +132,16 @@ class TestBlockMaskedJacobian:
             masked_jac_f_x(model, np.full(shape, 0.1), np.zeros(shape), ATTITUDE_THETA, mask)
             assert entry_evaluations.count == rows * mask.n_nz == rows * 6
 
-    def test_wrong_state_width_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            masked_jac_f_x(euler_attitude_model(), np.zeros((5, 2)), np.zeros((5, 3)),
-                           ATTITUDE_THETA, euler_sparsity_mask())
+    @pytest.mark.parametrize("state_shape,input_shape", [
+        ((5, 2), (5, 3)), ((5, 3), (5, 2)), ((5, 3), (5, 7)), ((4, 3), (5, 3)),
+        ((3,), (2,)), ((2, 4, 3), (8, 3))])
+    def test_wrong_shapes_rejected(self, state_shape, input_shape):
+        with pytest.raises(DimensionMismatch, match=r"shape") as caught:
+            masked_jac_f_x(euler_attitude_model(), np.full(state_shape, 0.1),
+                           np.zeros(input_shape), ATTITUDE_THETA, euler_sparsity_mask())
+        if state_shape[-1] == 3:
+            assert str(state_shape) in str(caught.value)
+            assert str(input_shape) in str(caught.value)
 
     def test_stack_to_dense_and_indexing(self):
         rng = np.random.default_rng(43)
@@ -183,8 +189,34 @@ class TestSparseChainApply:
 
     def test_dimension_check(self):
         single = SparseMatrix((3, 3), np.array([0]), np.array([0]), np.array([1.0]))
-        with pytest.raises(DimensionMismatch):
-            sparse_chain_apply(np.ones(2), single)
+        for bad in (np.ones(2), np.ones((4, 2)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch):
+                sparse_chain_apply(bad, single)
+
+    @pytest.mark.parametrize("row_shape,vals_lead", [
+        ((5, 4), ()), ((7, 1, 4), (7,)), ((2, 3, 4), (3, 1)), ((4,), (6,)), ((4, 4), (6,))])
+    def test_broadcasts_like_matmul(self, row_shape, vals_lead):
+        # column 2 of the pattern is empty, and row 1 stores nothing
+        pattern = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 1]])
+        rows, cols = np.nonzero(pattern)
+        rng = np.random.default_rng(45)
+        stack = SparseMatrix((4, 4), rows, cols, rng.normal(size=vals_lead + (rows.size,)))
+        block = rng.normal(size=row_shape)
+        expected = block @ stack.to_dense()
+        result = sparse_chain_apply(block, stack)
+        assert result.shape == expected.shape
+        assert max_rel_gap(result, expected) <= 1e-14
+        assert np.all(result[..., 2] == 0.0)
+
+    def test_block_rows_equal_one_row_calls_bit_for_bit(self):
+        rng = np.random.default_rng(46)
+        mask = ATTITUDE_MASKS[1]
+        stack = SparseMatrix((3, 3), mask.rows, mask.cols, rng.normal(size=(8, mask.n_nz)))
+        block = rng.normal(size=(8, 5, 3))
+        result = sparse_chain_apply(block, stack)
+        for k in range(8):
+            for i in range(5):
+                assert np.array_equal(result[k, i], sparse_chain_apply(block[k, i], stack[k]))
 
 
 class TestMaskedGradientEquivalence:
