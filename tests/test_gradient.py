@@ -430,58 +430,56 @@ class TestBackwardPass:
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
 
-    # up to SCAN_MIN_HORIZON steps both paths run the loop, bit for bit
-    @pytest.mark.parametrize("horizon", [50, SCAN_MIN_HORIZON])
     @pytest.mark.parametrize("with_sparsity", [False, True])
     @pytest.mark.parametrize("penalty", [False, True])
-    def test_attitude_paths_equal_step_by_step_loop(self, with_sparsity, penalty, horizon):
+    def test_attitude_paths_equal_step_by_step_loop(self, with_sparsity, penalty):
         model = euler_attitude_model(dt=0.1, with_sparsity=with_sparsity)
-        dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
-        trajectory = rollout(model, x0, theta, dataset.inputs)
-        report = gradient(model, trajectory, dataset, spec, theta)
-        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
-        assert np.array_equal(report.grad_theta, grad_theta)
-        assert np.array_equal(report.grad_x0, grad_x0)
+        # up to SCAN_MIN_HORIZON steps both paths run the loop, bit for bit
+        for horizon in (50, SCAN_MIN_HORIZON):
+            dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
+            trajectory = rollout(model, x0, theta, dataset.inputs)
+            report = gradient(model, trajectory, dataset, spec, theta)
+            grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+            assert np.array_equal(report.grad_theta, grad_theta)
+            assert np.array_equal(report.grad_x0, grad_x0)
 
-    # T=50 runs the loop, T=65 and T=3200 the chunked scan; the O(T^2)
-    # double sum is left out at T=3200
-    @pytest.mark.parametrize("horizon", [50, SCAN_MIN_HORIZON + 1, 3200])
     @pytest.mark.parametrize("penalty", [False, True])
-    def test_masked_attitude_three_way_anchor(self, penalty, horizon):
+    def test_masked_attitude_three_way_anchor(self, penalty):
         dense_model = euler_attitude_model(dt=0.1)
         masked_model = euler_attitude_model(dt=0.1, with_sparsity=True)
-        dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
-        trajectory = rollout(masked_model, x0, theta, dataset.inputs)
-        masked = gradient(masked_model, trajectory, dataset, spec, theta)
-        dense = gradient(dense_model, trajectory, dataset, spec, theta)
-        fd = fd_gradient(masked_model, x0, theta, dataset, spec, step=1e-6)
-        assert report_gap(masked, dense) <= 1e-14
-        if horizon < 3200:
-            naive = gradient_naive(masked_model, trajectory, dataset, spec, theta)
-            assert report_gap(masked, naive) <= 1e-10
-        assert report_gap(masked, fd) <= 1e-5
-        assert masked.chain_applications == len(dataset) - 1
+        # T=50 runs the loop, T=65 and T=3200 the chunked scan; the O(T^2)
+        # double sum is left out at T=3200
+        for horizon in (50, SCAN_MIN_HORIZON + 1, 3200):
+            dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
+            trajectory = rollout(masked_model, x0, theta, dataset.inputs)
+            masked = gradient(masked_model, trajectory, dataset, spec, theta)
+            dense = gradient(dense_model, trajectory, dataset, spec, theta)
+            fd = fd_gradient(masked_model, x0, theta, dataset, spec, step=1e-6)
+            assert report_gap(masked, dense) <= 1e-14
+            if horizon < 3200:
+                naive = gradient_naive(masked_model, trajectory, dataset, spec, theta)
+                assert report_gap(masked, naive) <= 1e-10
+            assert report_gap(masked, fd) <= 1e-5
+            assert masked.chain_applications == len(dataset) - 1
 
 
 class TestChunkedScan:
     """Above SCAN_MIN_HORIZON, with at most SCAN_MAX_STATES dense states, the
     backward recurrence runs as a chunked scan: equal to the loop to rounding."""
 
-    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("horizon", [SCAN_MIN_HORIZON + 1, 3200])
     @pytest.mark.parametrize("penalty_kind", [None, "energy", "upper"])
     @pytest.mark.parametrize("n_x", [1, 2, 4])
-    def test_scan_equals_step_by_step_loop(self, n_x, penalty_kind, horizon, masked):
+    def test_scan_equals_step_by_step_loop(self, n_x, penalty_kind, horizon):
         model, dataset, spec, theta, x0 = random_instance(
             40 + n_x, penalty_kind=penalty_kind, n_x=n_x, horizon=horizon)
-        if masked:
-            model = with_full_mask(model)
         trajectory = rollout(model, x0, theta, dataset.inputs)
-        report = gradient(model, trajectory, dataset, spec, theta)
-        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
-        assert max_rel_gap(report.grad_theta, grad_theta) <= 1e-12
-        assert max_rel_gap(report.grad_x0, grad_x0) <= 1e-12
-        assert report.chain_applications == horizon - 1
+        for model in (model, with_full_mask(model)):
+            report = gradient(model, trajectory, dataset, spec, theta)
+            grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+            assert max_rel_gap(report.grad_theta, grad_theta) <= 1e-12
+            assert max_rel_gap(report.grad_x0, grad_x0) <= 1e-12
+            assert report.chain_applications == horizon - 1
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="needs a long double wider than a double")
@@ -513,23 +511,21 @@ class TestChunkedScan:
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_overflowing_transfer_products_fall_back_to_the_loop(self, masked):
+    def test_overflowing_transfer_products_fall_back_to_the_loop(self):
         # x[k+1] = 1e200 x[k] from x0 = 0: every state and every adjoint
         # but the first is zero, while the chunk products overflow
         horizon = SCAN_MIN_HORIZON + 1
         model = scalar_linear_model()
-        if masked:
-            model = with_full_mask(model)
         observations = np.zeros((horizon, 1))
         observations[0] = 1.0
         dataset = Dataset(np.zeros((horizon, 1)), observations)
         theta = np.array([1e200])
         trajectory = rollout(model, [0.0], theta, dataset.inputs)
-        report = gradient(model, trajectory, dataset,
-                          LossSpec.scaled_identity(1, horizon), theta)
-        assert np.array_equal(report.grad_theta, [0.0])
-        assert np.array_equal(report.grad_x0, [-2.0 / horizon])
+        for model in (model, with_full_mask(model)):
+            report = gradient(model, trajectory, dataset,
+                              LossSpec.scaled_identity(1, horizon), theta)
+            assert np.array_equal(report.grad_theta, [0.0])
+            assert np.array_equal(report.grad_x0, [-2.0 / horizon])
 
     def test_attitude_three_way_anchor(self):
         from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset

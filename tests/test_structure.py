@@ -132,16 +132,19 @@ class TestBlockMaskedJacobian:
             masked_jac_f_x(model, np.full(shape, 0.1), np.zeros(shape), ATTITUDE_THETA, mask)
             assert entry_evaluations.count == rows * mask.n_nz == rows * 6
 
+    def test_wrong_state_width_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            masked_jac_f_x(euler_attitude_model(), np.zeros((5, 2)), np.zeros((5, 3)),
+                           ATTITUDE_THETA, euler_sparsity_mask())
+
     @pytest.mark.parametrize("state_shape,input_shape", [
-        ((5, 2), (5, 3)), ((5, 3), (5, 2)), ((5, 3), (5, 7)), ((4, 3), (5, 3)),
-        ((3,), (2,)), ((2, 4, 3), (8, 3))])
-    def test_wrong_shapes_rejected(self, state_shape, input_shape):
-        with pytest.raises(DimensionMismatch, match=r"shape") as caught:
+        ((5, 3), (5, 2)), ((5, 3), (5, 7)), ((4, 3), (5, 3)), ((3,), (2,)), ((2, 4, 3), (8, 3))])
+    def test_wrong_input_shape_rejected(self, state_shape, input_shape):
+        with pytest.raises(DimensionMismatch) as caught:
             masked_jac_f_x(euler_attitude_model(), np.full(state_shape, 0.1),
                            np.zeros(input_shape), ATTITUDE_THETA, euler_sparsity_mask())
-        if state_shape[-1] == 3:
-            assert str(state_shape) in str(caught.value)
-            assert str(input_shape) in str(caught.value)
+        assert str(state_shape) in str(caught.value)
+        assert str(input_shape) in str(caught.value)
 
     def test_stack_to_dense_and_indexing(self):
         rng = np.random.default_rng(43)
