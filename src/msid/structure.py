@@ -175,11 +175,9 @@ def sparse_chain_apply(rows, jac: SparseMatrix) -> Array:
     if a.ndim == 0 or a.shape[-1] != n_rows:
         raise DimensionMismatch(f"rows have shape {a.shape}, expected (..., {n_rows})")
     vals = np.asarray(jac.vals, dtype=float)
-    if a.ndim == 1 and vals.ndim == 1:
-        # bincount adds the products into each column in storage order, from 0.0
-        return np.bincount(jac.cols, weights=a[jac.rows] * vals, minlength=n_cols)
-    # the same bincount over every row at once, each row's columns offset
-    # into bins of their own
+    # one bincount over every row at once, each row's columns offset into
+    # bins of their own; it adds each column's products in storage order,
+    # from 0.0
     block = a[None] if a.ndim == 1 else a
     products = block.take(jac.rows, axis=-1) * vals[..., None, :]
     lead = products.shape[:-1]

@@ -8,7 +8,7 @@ import pytest
 from msid import (Dataset, DynamicalModel, EnergyConservation, LossSpec,
                   LowerBarrier, ModelDims, NoiseSpec, ParameterBox,
                   PenaltySpec, UpperBarrier, euler_attitude_model,
-                  generate_dataset, rollout)
+                  gamma_terms, generate_dataset, masked_jac_f_x, rollout)
 
 ATTITUDE_THETA = np.array([0.0403, 0.0404, 0.0080])
 ATTITUDE_OMEGA0 = np.array([9.915e-6, -1.102e-3, 1.3179e-5])
@@ -152,3 +152,31 @@ def perturbed_init(seed, fraction_theta=0.3, fraction_x0=0.3):
     theta0 = ATTITUDE_THETA * (1 + fraction_theta * rng.uniform(-1, 1, 3))
     x00 = ATTITUDE_OMEGA0 * (1 + fraction_x0 * rng.uniform(-1, 1, 3))
     return theta0, x00
+
+
+def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
+    """The step-by-step backward loop the one-product-per-step pass replaced:
+    one adjoint row, the parameter term added inside the loop, and the
+    sparse product as ``np.add.at`` on a masked model."""
+    horizon = trajectory.horizon
+    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+    states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
+    jac_theta = model.jac_f_theta_batch(states, inputs, theta)
+    if model.sparsity is None:
+        jac_x = model.jac_f_x_batch(states, inputs, theta)
+    else:
+        mask = model.sparsity
+        vals = masked_jac_f_x(model, states, inputs, theta, mask).vals
+    grad_theta = gamma.sum(axis=0)
+    if spec.penalty is not None:
+        grad_theta = grad_theta + spec.penalty.param_grad(theta)
+    adjoint = big_gamma[horizon - 1].copy()
+    for k in range(horizon - 1, 0, -1):
+        grad_theta += adjoint @ jac_theta[k - 1]
+        if model.sparsity is None:
+            pulled = adjoint @ jac_x[k - 1]
+        else:
+            pulled = np.zeros(model.dims.n_x)
+            np.add.at(pulled, mask.cols, adjoint[mask.rows] * vals[k - 1])
+        adjoint = big_gamma[k - 1] + pulled
+    return grad_theta, adjoint

@@ -10,12 +10,11 @@ from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport
                   LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, SparsityMask,
                   Trajectory, TrajectoryMismatch, UpperBarrier,
                   cost, euler_attitude_model, fd_gradient, gamma_terms,
-                  generate_dataset, gradient, gradient_naive, masked_jac_f_x,
-                  prediction_error, rollout,
+                  generate_dataset, gradient, gradient_naive, prediction_error, rollout,
                   rotational_energy, rotational_energy_term, scalar_linear_model)
 from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
-                      random_instance, report_gap)
+                      random_instance, reference_adjoint_loop, report_gap)
 
 
 @pytest.fixture
@@ -370,34 +369,6 @@ class TestFdGradientReference:
         grad_theta, grad_x0 = reference_fd_gradient(model, x0, theta, dataset, spec)
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
-
-
-def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
-    """The step-by-step backward loop the one-product-per-step pass replaced:
-    one adjoint row, the parameter term added inside the loop, and the
-    sparse product as ``np.add.at`` on a masked model."""
-    horizon = trajectory.horizon
-    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
-    states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
-    jac_theta = model.jac_f_theta_batch(states, inputs, theta)
-    if model.sparsity is None:
-        jac_x = model.jac_f_x_batch(states, inputs, theta)
-    else:
-        mask = model.sparsity
-        vals = masked_jac_f_x(model, states, inputs, theta, mask).vals
-    grad_theta = gamma.sum(axis=0)
-    if spec.penalty is not None:
-        grad_theta = grad_theta + spec.penalty.param_grad(theta)
-    adjoint = big_gamma[horizon - 1].copy()
-    for k in range(horizon - 1, 0, -1):
-        grad_theta += adjoint @ jac_theta[k - 1]
-        if model.sparsity is None:
-            pulled = adjoint @ jac_x[k - 1]
-        else:
-            pulled = np.zeros(model.dims.n_x)
-            np.add.at(pulled, mask.cols, adjoint[mask.rows] * vals[k - 1])
-        adjoint = big_gamma[k - 1] + pulled
-    return grad_theta, adjoint
 
 
 def masked_attitude_problem(penalty, horizon=50):

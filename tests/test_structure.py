@@ -9,8 +9,10 @@ from msid import (DimensionMismatch, DynamicalModel, LossSpec, MaskViolation,
                   ModelDims, SparseMatrix, SparsityMask, euler_attitude_model,
                   euler_sparsity_mask, gradient, masked_jac_f_x, rollout,
                   sparse_chain_apply, validate_mask)
+from msid.gradient import SCAN_MIN_HORIZON
 from msid.structure import entry_evaluations
-from conftest import ATTITUDE_OMEGA0, ATTITUDE_THETA, max_rel_gap
+from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, max_rel_gap,
+                      reference_adjoint_loop)
 
 
 def diagonal_square_model(n=3):
@@ -273,16 +275,22 @@ class TestMaskedGradientEquivalence:
         mask = SparsityMask(pattern, np.zeros((n, 1), dtype=int))
         masked_model = dataclasses.replace(dense_model, sparsity=mask)
 
-        rng = np.random.default_rng(3)
-        inputs = np.zeros((12, 1))
-        theta = rng.normal(size=n)
-        x0 = rng.normal(size=n)
-        trajectory = rollout(dense_model, x0, theta, inputs)
         from msid import Dataset
-        dataset = Dataset(inputs, trajectory.predictions + 0.01, 1.0)
-        spec = LossSpec.scaled_identity(n, 12)
-        dense = gradient(dense_model, trajectory, dataset, spec, theta)
-        masked = gradient(masked_model, trajectory, dataset, spec, theta)
-        assert max_rel_gap(dense.grad_theta, masked.grad_theta) <= 1e-12
-        assert max_rel_gap(dense.grad_x0, masked.grad_x0) <= 1e-12
+        # the step-by-step loop, and the chunked scan past SCAN_MIN_HORIZON
+        for horizon in (12, SCAN_MIN_HORIZON + 1):
+            rng = np.random.default_rng(3)
+            inputs = np.zeros((horizon, 1))
+            theta = rng.normal(size=n)
+            x0 = rng.normal(size=n)
+            trajectory = rollout(dense_model, x0, theta, inputs)
+            dataset = Dataset(inputs, trajectory.predictions + 0.01, 1.0)
+            spec = LossSpec.scaled_identity(n, horizon)
+            dense = gradient(dense_model, trajectory, dataset, spec, theta)
+            masked = gradient(masked_model, trajectory, dataset, spec, theta)
+            loop_theta, loop_x0 = reference_adjoint_loop(
+                masked_model, trajectory, dataset, spec, theta)
+            for grad_theta, grad_x0 in ((dense.grad_theta, dense.grad_x0),
+                                        (loop_theta, loop_x0)):
+                assert max_rel_gap(grad_theta, masked.grad_theta) <= 1e-12
+                assert max_rel_gap(grad_x0, masked.grad_x0) <= 1e-12
 
