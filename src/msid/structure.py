@@ -167,8 +167,9 @@ def sparse_chain_apply(rows, jac: SparseMatrix) -> Array:
 
     ``rows`` is a row (n,) or blocks of rows (..., m, n), and ``jac`` one
     matrix or a stack (``vals`` of shape (..., n_nz)); the leading shapes
-    broadcast and the result is shaped as by ``np.matmul``.  Each result row
-    equals the one-row product bit for bit.
+    broadcast and the result is shaped as by ``np.matmul``.  Each column
+    adds its products in storage order, from 0.0, as ``np.add.at`` does, so
+    a row's result does not depend on the block it comes in.
     """
     a = np.asarray(rows, dtype=float)
     n_rows, n_cols = jac.shape
@@ -176,8 +177,7 @@ def sparse_chain_apply(rows, jac: SparseMatrix) -> Array:
         raise DimensionMismatch(f"rows have shape {a.shape}, expected (..., {n_rows})")
     vals = np.asarray(jac.vals, dtype=float)
     # one bincount over every row at once, each row's columns offset into
-    # bins of their own; it adds each column's products in storage order,
-    # from 0.0
+    # bins of their own
     block = a[None] if a.ndim == 1 else a
     products = block.take(jac.rows, axis=-1) * vals[..., None, :]
     lead = products.shape[:-1]
