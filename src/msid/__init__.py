@@ -15,8 +15,8 @@ from .optimizer import (AdamState, HistoryRecord, IdentificationRun,
 from .penalties import (EnergyConservation, LowerBarrier, ParameterBox,
                         PenaltySpec, ReluUpperBound, UpperBarrier,
                         project_box)
-from .structure import (SparseMatrix, SparsityMask, entry_evaluations,
-                        masked_jac_f_x, sparse_chain_apply, validate_mask)
+from .structure import (SparsityMask, entry_evaluations, masked_jac_f_x,
+                        sparse_chain_apply, validate_mask)
 from .systems import (NoiseSpec, angular_rates, euler_attitude_model,
                       euler_sparsity_mask, euler_step, generate_dataset,
                       rotational_energy, rotational_energy_gradient,

@@ -17,8 +17,9 @@ transition at a time, so the whole computation costs O(T) Jacobian-chain
 applications.  Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES
 states, the same recurrence runs as a chunked two-level scan: O(T n_x^3)
 work in about 3 sqrt(T) numpy steps instead of O(T n_x^2) work in T Python
-steps, equal up to rounding.  A masked model takes the same loop or scan,
-its products touching only the stored Jacobian entries.  :func:`gradient_naive`
+steps, equal up to rounding.  A masked model takes the same loop or scan on
+its masked Jacobians, which are dense stacks with exact zeros outside the
+mask.  :func:`gradient_naive`
 expands the same quantity as an explicit double sum over step pairs with
 O(T^2) matrix chains and exists as a cross-check and benchmark baseline.
 :func:`fd_gradient` differentiates the cost by central differences
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteValue, TrajectoryMismatch
 from .model import Dataset, DynamicalModel, Trajectory, numeric_jacobian, rollout
 from .penalties import PenaltySpec
-from .structure import SparseMatrix, masked_jac_f_x, sparse_chain_apply
+from .structure import masked_jac_f_x, sparse_chain_apply
 
 Array = np.ndarray
 
@@ -224,35 +225,29 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     return jac_x, jac_theta
 
 
-def _backward_adjoints(big_gamma, jac_x):
+def _backward_adjoints(big_gamma, jac_x, product):
     """Adjoints ``a[k] = big_gamma[k] + a[k+1] @ jac_x[k]``, ``a[T-1] =
     big_gamma[T-1]``: row k is the cost gradient by x[k].
 
-    ``jac_x`` is the dense (T-1, n_x, n_x) stack or a masked
-    :class:`~msid.structure.SparseMatrix` stack; a product by it is
-    ``np.matmul`` or :func:`~msid.structure.sparse_chain_apply`.  The scan
+    ``jac_x`` is the (T-1, n_x, n_x) stack, masked or not, and ``product``
+    forms each ``rows @ jac`` by it (``np.matmul`` contract).  The scan
     (T > SCAN_MIN_HORIZON, n_x <= SCAN_MAX_STATES) takes chunks of
     B ~ sqrt(T)/2 steps.  B batched steps solve every chunk from a zero
     incoming adjoint and form each position's transfer product to the
     chunk's end, one step per chunk carries the true incoming adjoints back,
-    and one batched product adds them in; the transfer products and the
-    carry are dense, since they fill in anyway.  A transfer product that
+    and one batched product adds them in.  A transfer product that
     overflows falls back to the step-by-step loop (:func:`gradient` runs
     this under ``np.errstate``, so an overflow warns nothing).
     """
     horizon, n_x = big_gamma.shape
-    sparse = isinstance(jac_x, SparseMatrix)
-    product = sparse_chain_apply if sparse else np.matmul
     if horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
         size = max(6, round(horizon ** 0.5 / 2))
         chunks, pad = -(-horizon // size), -horizon % size
         # zero seeds and Jacobians pad the horizon to whole chunks
         local = np.concatenate([big_gamma, np.zeros((pad, n_x))])
-        stack = jac_x.vals if sparse else jac_x
-        stack = np.concatenate([stack, np.zeros((pad + 1,) + stack.shape[1:])])
+        jac = np.concatenate([jac_x, np.zeros((pad + 1, n_x, n_x))])
         local = local.reshape(chunks, size, n_x)
-        stack = stack.reshape((chunks, size) + stack.shape[1:])
-        jac = SparseMatrix(jac_x.shape, jac_x.rows, jac_x.cols, stack) if sparse else stack
+        jac = jac.reshape(chunks, size, n_x, n_x)
         transfer = np.empty((chunks, size, n_x, n_x))
         row, chain = np.zeros((chunks, 1, n_x)), np.eye(n_x)
         for j in range(size - 1, -1, -1):
@@ -308,7 +303,9 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES states, the
     pass runs as a chunked scan of O(T n_x^3) work (:func:`_backward_adjoints`),
     on a masked model as on a dense one; ``chain_applications`` is T-1 either
-    way.
+    way.  A masked model's products go through
+    :func:`~msid.structure.sparse_chain_apply`, ``np.matmul`` under the name
+    the benchmark traces.
 
     The trajectory must have been produced by :func:`~msid.model.rollout`
     under ``theta`` and its stored initial state; a spot check re-evaluates
@@ -317,9 +314,10 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     """
     per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta = _analytic_parts(
         model, trajectory, dataset, spec, theta)
+    product = np.matmul if model.sparsity is None else sparse_chain_apply
     # the products may overflow; the report's finiteness check reports that
     with np.errstate(over="ignore", invalid="ignore"):
-        adjoints = _backward_adjoints(big_gamma, jac_x)
+        adjoints = _backward_adjoints(big_gamma, jac_x, product)
         # the transition terms, summed in backward-pass order (not pairwise)
         products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
         grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]
@@ -336,9 +334,6 @@ def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Datas
     """
     per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta = _analytic_parts(
         model, trajectory, dataset, spec, theta)
-    if model.sparsity is not None:
-        jac_x = jac_x.to_dense()
-
     horizon, n_x = big_gamma.shape
     for k in range(1, horizon):
         grad_theta = grad_theta + big_gamma[k] @ jac_theta[k - 1]

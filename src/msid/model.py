@@ -161,9 +161,9 @@ class DynamicalModel:
     of rows, which calls ``f`` or ``g`` on blocks.
 
     ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
-    the gradient then gathers the masked entries of the state Jacobian from
+    the gradient then sets the state Jacobian to zero outside the mask, from
     one ``jac_f_x_batch`` call per trajectory, and
-    ``msid.structure.entry_evaluations`` counts the entries gathered.
+    ``msid.structure.entry_evaluations`` counts the entries kept.
     """
 
     dims: ModelDims

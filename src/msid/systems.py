@@ -174,10 +174,9 @@ def euler_sparsity_mask() -> SparsityMask:
     """Dependency pattern of the discrete attitude map.
 
     The forward-Euler map couples every state to every other through the
-    gyroscopic term plus the identity part, so the state mask is full; the
-    torque enters each axis independently.
+    gyroscopic term plus the identity part, so the state mask is full.
     """
-    return SparsityMask(np.ones((3, 3), dtype=int), np.eye(3, dtype=int))
+    return SparsityMask(np.ones((3, 3), dtype=int))
 
 
 def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,

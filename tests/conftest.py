@@ -165,8 +165,8 @@ def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
     if model.sparsity is None:
         jac_x = model.jac_f_x_batch(states, inputs, theta)
     else:
-        mask = model.sparsity
-        vals = masked_jac_f_x(model, states, inputs, theta, mask).vals
+        rows, cols = np.nonzero(model.sparsity.state_mask)
+        vals = masked_jac_f_x(model, states, inputs, theta, model.sparsity)[:, rows, cols]
     grad_theta = gamma.sum(axis=0)
     if spec.penalty is not None:
         grad_theta = grad_theta + spec.penalty.param_grad(theta)
@@ -177,6 +177,6 @@ def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
             pulled = adjoint @ jac_x[k - 1]
         else:
             pulled = np.zeros(model.dims.n_x)
-            np.add.at(pulled, mask.cols, adjoint[mask.rows] * vals[k - 1])
+            np.add.at(pulled, cols, adjoint[rows] * vals[k - 1])
         adjoint = big_gamma[k - 1] + pulled
     return grad_theta, adjoint

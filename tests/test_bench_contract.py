@@ -81,11 +81,12 @@ def span_counts():
 
 # (masked_jac_f_x calls, sparse_chain_apply calls, numeric_jacobian calls,
 #  Jacobian-field calls) for one gradient.  The gradient calls only the three
-# batched fields; the masked path gathers its state Jacobian from the
-# jac_f_x_batch call, once for the whole trajectory, and makes one sparse
-# chain product per transition on the step-by-step loop, or two per step of
-# a chunk on the scan (the adjoint rows and the transfer products, one call
-# for all chunks); the RK4 model differences f once per batched map.
+# batched fields; the masked path takes its state Jacobian from the
+# jac_f_x_batch call, once for the whole trajectory, zeroed outside the mask,
+# and makes its products through sparse_chain_apply (np.matmul under the
+# traced name): one per transition on the step-by-step loop, or two per step
+# of a chunk on the scan (the adjoint rows and the transfer products, one
+# call for all chunks); the RK4 model differences f once per batched map.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
     "euler-sparse": (1, HORIZON - 1, 0, 3),

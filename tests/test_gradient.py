@@ -385,9 +385,8 @@ def masked_attitude_problem(penalty, horizon=50):
 
 def with_full_mask(model):
     """``model`` with a mask of all ones: the masked path on the same Jacobians."""
-    dims = model.dims
-    return dataclasses.replace(model, sparsity=SparsityMask(
-        np.ones((dims.n_x, dims.n_x), dtype=int), np.ones((dims.n_x, dims.n_u), dtype=int)))
+    n_x = model.dims.n_x
+    return dataclasses.replace(model, sparsity=SparsityMask(np.ones((n_x, n_x), dtype=int)))
 
 
 class TestBackwardPass:

@@ -1,4 +1,4 @@
-"""Sparsity masks, masked Jacobians, and the sparse adjoint product."""
+"""Sparsity masks, masked Jacobians, and the masked adjoint product."""
 
 import dataclasses
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from msid import (DimensionMismatch, DynamicalModel, LossSpec, MaskViolation,
-                  ModelDims, SparseMatrix, SparsityMask, euler_attitude_model,
+                  ModelDims, SparsityMask, euler_attitude_model,
                   euler_sparsity_mask, gradient, masked_jac_f_x, rollout,
                   sparse_chain_apply, validate_mask)
 from msid.gradient import SCAN_MIN_HORIZON
@@ -28,32 +28,37 @@ def diagonal_square_model(n=3):
 
 class TestSparsityMask:
     def test_counts_nonzeros(self):
-        mask = SparsityMask(np.eye(3, dtype=int), np.ones((3, 2), dtype=int))
+        mask = SparsityMask(np.eye(3, dtype=int))
         assert mask.n_nz == 3
         assert mask.n_x == 3
 
     def test_rejects_non_binary(self):
         with pytest.raises(DimensionMismatch):
-            SparsityMask(np.full((2, 2), 0.5), np.zeros((2, 1)))
+            SparsityMask(np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatch):
+            SparsityMask(np.ones(shape, dtype=int))
 
 
 class TestMaskedJacobian:
     def test_full_mask_equals_dense(self):
         model = euler_attitude_model()
         mask = euler_sparsity_mask()
-        sparse = masked_jac_f_x(model, ATTITUDE_OMEGA0, np.zeros(3),
+        masked = masked_jac_f_x(model, ATTITUDE_OMEGA0, np.zeros(3),
                                 ATTITUDE_THETA, mask)
         dense = model.jac_f_x(ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA)
-        assert np.array_equal(sparse.to_dense(), dense)
+        assert np.array_equal(masked, dense)
 
     def test_diagonal_model_work_bound(self):
         model = diagonal_square_model(4)
-        mask = SparsityMask(np.eye(4, dtype=int), np.zeros((4, 1), dtype=int))
+        mask = SparsityMask(np.eye(4, dtype=int))
         entry_evaluations.reset()
-        sparse = masked_jac_f_x(model, np.array([1.0, 2.0, 3.0, 4.0]),
+        masked = masked_jac_f_x(model, np.array([1.0, 2.0, 3.0, 4.0]),
                                 np.zeros(1), np.ones(1), mask)
         assert entry_evaluations.count == 4
-        assert np.array_equal(sparse.to_dense(), np.diag([2.0, 4.0, 6.0, 8.0]))
+        assert np.array_equal(masked, np.diag([2.0, 4.0, 6.0, 8.0]))
 
     def test_euler_entry_count_is_n_nz(self):
         model = euler_attitude_model()
@@ -66,32 +71,47 @@ class TestMaskedJacobian:
         rng = np.random.default_rng(0)
         from conftest import random_smooth_model
         model = random_smooth_model(rng, 3, 1, 2, 2)
-        mask = SparsityMask(np.ones((3, 3), dtype=int), np.ones((3, 1), dtype=int))
+        mask = SparsityMask(np.ones((3, 3), dtype=int))
         x, u, theta = rng.normal(size=3), rng.normal(size=1), rng.normal(size=2)
-        sparse = masked_jac_f_x(model, x, u, theta, mask)
-        assert np.array_equal(sparse.to_dense(), model.jac_f_x(x, u, theta))
+        masked = masked_jac_f_x(model, x, u, theta, mask)
+        assert np.array_equal(masked, model.jac_f_x(x, u, theta))
 
     def test_wrong_mask_detected(self):
         model = euler_attitude_model()
-        bad = SparsityMask(np.eye(3, dtype=int), np.eye(3, dtype=int))
+        bad = SparsityMask(np.eye(3, dtype=int))
         state = np.array([0.3, -0.2, 0.4])
         with pytest.raises(MaskViolation):
             validate_mask(model, bad, [(state, np.zeros(3), ATTITUDE_THETA)])
         validate_mask(model, euler_sparsity_mask(),
                       [(state, np.zeros(3), ATTITUDE_THETA)])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_judged_by_position(self, value):
+        # at a masked-out entry it violates the mask; inside the mask it does not
+        def model_with(jac):
+            return DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
+                                  g=lambda x: x, jac_f_x=lambda x, u, th: jac)
+
+        point = [(np.zeros(2), np.zeros(1), np.ones(1))]
+        mask = SparsityMask(np.eye(2, dtype=int))
+        with pytest.raises(MaskViolation):
+            validate_mask(model_with(np.array([[1.0, value], [0.0, 1.0]])), mask, point)
+        validate_mask(model_with(np.array([[value, 0.0], [0.0, 1.0]])), mask, point)
+
 
 def reference_masked_values(model, states, inputs, theta, mask):
     """The per-point loop that block evaluation replaced: one dense Jacobian
-    per point, gathered at the mask."""
-    vals = np.empty((len(states), mask.n_nz))
+    per point, its entries at the mask copied into zeros."""
+    rows, cols = np.nonzero(mask.state_mask)
+    n_x = mask.n_x
+    vals = np.zeros((len(states), n_x, n_x))
     for k, (x, u) in enumerate(zip(states, inputs)):
-        vals[k] = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[mask.rows, mask.cols]
+        vals[k, rows, cols] = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[rows, cols]
     return vals
 
 
 ATTITUDE_MASKS = (euler_sparsity_mask(),
-                  SparsityMask(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), np.eye(3)))
+                  SparsityMask(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])))
 
 
 class TestBlockMaskedJacobian:
@@ -105,26 +125,25 @@ class TestBlockMaskedJacobian:
             dense = model.jac_f_x_batch(states, inputs, inertia)
             for mask in ATTITUDE_MASKS:
                 block = masked_jac_f_x(model, states, inputs, inertia, mask)
-                assert block.vals.shape == (500, mask.n_nz)
+                assert block.shape == (500, 3, 3)
                 reference = reference_masked_values(model, states, inputs, inertia, mask)
-                assert np.array_equal(block.vals, reference)
-                assert np.array_equal(block.vals, dense[:, mask.rows, mask.cols])
+                assert np.array_equal(block, reference)
+                assert np.array_equal(block, dense * mask.state_mask)
                 nested = masked_jac_f_x(model, states.reshape(20, 25, 3),
                                         inputs.reshape(20, 25, 3), inertia, mask)
-                assert np.array_equal(nested.vals.reshape(500, -1), reference)
+                assert np.array_equal(nested.reshape(500, 3, 3), reference)
                 point = masked_jac_f_x(model, states[7], inputs[7], inertia, mask)
-                assert np.array_equal(point.vals, reference[7])
+                assert np.array_equal(point, reference[7])
 
     def test_per_point_model_fallback_equals_per_point_loop(self):
         from conftest import random_smooth_model
         rng = np.random.default_rng(42)
         model = random_smooth_model(rng, 4, 2, 2, 3)
-        mask = SparsityMask(rng.integers(0, 2, size=(4, 4)), np.ones((4, 2)))
+        mask = SparsityMask(rng.integers(0, 2, size=(4, 4)))
         states, inputs = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
         theta = rng.normal(size=3)
         block = masked_jac_f_x(model, states, inputs, theta, mask)
-        assert np.array_equal(block.vals,
-                              reference_masked_values(model, states, inputs, theta, mask))
+        assert np.array_equal(block, reference_masked_values(model, states, inputs, theta, mask))
 
     def test_entry_count_grows_by_n_nz_per_row(self):
         model = euler_attitude_model()
@@ -148,25 +167,15 @@ class TestBlockMaskedJacobian:
         assert str(state_shape) in str(caught.value)
         assert str(input_shape) in str(caught.value)
 
-    def test_stack_to_dense_and_indexing(self):
-        rng = np.random.default_rng(43)
-        mask = ATTITUDE_MASKS[1]
-        stack = SparseMatrix((3, 3), mask.rows, mask.cols, rng.normal(size=(6, mask.n_nz)))
-        dense = stack.to_dense()
-        assert dense.shape == (6, 3, 3)
-        for k in range(6):
-            assert np.array_equal(dense[k], stack[k].to_dense())
-            assert np.array_equal(dense[k] * (1 - mask.state_mask), np.zeros((3, 3)))
-
 
 class TestSparseChainApply:
     def test_identity(self):
-        identity = SparseMatrix((3, 3), np.arange(3), np.arange(3), np.ones(3))
         row = np.array([0.3, -1.0, 2.0])
-        assert np.array_equal(sparse_chain_apply(row, identity), row)
+        assert np.array_equal(sparse_chain_apply(row, np.eye(3)), row)
 
     def test_single_entry_hand_value(self):
-        single = SparseMatrix((3, 3), np.array([2]), np.array([0]), np.array([5.0]))
+        single = np.zeros((3, 3))
+        single[2, 0] = 5.0
         result = sparse_chain_apply(np.array([1.0, 1.0, 1.0]), single)
         assert np.array_equal(result, [5.0, 0.0, 0.0])
 
@@ -175,75 +184,58 @@ class TestSparseChainApply:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             dense = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
-            rows, cols = np.nonzero(dense)
-            sparse = SparseMatrix((n, n), rows, cols, dense[rows, cols])
             row = rng.normal(size=n)
-            assert max_rel_gap(sparse_chain_apply(row, sparse), row @ dense) <= 1e-14
+            assert np.array_equal(sparse_chain_apply(row, dense), row @ dense)
 
-    def test_equals_add_at_reference_bit_for_bit(self):
-        rng = np.random.default_rng(44)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            pattern = rng.integers(0, 2, size=(n, n))
-            rows, cols = np.nonzero(pattern)
-            sparse = SparseMatrix((n, n), rows, cols, rng.normal(size=rows.size))
-            row = rng.normal(size=n)
-            reference = np.zeros(n)
-            np.add.at(reference, cols, row[rows] * sparse.vals)
-            assert np.array_equal(sparse_chain_apply(row, sparse), reference)
-
-    def test_dimension_check(self):
-        single = SparseMatrix((3, 3), np.array([0]), np.array([0]), np.array([1.0]))
-        for bad in (np.ones(2), np.ones((4, 2)), np.float64(1.0)):
-            with pytest.raises(DimensionMismatch):
-                sparse_chain_apply(bad, single)
+    @pytest.mark.parametrize("row_shape,jac_shape", [
+        # the rows' last axis does not fit
+        ((2,), (3, 3)), ((4, 2), (3, 3)), ((), (3, 3)),
+        # the Jacobian is not a (..., n, n) stack
+        ((3,), (3,)), ((3,), (3, 4)), ((2, 3), (5, 3, 4)),
+        # the leading shapes do not broadcast
+        ((5, 1, 3), (4, 3, 3)), ((2, 5, 1, 3), (3, 4, 3, 3))])
+    def test_bad_shapes_rejected(self, row_shape, jac_shape):
+        with pytest.raises(DimensionMismatch) as caught:
+            sparse_chain_apply(np.ones(row_shape), np.ones(jac_shape))
+        assert str(row_shape) in str(caught.value)
+        assert str(jac_shape) in str(caught.value)
 
     @pytest.mark.parametrize("row_shape,vals_lead", [
         ((5, 4), ()), ((7, 1, 4), (7,)), ((2, 3, 4), (3, 1)), ((4,), (6,)), ((4, 4), (6,))])
     def test_broadcasts_like_matmul(self, row_shape, vals_lead):
         # column 2 of the pattern is empty, and row 1 stores nothing
         pattern = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 1]])
-        rows, cols = np.nonzero(pattern)
         rng = np.random.default_rng(45)
-        stack = SparseMatrix((4, 4), rows, cols, rng.normal(size=vals_lead + (rows.size,)))
+        stack = np.where(pattern, rng.normal(size=vals_lead + (4, 4)), 0.0)
         block = rng.normal(size=row_shape)
-        expected = block @ stack.to_dense()
+        expected = block @ stack
         result = sparse_chain_apply(block, stack)
         assert result.shape == expected.shape
-        assert max_rel_gap(result, expected) <= 1e-14
+        assert np.array_equal(result, expected)
         assert np.all(result[..., 2] == 0.0)
-
-    def test_block_rows_equal_one_row_calls_bit_for_bit(self):
-        rng = np.random.default_rng(46)
-        mask = ATTITUDE_MASKS[1]
-        stack = SparseMatrix((3, 3), mask.rows, mask.cols, rng.normal(size=(8, mask.n_nz)))
-        block = rng.normal(size=(8, 5, 3))
-        result = sparse_chain_apply(block, stack)
-        for k in range(8):
-            for i in range(5):
-                assert np.array_equal(result[k, i], sparse_chain_apply(block[k, i], stack[k]))
 
 
 class TestMaskedGradientEquivalence:
     def test_euler_masked_equals_dense_path(self):
+        from msid import Dataset
         dense_model = euler_attitude_model()
         masked_model = euler_attitude_model(with_sparsity=True)
-        inputs = np.full((30, 3), 1e-5)
         theta = ATTITUDE_THETA * 1.07
-        trajectory = rollout(dense_model, ATTITUDE_OMEGA0, theta, inputs)
-        observations = trajectory.predictions + 1e-4
-        from msid import Dataset
-        dataset = Dataset(inputs, observations, 0.1)
-        spec = LossSpec.scaled_identity(3, 30)
-        dense = gradient(dense_model, trajectory, dataset, spec, theta)
-        masked = gradient(masked_model, trajectory, dataset, spec, theta)
-        assert max_rel_gap(dense.grad_theta, masked.grad_theta) <= 1e-12
-        assert max_rel_gap(dense.grad_x0, masked.grad_x0) <= 1e-12
+        # the loop, and the chunked scan from its shortest horizon up
+        for horizon in (30, SCAN_MIN_HORIZON + 1, 400, 3200):
+            inputs = np.full((horizon, 3), 1e-5)
+            trajectory = rollout(dense_model, ATTITUDE_OMEGA0, theta, inputs)
+            dataset = Dataset(inputs, trajectory.predictions + 1e-4, 0.1)
+            spec = LossSpec.scaled_identity(3, horizon)
+            dense = gradient(dense_model, trajectory, dataset, spec, theta)
+            masked = gradient(masked_model, trajectory, dataset, spec, theta)
+            assert np.array_equal(dense.grad_theta, masked.grad_theta)
+            assert np.array_equal(dense.grad_x0, masked.grad_x0)
 
     def test_scalar_masked_equals_dense_path(self):
         from msid import Dataset, scalar_linear_model
         dense_model = scalar_linear_model()
-        mask = SparsityMask(np.ones((1, 1), dtype=int), np.ones((1, 1), dtype=int))
+        mask = SparsityMask(np.ones((1, 1), dtype=int))
         masked_model = dataclasses.replace(dense_model, sparsity=mask)
         inputs = np.zeros((8, 1))
         trajectory = rollout(dense_model, [1.0], [0.9], inputs)
@@ -272,7 +264,7 @@ class TestMaskedGradientEquivalence:
             dims=dims, f=f, g=lambda x: x, jac_f_x=jac_f_x,
             jac_f_theta=lambda x, u, th: 0.05 * np.eye(n),
             jac_g_x=lambda x: np.eye(n))
-        mask = SparsityMask(pattern, np.zeros((n, 1), dtype=int))
+        mask = SparsityMask(pattern)
         masked_model = dataclasses.replace(dense_model, sparsity=mask)
 
         from msid import Dataset
@@ -294,3 +286,38 @@ class TestMaskedGradientEquivalence:
                 assert max_rel_gap(grad_theta, masked.grad_theta) <= 1e-12
                 assert max_rel_gap(grad_x0, masked.grad_x0) <= 1e-12
 
+    def test_non_finite_entry_outside_mask_never_reaches_gradient(self):
+        # decoupled dynamics whose Jacobian reports NaN off the diagonal: the
+        # diagonal mask must drop those entries, not multiply them by zero
+        from msid import Dataset
+        n = 3
+
+        def f(x, u, th):
+            return x + 0.1 * np.tanh(x) * th
+
+        def diagonal(x, u, th):
+            return np.diag(1.0 + 0.1 * th / np.cosh(x) ** 2)
+
+        def with_nan(x, u, th):
+            return np.where(np.eye(n, dtype=bool), diagonal(x, u, th), np.nan)
+
+        def model_with(jac_f_x, sparsity=None):
+            return DynamicalModel(
+                dims=ModelDims(n, 1, n, n), f=f, g=lambda x: x, jac_f_x=jac_f_x,
+                jac_f_theta=lambda x, u, th: np.diag(0.1 * np.tanh(x)),
+                jac_g_x=lambda x: np.eye(n), sparsity=sparsity)
+
+        clean = model_with(diagonal)
+        masked = model_with(with_nan, SparsityMask(np.eye(n, dtype=int)))
+        rng = np.random.default_rng(7)
+        theta, x0 = rng.uniform(0.5, 1.5, size=n), rng.normal(size=n)
+        for horizon in (12, SCAN_MIN_HORIZON + 1):
+            inputs = np.zeros((horizon, 1))
+            trajectory = rollout(clean, x0, theta, inputs)
+            dataset = Dataset(inputs, trajectory.predictions + 0.01, 1.0)
+            spec = LossSpec.scaled_identity(n, horizon)
+            expected = gradient(clean, trajectory, dataset, spec, theta)
+            report = gradient(masked, trajectory, dataset, spec, theta)
+            assert np.all(np.isfinite(report.grad_theta)) and np.all(np.isfinite(report.grad_x0))
+            assert np.array_equal(report.grad_theta, expected.grad_theta)
+            assert np.array_equal(report.grad_x0, expected.grad_x0)
