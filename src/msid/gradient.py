@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, TrajectoryMismatch
-from .model import Dataset, DynamicalModel, Trajectory, numeric_jacobian, rollout
+from .model import Dataset, DynamicalModel, Trajectory, check_rows, numeric_jacobian, rollout
 from .penalties import PenaltySpec
 from .structure import masked_jac_f_x, sparse_chain_apply
 
@@ -77,6 +77,8 @@ class LossSpec:
         q = np.asarray(self.Q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"Q must be square, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise DimensionMismatch("Q must be finite")
         if not np.array_equal(q, q.T):
             asymmetry = float(np.max(np.abs(q - q.T)))
             if not asymmetry <= SYMMETRY_TOL * float(np.max(np.abs(q))):
@@ -85,8 +87,8 @@ class LossSpec:
             q = (q + q.T) / 2.0
         if float(np.min(np.linalg.eigvalsh(q))) < -PSD_TOL:
             raise DimensionMismatch("Q must be positive semidefinite")
-        if self.horizon < 2:
-            raise DimensionMismatch(f"horizon must be >= 2, got {self.horizon}")
+        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 2:
+            raise DimensionMismatch(f"horizon must be an integer >= 2, got {self.horizon!r}")
         q.setflags(write=False)
         object.__setattr__(self, "Q", q)
 
@@ -176,14 +178,14 @@ def gamma_terms(trajectory: Trajectory, dataset: Dataset, spec: LossSpec,
     """
     horizon = _check_pair(trajectory, dataset, spec)
     theta = np.asarray(theta, dtype=float)
-    errors = prediction_error(trajectory, dataset)
-    weighted = (2.0 / horizon) * (errors @ spec.Q)
-    jac_g = np.asarray(model.jac_g_x_batch(trajectory.states[:horizon]), dtype=float)
+    states = trajectory.states[:horizon]
+    weighted = (2.0 / horizon) * (prediction_error(trajectory, dataset) @ spec.Q)
+    jac_g = check_rows("jac_g_x_batch", model.jac_g_x_batch(states),
+                       (horizon, model.dims.n_z, model.dims.n_x))
     big_gamma = np.einsum("ti,tij->tj", weighted, jac_g)
     if spec.penalty is None:
         gamma = np.zeros((horizon, theta.shape[0]))
     else:
-        states = trajectory.states[:horizon]
         big_gamma += spec.penalty.step_grad_x(states, theta)
         gamma = spec.penalty.step_grad_theta(states, theta)
     if not (np.all(np.isfinite(big_gamma)) and np.all(np.isfinite(gamma))):
@@ -214,14 +216,15 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     transition into the final state is never needed because no loss is
     evaluated there.
     """
-    horizon = trajectory.horizon
-    states = trajectory.states[:horizon - 1]
-    inputs = dataset.inputs[:horizon - 1]
+    dims, steps = model.dims, trajectory.horizon - 1
+    states, inputs = trajectory.states[:steps], dataset.inputs[:steps]
     if model.sparsity is not None:
         jac_x = masked_jac_f_x(model, states, inputs, theta, model.sparsity)
     else:
-        jac_x = np.asarray(model.jac_f_x_batch(states, inputs, theta), dtype=float)
-    jac_theta = np.asarray(model.jac_f_theta_batch(states, inputs, theta), dtype=float)
+        jac_x = check_rows("jac_f_x_batch", model.jac_f_x_batch(states, inputs, theta),
+                           (steps, dims.n_x, dims.n_x))
+    jac_theta = check_rows("jac_f_theta_batch", model.jac_f_theta_batch(states, inputs, theta),
+                           (steps, dims.n_x, dims.n_theta))
     return jac_x, jac_theta
 
 

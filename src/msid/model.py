@@ -74,7 +74,7 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     inputs keep a sensible relative step.  Raises :class:`NonFiniteValue` if
     any evaluation is non-finite.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     p = np.asarray(point, dtype=float)
     if p.ndim == 0 or p.shape[-1] == 0:
@@ -99,16 +99,6 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     return np.stack(columns, axis=-1)
 
 
-def _stacked(jac_at_point, shares_theta: bool):
-    """Batched form of a per-point Jacobian: one call per row, stacked."""
-    if shares_theta:
-        return lambda states, inputs, theta: np.stack(
-            [np.asarray(jac_at_point(x, u, theta), dtype=float)
-             for x, u in zip(states, inputs)])
-    return lambda states: np.stack(
-        [np.asarray(jac_at_point(x), dtype=float) for x in states])
-
-
 def check_rows(name: str, result, shape: tuple) -> Array:
     """``result`` of the map ``name`` as an array, checked to have ``shape``,
     one row per row of the block the map was handed (a map written for one
@@ -118,14 +108,6 @@ def check_rows(name: str, result, shape: tuple) -> Array:
         raise DimensionMismatch(
             f"{name} must be row-wise: gave shape {result.shape}, expected {shape}")
     return result
-
-
-def _batch_of_one(jac_batch, shares_theta: bool):
-    """Per-point form of a batched Jacobian: the batch of one row."""
-    if shares_theta:
-        return lambda x, u, theta: jac_batch(
-            np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta)[0]
-    return lambda x: jac_batch(np.asarray(x, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -144,21 +126,15 @@ class DynamicalModel:
     raises :class:`DimensionMismatch` on any other shape.  ``simulate`` is
     never derived from ``f``: a model that replaces ``f`` replaces it too.
 
-    Each of the three Jacobians (of f by the state, of f by the parameters,
-    of g by the state) may be given in either of two forms:
-
-    * per point: ``jac_f_x(x, u, theta)``, ``jac_f_theta(x, u, theta)`` and
-      ``jac_g_x(x)`` return one matrix;
-    * batched: ``jac_f_x_batch(states, inputs, theta)``,
-      ``jac_f_theta_batch(states, inputs, theta)`` and
-      ``jac_g_x_batch(states)`` take blocks of N rows and return the N
-      matrices stacked.
-
-    The gradient uses only the batched forms.  A missing batched form is the
-    per-point form stacked row by row; a missing per-point form is the
-    batch of one.  A map given in neither form is differenced centrally:
-    its batched form is one :func:`numeric_jacobian` call on the whole block
-    of rows, which calls ``f`` or ``g`` on blocks.
+    The three Jacobians are batched: ``jac_f_x_batch(states, inputs,
+    theta)``, ``jac_f_theta_batch(states, inputs, theta)`` and
+    ``jac_g_x_batch(states)`` map a block of N rows to the N matrices of f
+    by the state, f by the parameters and g by the state, stacked with
+    shapes (N, n_x, n_x), (N, n_x, n_theta) and (N, n_z, n_x); the gradient
+    raises :class:`DimensionMismatch`, naming the Jacobian, on any other
+    shape.  A Jacobian not given is differenced centrally, one
+    :func:`numeric_jacobian` call on the whole block, which calls ``f`` or
+    ``g`` on blocks.
 
     ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
     the gradient then sets the state Jacobian to zero outside the mask, from
@@ -169,38 +145,32 @@ class DynamicalModel:
     dims: ModelDims
     f: Callable[[Array, Array, Array], Array]
     g: Callable[[Array], Array]
-    jac_f_x: Optional[Callable[[Array, Array, Array], Array]] = None
-    jac_f_theta: Optional[Callable[[Array, Array, Array], Array]] = None
-    jac_g_x: Optional[Callable[[Array], Array]] = None
     jac_f_x_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_f_theta_batch: Optional[Callable[[Array, Array, Array], Array]] = None
     jac_g_x_batch: Optional[Callable[[Array], Array]] = None
     sparsity: Optional["SparsityMask"] = None
     simulate: Optional[Callable[[Array, Array, Array], Array]] = None
 
+    # not fields: perfbench/spans.py JACOBIAN_FIELDS still reads these names
+    jac_f_x = jac_f_theta = jac_g_x = None
+
     def __post_init__(self):
         f, g = self.f, self.g
         n_x, n_z = self.dims.n_x, self.dims.n_z
         # central differences of each map over the whole block of rows
         differenced = {
-            "jac_f_x": lambda states, inputs, theta: numeric_jacobian(
+            "jac_f_x_batch": lambda states, inputs, theta: numeric_jacobian(
                 lambda block: check_rows("f", f(block, inputs, theta), (len(block), n_x)),
                 states),
-            "jac_f_theta": lambda states, inputs, theta: numeric_jacobian(
+            "jac_f_theta_batch": lambda states, inputs, theta: numeric_jacobian(
                 lambda block: check_rows("f", f(states, inputs, block), (len(block), n_x)),
                 np.broadcast_to(theta, (len(states),) + np.shape(theta))),
-            "jac_g_x": lambda states: numeric_jacobian(
+            "jac_g_x_batch": lambda states: numeric_jacobian(
                 lambda block: check_rows("g", g(block), (len(block), n_z)), states),
         }
         for name, fallback in differenced.items():
-            shares_theta = name != "jac_g_x"
-            at_point = getattr(self, name)
-            batch = getattr(self, name + "_batch")
-            if batch is None:
-                batch = fallback if at_point is None else _stacked(at_point, shares_theta)
-                object.__setattr__(self, name + "_batch", batch)
-            if at_point is None:
-                object.__setattr__(self, name, _batch_of_one(batch, shares_theta))
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, fallback)
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,9 @@ class StoppingCriteria:
     grad_tol: float = 0.0
 
     def __post_init__(self):
-        if self.max_epochs < 1:
+        if not self.max_epochs >= 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.cost_tol < 0 or self.grad_tol < 0:
+        if not (self.cost_tol >= 0 and self.grad_tol >= 0):
             raise ValueError("thresholds must be nonnegative")
 
 
@@ -142,10 +142,8 @@ class IdentifyOptions:
 
 @dataclass(frozen=True)
 class IdentificationRun:
-    """Result of one identification: best iterate, history, and stop reason."""
+    """Result of one identification: history, stop reason and best record."""
 
-    theta_hat: Array
-    x0_hat: Array
     history: tuple
     stop_reason: StopReason
     rejected_steps: int = 0
@@ -156,8 +154,17 @@ class IdentificationRun:
 
     @property
     def best_record(self) -> HistoryRecord:
+        """The first record with the lowest cost: ``theta_hat`` and ``x0_hat``."""
         costs = [record.cost for record in self.history]
         return self.history[int(np.argmin(costs))]
+
+    @property
+    def theta_hat(self) -> Array:
+        return self.best_record.theta.copy()
+
+    @property
+    def x0_hat(self) -> Array:
+        return self.best_record.x0.copy()
 
     @property
     def final_record(self) -> HistoryRecord:
@@ -259,7 +266,4 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
         if box is not None:
             p[:n_theta] = project_box(p[:n_theta], *box)
 
-    best = min(history, key=lambda record: record.cost)
-    return IdentificationRun(theta_hat=best.theta.copy(), x0_hat=best.x0.copy(),
-                             history=tuple(history), stop_reason=stop_reason,
-                             rejected_steps=rejected)
+    return IdentificationRun(tuple(history), stop_reason, rejected_steps=rejected)

@@ -162,8 +162,8 @@ class ParameterBox:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape:
             raise InvalidBox(f"bound shapes differ: {lower.shape} vs {upper.shape}")
-        if np.any(lower > upper):
-            raise InvalidBox("lower bound exceeds upper bound")
+        if not np.all(lower <= upper):
+            raise InvalidBox("lower bound exceeds upper bound, or a bound is NaN")
         if not self.alpha > 0:
             raise InvalidBox(f"alpha must be positive, got {self.alpha}")
         object.__setattr__(self, "lower", lower)
@@ -229,7 +229,7 @@ class PenaltySpec:
     def __post_init__(self):
         terms = tuple(self.terms)
         for term in terms:
-            if term.weight < 0:
+            if not term.weight >= 0:
                 raise InvalidBox(f"penalty weight must be nonnegative, got {term.weight}")
         object.__setattr__(self, "terms", terms)
 
@@ -279,11 +279,12 @@ def project_box(theta, lower, upper) -> Array:
     """Componentwise clamp of the parameters onto [lower, upper].
 
     Idempotent and the identity on feasible points.  Raises
-    :class:`InvalidBox` when any lower bound exceeds its upper bound.
+    :class:`InvalidBox` when any lower bound exceeds its upper bound or
+    either is NaN.
     """
     theta = np.asarray(theta, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), theta.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), theta.shape)
-    if np.any(lower > upper):
-        raise InvalidBox("lower bound exceeds upper bound")
+    if not np.all(lower <= upper):
+        raise InvalidBox("lower bound exceeds upper bound, or a bound is NaN")
     return np.clip(theta, lower, upper)

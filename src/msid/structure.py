@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, MaskViolation
+from .model import check_rows
 
 if TYPE_CHECKING:
     from .model import DynamicalModel
@@ -76,11 +77,10 @@ def masked_jac_f_x(model: "DynamicalModel", x, u, theta, mask: SparsityMask) -> 
     """State Jacobian at a point (n_x,) or at each row of a block (..., n_x),
     shaped (..., n_x, n_x), with every entry outside the mask set to 0.0.
 
-    One ``jac_f_x_batch`` call on the block; the masked-out entries are
-    selected away rather than multiplied by zero, so a non-finite value there
-    never reaches the gradient.  The entry counter grows by n_nz per row, the
-    masked entries kept.  :func:`validate_mask` checks a mask against the
-    dense Jacobian.
+    One ``jac_f_x_batch`` call on the block, shape-checked; the masked-out
+    entries are selected away rather than multiplied by zero, so a non-finite
+    value there never reaches the gradient.  The entry counter grows by n_nz
+    per row, the masked entries kept.
     """
     n_x = model.dims.n_x
     if mask.n_x != n_x:
@@ -94,33 +94,33 @@ def masked_jac_f_x(model: "DynamicalModel", x, u, theta, mask: SparsityMask) -> 
         raise DimensionMismatch(
             f"inputs must have shape {lead + (model.dims.n_u,)} to match states "
             f"{x.shape}, got {u.shape}")
-    dense = model.jac_f_x_batch(x.reshape(-1, n_x), u.reshape(-1, model.dims.n_u), theta)
-    entry_evaluations.add(mask.n_nz * math.prod(lead))
-    return np.where(mask.state_mask, np.asarray(dense, dtype=float), 0.0).reshape(
-        lead + (n_x, n_x))
-
-
-def _check_structural_zeros(dense: Array, mask: SparsityMask) -> None:
-    # selected, not multiplied: a non-finite entry inside the mask is no
-    # violation, and one outside it (NaN included) is
-    outside = np.where(mask.state_mask, 0.0, np.abs(dense))
-    worst = float(np.max(outside)) if outside.size else 0.0
-    if not worst <= STRUCTURAL_ZERO_TOL:
-        i, j = np.unravel_index(int(np.argmax(outside)), dense.shape)
-        raise MaskViolation(
-            f"masked-out entry ({i},{j}) has magnitude {worst:.3e} "
-            f"(> {STRUCTURAL_ZERO_TOL:.0e}); the mask is wrong")
+    rows = math.prod(lead)
+    dense = check_rows("jac_f_x_batch", model.jac_f_x_batch(
+        x.reshape(rows, n_x), u.reshape(rows, model.dims.n_u), theta), (rows, n_x, n_x))
+    entry_evaluations.add(mask.n_nz * rows)
+    return np.where(mask.state_mask, dense, 0.0).reshape(lead + (n_x, n_x))
 
 
 def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
-    """Check the mask against the dense Jacobian at each (x, u, theta) point.
+    """Check the mask against the dense Jacobian at each (x, u, theta) point,
+    each one ``jac_f_x_batch`` call on a block of one row.
 
     Raises :class:`MaskViolation` on the first structurally-zero entry whose
     dense value exceeds ``STRUCTURAL_ZERO_TOL`` in magnitude or is not finite.
     """
     for x, u, theta in points:
-        dense = np.asarray(model.jac_f_x(x, u, theta), dtype=float)
-        _check_structural_zeros(dense, mask)
+        dense = check_rows("jac_f_x_batch", model.jac_f_x_batch(
+            np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta),
+            (1, model.dims.n_x, model.dims.n_x))[0]
+        # selected, not multiplied: a non-finite entry inside the mask is no
+        # violation, and one outside it (NaN included) is
+        outside = np.where(mask.state_mask, 0.0, np.abs(dense))
+        worst = float(np.max(outside))
+        if not worst <= STRUCTURAL_ZERO_TOL:
+            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
+            raise MaskViolation(
+                f"masked-out entry ({i},{j}) has magnitude {worst:.3e} "
+                f"(> {STRUCTURAL_ZERO_TOL:.0e}); the mask is wrong")
 
 
 def sparse_chain_apply(rows, jac) -> Array:

@@ -136,9 +136,7 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
 
 def _euler_jac_x_batch(states, inputs, inertia, dt):
     ix, iy, iz = _check_inertia(inertia)
-    wx = states[:, 0]
-    wy = states[:, 1]
-    wz = states[:, 2]
+    wx, wy, wz = states.T
     jac = np.zeros((states.shape[0], 3, 3))
     jac[:, 0, 0] = 1.0
     jac[:, 1, 1] = 1.0
@@ -154,9 +152,7 @@ def _euler_jac_x_batch(states, inputs, inertia, dt):
 
 def _euler_jac_theta_batch(states, inputs, inertia, dt):
     ix, iy, iz = _check_inertia(inertia)
-    wx = states[:, 0]
-    wy = states[:, 1]
-    wz = states[:, 2]
+    wx, wy, wz = states.T
     jac = np.empty((states.shape[0], 3, 3))
     jac[:, 0, 0] = -dt * (inputs[:, 0] - (iz - iy) * wy * wz) / ix ** 2
     jac[:, 0, 1] = dt * wy * wz / ix
@@ -190,7 +186,7 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     Jacobians; the RK4 map falls back to central differences.  Either one
     rolls out through :func:`attitude_trajectory`.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
@@ -251,7 +247,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.torque_std < 0 or self.obs_std < 0:
+        if not (self.torque_std >= 0 and self.obs_std >= 0):
             raise ValueError("standard deviations must be nonnegative")
 
 

@@ -38,9 +38,18 @@ def rows_times(block, mat):
     return (np.asarray(block)[..., None, :] @ mat.T)[..., 0, :]
 
 
+def diagonal_rows(values):
+    """One diagonal matrix per row of ``values`` (..., n): shape (..., n, n)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    stack = np.zeros(values.shape + (n,))
+    stack[..., np.arange(n), np.arange(n)] = values
+    return stack
+
+
 def random_smooth_model(rng, n_x, n_u, n_z, n_theta, dt=0.1):
     """A random stable-ish model with polynomial/trigonometric dynamics and
-    analytic Jacobians.
+    analytic batched Jacobians.
 
     f(x, u, th) = x + dt*(S1 sin(x) + S2 u + S3 th + (S4 th) o cos(x)
                           + S5 (th o th)),  g(x) = G tanh(x).
@@ -59,22 +68,30 @@ def random_smooth_model(rng, n_x, n_u, n_z, n_theta, dt=0.1):
                          + rows_times(th, s3) + rows_times(th, s4) * np.cos(x)
                          + rows_times(th * th, s5))
 
-    def jac_f_x(x, u, th):
-        return np.eye(n_x) + dt * (s1 * np.cos(x)[None, :]
-                                   - np.diag((s4 @ th) * np.sin(x)))
+    def jac_f_x_batch(states, inputs, th):
+        return np.eye(n_x) + dt * (s1 * np.cos(states)[:, None, :]
+                                   - diagonal_rows((s4 @ th) * np.sin(states)))
 
-    def jac_f_theta(x, u, th):
-        return dt * (s3 + np.cos(x)[:, None] * s4 + 2.0 * s5 * th[None, :])
+    def jac_f_theta_batch(states, inputs, th):
+        return dt * (s3 + np.cos(states)[:, :, None] * s4 + 2.0 * s5 * th[None, :])
 
     def g(x):
         return rows_times(np.tanh(x), gmat)
 
-    def jac_g_x(x):
-        return gmat / np.cosh(x)[None, :] ** 2
+    def jac_g_x_batch(states):
+        return gmat / np.cosh(states)[:, None, :] ** 2
 
     return DynamicalModel(dims=ModelDims(n_x, n_u, n_z, n_theta), f=f, g=g,
-                          jac_f_x=jac_f_x, jac_f_theta=jac_f_theta,
-                          jac_g_x=jac_g_x)
+                          jac_f_x_batch=jac_f_x_batch,
+                          jac_f_theta_batch=jac_f_theta_batch,
+                          jac_g_x_batch=jac_g_x_batch)
+
+
+def jacobians_at(model, x, u, theta):
+    """The three Jacobians of ``model`` at one point: each the batch of one row."""
+    x, u = np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None]
+    return (model.jac_f_x_batch(x, u, theta)[0], model.jac_f_theta_batch(x, u, theta)[0],
+            model.jac_g_x_batch(x)[0])
 
 
 def penalty_variant(kind, states, theta, rng):

@@ -299,10 +299,9 @@ class TestStructuralProperties:
         big_gamma = big_gamma.copy()
         big_gamma[short:] = 0.0
 
-        jac_x = [model.jac_f_x(trajectory.states[i], dataset.inputs[i], theta)
-                 for i in range(horizon - 1)]
-        jac_th = [model.jac_f_theta(trajectory.states[i], dataset.inputs[i], theta)
-                  for i in range(horizon - 1)]
+        states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
+        jac_x = model.jac_f_x_batch(states, inputs, theta)
+        jac_th = model.jac_f_theta_batch(states, inputs, theta)
         grad_theta = np.zeros_like(theta)
         for k in range(1, horizon):
             pulled = big_gamma[k].copy()
@@ -359,6 +358,33 @@ def reference_fd_gradient(model, x0, theta, dataset, spec, step=1e-6):
         minus[j] -= h
         grad_x0[j] = (evaluate(theta, plus) - evaluate(theta, minus)) / (plus[j] - minus[j])
     return grad_theta, grad_x0
+
+
+class TestJacobianShapes:
+    """A Jacobian written for one point but given in the batched form returns
+    one matrix for the whole block, which a product would broadcast over
+    every step into a wrong gradient; the gradient refuses it by name."""
+
+    @pytest.mark.parametrize("field,per_point", [
+        pytest.param("jac_f_x_batch", lambda s, u, th: np.array([[th[0]]]), id="jac_f_x"),
+        pytest.param("jac_f_theta_batch", lambda s, u, th: np.array([[s[0]]]),
+                     id="jac_f_theta"),
+        pytest.param("jac_g_x_batch", lambda s: np.array([[1.0]]), id="jac_g_x"),
+    ])
+    @pytest.mark.parametrize("sparsity", [
+        pytest.param(None, id="dense"),
+        pytest.param(SparsityMask(np.ones((1, 1), dtype=int)), id="masked")])
+    @pytest.mark.parametrize("method", [gradient, gradient_naive],
+                             ids=["adjoint", "naive"])
+    def test_one_matrix_for_a_block_is_refused(self, field, per_point, sparsity, method):
+        model = dataclasses.replace(scalar_linear_model(), sparsity=sparsity,
+                                    **{field: per_point})
+        inputs = np.linspace(-0.5, 0.5, 20)[:, None]
+        theta = np.array([0.9])
+        trajectory = rollout(model, [1.0], theta, inputs)
+        dataset = Dataset(inputs, trajectory.predictions + 0.1)
+        with pytest.raises(DimensionMismatch, match=rf"{field} must be row-wise: gave shape"):
+            method(model, trajectory, dataset, LossSpec.scaled_identity(1, 20), theta)
 
 
 class TestFdGradientReference:

@@ -6,7 +6,7 @@ import pytest
 from msid import (Dataset, DimensionMismatch, DynamicalModel, LossSpec, ModelDims,
                   NonFiniteState, NonFiniteValue, gradient, load_dataset,
                   numeric_jacobian, rollout, save_dataset, scalar_linear_model)
-from conftest import (ATTITUDE_DT, ATTITUDE_OMEGA0, ATTITUDE_THETA,
+from conftest import (ATTITUDE_DT, ATTITUDE_OMEGA0, ATTITUDE_THETA, jacobians_at,
                       max_rel_gap, random_smooth_model)
 from msid.systems import euler_attitude_model
 
@@ -156,7 +156,7 @@ class TestNumericJacobian:
     def test_attitude_jacobian_cross_check(self):
         model = euler_attitude_model(dt=ATTITUDE_DT)
         u = np.zeros(3)
-        analytic = model.jac_f_x(ATTITUDE_OMEGA0, u, ATTITUDE_THETA)
+        analytic = model.jac_f_x_batch(ATTITUDE_OMEGA0[None], u[None], ATTITUDE_THETA)[0]
         numeric = numeric_jacobian(
             lambda w: model.f(w, u, ATTITUDE_THETA), ATTITUDE_OMEGA0)
         assert max_rel_gap(analytic, numeric) <= 1e-5
@@ -168,11 +168,9 @@ class TestNumericJacobian:
         x = rng.normal(size=3)
         u = rng.normal(size=2)
         theta = rng.normal(size=2)
-        assert max_rel_gap(bare.jac_f_x(x, u, theta),
-                           reference.jac_f_x(x, u, theta)) <= 1e-5
-        assert max_rel_gap(bare.jac_f_theta(x, u, theta),
-                           reference.jac_f_theta(x, u, theta)) <= 1e-5
-        assert max_rel_gap(bare.jac_g_x(x), reference.jac_g_x(x)) <= 1e-5
+        for filled, given in zip(jacobians_at(bare, x, u, theta),
+                                 jacobians_at(reference, x, u, theta)):
+            assert max_rel_gap(filled, given) <= 1e-5
 
 
 class TestJacobianConsistency:
@@ -188,14 +186,12 @@ class TestJacobianConsistency:
             x = scale * rng.normal(size=dims.n_x)
             u = scale * rng.normal(size=dims.n_u)
             theta = rng.uniform(0.2, 1.0, dims.n_theta)
+            jac_x, jac_theta, jac_g = jacobians_at(model, x, u, theta)
             assert max_rel_gap(
-                model.jac_f_x(x, u, theta),
-                numeric_jacobian(lambda v: model.f(v, u, theta), x)) <= 1e-5
+                jac_x, numeric_jacobian(lambda v: model.f(v, u, theta), x)) <= 1e-5
             assert max_rel_gap(
-                model.jac_f_theta(x, u, theta),
-                numeric_jacobian(lambda v: model.f(x, u, v), theta)) <= 1e-5
-            assert max_rel_gap(
-                model.jac_g_x(x), numeric_jacobian(model.g, x)) <= 1e-5
+                jac_theta, numeric_jacobian(lambda v: model.f(x, u, v), theta)) <= 1e-5
+            assert max_rel_gap(jac_g, numeric_jacobian(model.g, x)) <= 1e-5
 
 
 class TestDataset:
@@ -259,7 +255,7 @@ def reference_numeric_jacobian(fn, point, step=1e-6):
 
 
 class TestOneJacobianForm:
-    """Each derivative has one form; the others are derived from it bit for bit."""
+    """Each derivative has one form, batched; a block equals its rows bit for bit."""
 
     def test_point_equals_reference_loop(self):
         rng = np.random.default_rng(21)
@@ -298,20 +294,6 @@ class TestOneJacobianForm:
         assert grad.shape == (2,)
         assert max_rel_gap(grad, [2.0, -4.0]) <= 1e-9
 
-    def test_batched_form_stacks_per_point_calls(self):
-        rng = np.random.default_rng(23)
-        model = random_smooth_model(rng, 3, 2, 2, 2)
-        states = rng.normal(size=(9, 3))
-        inputs = rng.normal(size=(9, 2))
-        theta = rng.normal(size=2)
-        pairs = list(zip(states, inputs))
-        assert np.array_equal(model.jac_f_x_batch(states, inputs, theta),
-                              np.stack([model.jac_f_x(x, u, theta) for x, u in pairs]))
-        assert np.array_equal(model.jac_f_theta_batch(states, inputs, theta),
-                              np.stack([model.jac_f_theta(x, u, theta) for x, u in pairs]))
-        assert np.array_equal(model.jac_g_x_batch(states),
-                              np.stack([model.jac_g_x(x) for x in states]))
-
     def test_bare_model_differences_whole_blocks(self):
         rng = np.random.default_rng(24)
         reference = random_smooth_model(rng, 3, 2, 2, 2)
@@ -329,10 +311,6 @@ class TestOneJacobianForm:
         assert np.array_equal(bare.jac_f_x_batch(states, inputs, theta), jac_x)
         assert np.array_equal(bare.jac_f_theta_batch(states, inputs, theta), jac_theta)
         assert np.array_equal(bare.jac_g_x_batch(states), jac_g)
-        # the per-point forms are the batch of one
-        assert np.array_equal(bare.jac_f_x(states[4], inputs[4], theta), jac_x[4])
-        assert np.array_equal(bare.jac_f_theta(states[4], inputs[4], theta), jac_theta[4])
-        assert np.array_equal(bare.jac_g_x(states[4]), jac_g[4])
 
 
 class TestRowWiseContract:

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (AdamState, Dataset, DivergedRollout, LossSpec,
-                  NonFiniteGradient, NonFiniteValue, NonPositiveInertia,
-                  OutsideDomain, StoppingCriteria, StopReason, adam_step, cost,
-                  gradient, identify, project_box, rollout, scalar_linear_model)
+from msid import (AdamState, Dataset, DivergedRollout, HistoryRecord,
+                  IdentificationRun, LossSpec, NoiseSpec, NonFiniteGradient,
+                  NonFiniteValue, NonPositiveInertia, OutsideDomain, ParameterBox,
+                  PenaltySpec, StoppingCriteria, StopReason, UpperBarrier, adam_step,
+                  cost, euler_attitude_model, gradient, identify, numeric_jacobian,
+                  project_box, rollout, scalar_linear_model)
 from msid.optimizer import IdentifyOptions
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset,
                       perturbed_init)
@@ -142,6 +144,17 @@ class TestIdentify:
         returned = rollout(model, run.x0_hat, run.theta_hat, dataset.inputs)
         assert cost(returned, dataset, spec, run.theta_hat) == pytest.approx(
             best, rel=1e-12)
+        assert run.best_record.cost == best
+        assert np.array_equal(run.theta_hat, run.best_record.theta)
+        assert np.array_equal(run.x0_hat, run.best_record.x0)
+
+    def test_best_record_is_the_first_lowest_cost(self):
+        history = tuple(HistoryRecord(epoch=k, cost=value, grad_norm=1.0,
+                                      theta=np.array([float(k)]), x0=np.array([-float(k)]))
+                        for k, value in enumerate([3.0, 1.0, 2.0, 1.0]))
+        run = IdentificationRun(history=history, stop_reason=StopReason.MAX_EPOCHS)
+        assert run.best_record is history[1]
+        assert np.array_equal(run.theta_hat, [1.0]) and np.array_equal(run.x0_hat, [-1.0])
 
     def test_projection_keeps_iterates_feasible(self):
         model, dataset, spec = scalar_fixture()
@@ -199,9 +212,9 @@ class TestIdentify:
 
         model = DynamicalModel(
             dims=ModelDims(1, 1, 1, 1), f=f, g=lambda x: x,
-            jac_f_x=lambda x, u, th: np.array([[th[0]]]),
-            jac_f_theta=lambda x, u, th: np.array(
-                [[x[0] - 0.5 / np.sqrt(1.0 - th[0])]]))
+            jac_f_x_batch=lambda s, u, th: np.full((len(s), 1, 1), th[0]),
+            jac_f_theta_batch=lambda s, u, th: (
+                s - 0.5 / np.sqrt(1.0 - th[0]))[:, :, None])
         inputs = np.zeros((10, 1))
         truth = rollout(model, [0.5], [0.99], inputs)
         dataset = Dataset(inputs, truth.predictions.copy())
@@ -340,3 +353,32 @@ class TestValidation:
         options = IdentifyOptions(**{field: np.nan})
         with pytest.raises(ValueError, match="finite and positive"):
             identify(model, dataset, spec, [1.5], [1.0], options)
+
+    @pytest.mark.parametrize("build,message", [
+        pytest.param(lambda: euler_attitude_model(dt=np.nan), "dt must be positive",
+                     id="attitude-dt"),
+        pytest.param(lambda: numeric_jacobian(lambda x: x, np.ones(2), step=np.nan),
+                     "step must be positive", id="fd-step"),
+        pytest.param(lambda: NoiseSpec(torque_std=np.nan), "nonnegative", id="torque-std"),
+        pytest.param(lambda: NoiseSpec(obs_std=np.nan), "nonnegative", id="obs-std"),
+        pytest.param(lambda: StoppingCriteria(max_epochs=np.nan), "max_epochs",
+                     id="max-epochs"),
+        pytest.param(lambda: StoppingCriteria(10, grad_tol=np.nan), "nonnegative",
+                     id="grad-tol"),
+        pytest.param(lambda: StoppingCriteria(10, cost_tol=np.nan), "nonnegative",
+                     id="cost-tol"),
+        pytest.param(lambda: PenaltySpec((UpperBarrier(np.ones(2), 1.0, weight=np.nan),)),
+                     "nonnegative", id="penalty-weight"),
+        pytest.param(lambda: ParameterBox([np.nan, 0.0], [1.0, 1.0], alpha=1.0), "NaN",
+                     id="box-bound"),
+        pytest.param(lambda: project_box(np.zeros(2), [0.0, 0.0], [1.0, np.nan]), "NaN",
+                     id="projection-bound"),
+        pytest.param(lambda: LossSpec(np.diag([1.0, np.inf]), 5), "Q must be finite",
+                     id="inf-Q"),
+        pytest.param(lambda: LossSpec(np.array([[1.0, np.nan], [0.0, 1.0]]), 5),
+                     "Q must be finite", id="nan-Q"),
+        pytest.param(lambda: LossSpec(np.eye(2), 2.5), "integer", id="float-horizon"),
+    ])
+    def test_nan_and_non_integer_arguments_are_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -11,7 +11,7 @@ from msid import (DimensionMismatch, DynamicalModel, LossSpec, MaskViolation,
                   sparse_chain_apply, validate_mask)
 from msid.gradient import SCAN_MIN_HORIZON
 from msid.structure import entry_evaluations
-from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, max_rel_gap,
+from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, diagonal_rows, max_rel_gap,
                       reference_adjoint_loop)
 
 
@@ -22,7 +22,7 @@ def diagonal_square_model(n=3):
         dims=dims,
         f=lambda x, u, th: x * x,
         g=lambda x: x,
-        jac_f_x=lambda x, u, th: np.diag(2.0 * x),
+        jac_f_x_batch=lambda s, u, th: diagonal_rows(2.0 * s),
     )
 
 
@@ -48,8 +48,8 @@ class TestMaskedJacobian:
         mask = euler_sparsity_mask()
         masked = masked_jac_f_x(model, ATTITUDE_OMEGA0, np.zeros(3),
                                 ATTITUDE_THETA, mask)
-        dense = model.jac_f_x(ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA)
-        assert np.array_equal(masked, dense)
+        dense = model.jac_f_x_batch(ATTITUDE_OMEGA0[None], np.zeros((1, 3)), ATTITUDE_THETA)
+        assert np.array_equal(masked, dense[0])
 
     def test_diagonal_model_work_bound(self):
         model = diagonal_square_model(4)
@@ -74,7 +74,7 @@ class TestMaskedJacobian:
         mask = SparsityMask(np.ones((3, 3), dtype=int))
         x, u, theta = rng.normal(size=3), rng.normal(size=1), rng.normal(size=2)
         masked = masked_jac_f_x(model, x, u, theta, mask)
-        assert np.array_equal(masked, model.jac_f_x(x, u, theta))
+        assert np.array_equal(masked, model.jac_f_x_batch(x[None], u[None], theta)[0])
 
     def test_wrong_mask_detected(self):
         model = euler_attitude_model()
@@ -90,7 +90,8 @@ class TestMaskedJacobian:
         # at a masked-out entry it violates the mask; inside the mask it does not
         def model_with(jac):
             return DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
-                                  g=lambda x: x, jac_f_x=lambda x, u, th: jac)
+                                  g=lambda x: x,
+                                  jac_f_x_batch=lambda s, u, th: jac[None].repeat(len(s), 0))
 
         point = [(np.zeros(2), np.zeros(1), np.ones(1))]
         mask = SparsityMask(np.eye(2, dtype=int))
@@ -98,15 +99,24 @@ class TestMaskedJacobian:
             validate_mask(model_with(np.array([[1.0, value], [0.0, 1.0]])), mask, point)
         validate_mask(model_with(np.array([[value, 0.0], [0.0, 1.0]])), mask, point)
 
+    def test_one_matrix_for_a_block_is_refused(self):
+        model = DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
+                               g=lambda x: x, jac_f_x_batch=lambda s, u, th: np.eye(2))
+        mask = SparsityMask(np.eye(2, dtype=int))
+        with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
+            validate_mask(model, mask, [(np.zeros(2), np.zeros(1), np.ones(1))])
+        with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
+            masked_jac_f_x(model, np.zeros((4, 2)), np.zeros((4, 1)), np.ones(1), mask)
+
 
 def reference_masked_values(model, states, inputs, theta, mask):
     """The per-point loop that block evaluation replaced: one dense Jacobian
-    per point, its entries at the mask copied into zeros."""
+    per point, a batch of one row, its entries at the mask copied into zeros."""
     rows, cols = np.nonzero(mask.state_mask)
     n_x = mask.n_x
     vals = np.zeros((len(states), n_x, n_x))
     for k, (x, u) in enumerate(zip(states, inputs)):
-        vals[k, rows, cols] = np.asarray(model.jac_f_x(x, u, theta), dtype=float)[rows, cols]
+        vals[k, rows, cols] = model.jac_f_x_batch(x[None], u[None], theta)[0, rows, cols]
     return vals
 
 
@@ -256,14 +266,14 @@ class TestMaskedGradientEquivalence:
         def f(x, u, th):
             return x + 0.1 * (coeff @ np.tanh(x)) + 0.05 * th
 
-        def jac_f_x(x, u, th):
-            return np.eye(n) + 0.1 * coeff / np.cosh(x)[None, :] ** 2
+        def jac_f_x_batch(s, u, th):
+            return np.eye(n) + 0.1 * coeff / np.cosh(s)[:, None, :] ** 2
 
         dims = ModelDims(n, 1, n, n)
         dense_model = DynamicalModel(
-            dims=dims, f=f, g=lambda x: x, jac_f_x=jac_f_x,
-            jac_f_theta=lambda x, u, th: 0.05 * np.eye(n),
-            jac_g_x=lambda x: np.eye(n))
+            dims=dims, f=f, g=lambda x: x, jac_f_x_batch=jac_f_x_batch,
+            jac_f_theta_batch=lambda s, u, th: np.broadcast_to(0.05 * np.eye(n), (len(s), n, n)),
+            jac_g_x_batch=lambda s: np.broadcast_to(np.eye(n), (len(s), n, n)))
         mask = SparsityMask(pattern)
         masked_model = dataclasses.replace(dense_model, sparsity=mask)
 
@@ -295,17 +305,19 @@ class TestMaskedGradientEquivalence:
         def f(x, u, th):
             return x + 0.1 * np.tanh(x) * th
 
-        def diagonal(x, u, th):
-            return np.diag(1.0 + 0.1 * th / np.cosh(x) ** 2)
+        def diagonal(s, u, th):
+            return diagonal_rows(1.0 + 0.1 * th / np.cosh(s) ** 2)
 
-        def with_nan(x, u, th):
-            return np.where(np.eye(n, dtype=bool), diagonal(x, u, th), np.nan)
+        def with_nan(s, u, th):
+            return np.where(np.eye(n, dtype=bool), diagonal(s, u, th), np.nan)
 
-        def model_with(jac_f_x, sparsity=None):
+        def model_with(jac_f_x_batch, sparsity=None):
             return DynamicalModel(
-                dims=ModelDims(n, 1, n, n), f=f, g=lambda x: x, jac_f_x=jac_f_x,
-                jac_f_theta=lambda x, u, th: np.diag(0.1 * np.tanh(x)),
-                jac_g_x=lambda x: np.eye(n), sparsity=sparsity)
+                dims=ModelDims(n, 1, n, n), f=f, g=lambda x: x,
+                jac_f_x_batch=jac_f_x_batch,
+                jac_f_theta_batch=lambda s, u, th: diagonal_rows(0.1 * np.tanh(s)),
+                jac_g_x_batch=lambda s: np.broadcast_to(np.eye(n), (len(s), n, n)),
+                sparsity=sparsity)
 
         clean = model_with(diagonal)
         masked = model_with(with_nan, SparsityMask(np.eye(n, dtype=int)))

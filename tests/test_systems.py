@@ -11,7 +11,7 @@ from msid import (DimensionMismatch, NoiseSpec, NonFiniteState, NonPositiveInert
                   rotational_energy_gradient, rotational_energy_term)
 from msid.systems import attitude_trajectory
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0,
-                      ATTITUDE_THETA, max_rel_gap)
+                      ATTITUDE_THETA, jacobians_at, max_rel_gap)
 
 CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -226,13 +226,13 @@ class TestAttitudeTrajectory:
 class TestEulerJacobians:
     def test_identity_at_rest(self):
         model = euler_attitude_model(dt=0.1)
-        jac_x = model.jac_f_x(np.zeros(3), np.zeros(3), ATTITUDE_THETA)
-        assert np.array_equal(jac_x, np.eye(3))
+        jac_x = model.jac_f_x_batch(np.zeros((1, 3)), np.zeros((1, 3)), ATTITUDE_THETA)
+        assert np.array_equal(jac_x, np.eye(3)[None])
 
     def test_parameter_jacobian_zero_at_rest_without_torque(self):
         model = euler_attitude_model(dt=0.1)
-        jac_theta = model.jac_f_theta(np.zeros(3), np.zeros(3), ATTITUDE_THETA)
-        assert np.array_equal(jac_theta, np.zeros((3, 3)))
+        jac_theta = model.jac_f_theta_batch(np.zeros((1, 3)), np.zeros((1, 3)), ATTITUDE_THETA)
+        assert np.array_equal(jac_theta, np.zeros((1, 3, 3)))
 
     def test_matches_finite_differences_at_random_points(self):
         model = euler_attitude_model(dt=0.1)
@@ -241,8 +241,7 @@ class TestEulerJacobians:
             omega = rng.normal(scale=0.8, size=3)
             torque = rng.normal(scale=0.1, size=3)
             inertia = rng.uniform(0.05, 1.0, 3)
-            jac_x = model.jac_f_x(omega, torque, inertia)
-            jac_theta = model.jac_f_theta(omega, torque, inertia)
+            jac_x, jac_theta, _ = jacobians_at(model, omega, torque, inertia)
             fd_x = numeric_jacobian(
                 lambda w: euler_step(w, torque, inertia, 0.1), omega)
             fd_theta = numeric_jacobian(
@@ -254,7 +253,7 @@ class TestEulerJacobians:
         model = euler_attitude_model(dt=0.05, integrator="rk4")
         omega = np.array([0.1, -0.2, 0.3])
         torque = np.array([0.01, 0.0, -0.02])
-        jac = model.jac_f_x(omega, torque, ATTITUDE_THETA)
+        jac = model.jac_f_x_batch(omega[None], torque[None], ATTITUDE_THETA)[0]
         fd = numeric_jacobian(
             lambda w: euler_step(w, torque, ATTITUDE_THETA, 0.05, "rk4"), omega)
         assert max_rel_gap(jac, fd) <= 1e-9
@@ -283,6 +282,7 @@ def reference_euler_jacobians(omega, torque, inertia, dt):
 
 class TestAttitudeJacobianForms:
     def test_point_and_batch_forms_agree_bit_for_bit(self):
+        # the batch, a batch of one row, and the per-point reference formulas
         model = euler_attitude_model(dt=ATTITUDE_DT)
         rng = np.random.default_rng(31)
         states = rng.normal(scale=0.8, size=(500, 3))
@@ -293,8 +293,9 @@ class TestAttitudeJacobianForms:
             for k, (omega, torque) in enumerate(zip(states, inputs)):
                 ref_x, ref_theta = reference_euler_jacobians(
                     omega, torque, inertia, ATTITUDE_DT)
-                assert np.array_equal(model.jac_f_x(omega, torque, inertia), ref_x)
-                assert np.array_equal(model.jac_f_theta(omega, torque, inertia), ref_theta)
+                one_x, one_theta, _ = jacobians_at(model, omega, torque, inertia)
+                assert np.array_equal(one_x, ref_x)
+                assert np.array_equal(one_theta, ref_theta)
                 assert np.array_equal(batch_x[k], ref_x)
                 assert np.array_equal(batch_theta[k], ref_theta)
 
@@ -302,8 +303,8 @@ class TestAttitudeJacobianForms:
         model = euler_attitude_model(dt=ATTITUDE_DT)
         bad = np.array([0.04, -0.01, 0.008])
         states, inputs = np.zeros((2, 3)), np.zeros((2, 3))
-        for evaluate in (lambda: model.jac_f_x(states[0], inputs[0], bad),
-                         lambda: model.jac_f_theta(states[0], inputs[0], bad),
+        for evaluate in (lambda: model.jac_f_x_batch(states[:1], inputs[:1], bad),
+                         lambda: model.jac_f_theta_batch(states[:1], inputs[:1], bad),
                          lambda: model.jac_f_x_batch(states, inputs, bad),
                          lambda: model.jac_f_theta_batch(states, inputs, bad)):
             with pytest.raises(NonPositiveInertia):
