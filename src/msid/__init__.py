@@ -10,8 +10,7 @@ from .gradient import (GradientReport, LossSpec, cost, fd_gradient, gamma_terms,
 from .model import (Dataset, DynamicalModel, ModelDims, Trajectory,
                     load_dataset, numeric_jacobian, rollout, save_dataset)
 from .optimizer import (AdamState, HistoryRecord, IdentificationRun,
-                        IdentifyOptions, StopReason, StoppingCriteria,
-                        adam_step, identify)
+                        IdentifyOptions, StopReason, adam_step, identify)
 from .penalties import (EnergyConservation, LowerBarrier, ParameterBox,
                         PenaltySpec, ReluUpperBound, UpperBarrier,
                         project_box)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, MsidError, NonFiniteValue, OutsideDomain
 from .gradient import LossSpec
 from .model import Dataset, DynamicalModel, load_dataset
-from .optimizer import GRADIENT_METHODS, IdentifyOptions, StoppingCriteria
+from .optimizer import GRADIENT_METHODS, IdentifyOptions
 from .penalties import (LowerBarrier, ParameterBox, PenaltySpec,
                         ReluUpperBound, UpperBarrier)
 from .systems import (INTEGRATORS, NoiseSpec, euler_attitude_model,
@@ -524,14 +524,9 @@ def build_init(config: RunConfig, truth: Optional[dict],
 
 
 def build_options(config: RunConfig) -> IdentifyOptions:
-    opt = config.optimizer
-    box = None
-    if opt.box is not None:
-        box = (np.asarray(opt.box.lower, dtype=float),
-               np.asarray(opt.box.upper, dtype=float))
-    return IdentifyOptions(
-        lr_theta=opt.lr_theta, lr_x0=opt.lr_x0, beta1=opt.beta1, beta2=opt.beta2,
-        eps=opt.eps,
-        stopping=StoppingCriteria(max_epochs=opt.max_epochs, cost_tol=opt.cost_tol,
-                                  grad_tol=opt.grad_tol),
-        box=box, gradient_method=opt.gradient_method, fd_step=opt.fd_step)
+    """The optimizer section copied field by field into the equally named
+    :class:`IdentifyOptions`; only ``box`` becomes a ``(lower, upper)`` pair."""
+    values = asdict(config.optimizer)
+    if values["box"] is not None:
+        values["box"] = (values["box"]["lower"], values["box"]["upper"])
+    return IdentifyOptions(**values)

@@ -135,7 +135,8 @@ def prediction_error(trajectory: Trajectory, dataset: Dataset) -> Array:
     return predictions - observations
 
 
-def _check_pair(trajectory: Trajectory, dataset: Dataset, spec: LossSpec) -> int:
+def _cost_parts(trajectory, dataset, spec, theta):
+    """Per-step losses, penalty total and the weighted errors ``e_k' Q``."""
     horizon = trajectory.horizon
     if len(dataset) != horizon:
         raise DimensionMismatch(
@@ -143,43 +144,40 @@ def _check_pair(trajectory: Trajectory, dataset: Dataset, spec: LossSpec) -> int
     if spec.horizon != horizon:
         raise DimensionMismatch(
             f"loss horizon {spec.horizon} does not match trajectory horizon {horizon}")
-    return horizon
-
-
-def _cost_parts(trajectory, dataset, spec, theta):
-    horizon = _check_pair(trajectory, dataset, spec)
     errors = prediction_error(trajectory, dataset)
     weighted = errors @ spec.Q
     per_step = np.einsum("ti,ti->t", weighted, errors) / horizon
     penalty_total = 0.0
     if spec.penalty is not None:
         penalty_total = spec.penalty.total_value(trajectory.states[:horizon], theta)
-    return per_step, penalty_total
+    return per_step, penalty_total, weighted
 
 
 def cost(trajectory: Trajectory, dataset: Dataset, spec: LossSpec, theta) -> float:
     """Multi-step cost of one candidate, penalties included."""
-    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
+    per_step, penalty_total, _ = _cost_parts(trajectory, dataset, spec, theta)
     total = float(per_step.sum() + penalty_total)
     if not np.isfinite(total):
         raise NonFiniteValue("cost is not finite")
     return total
 
 
-def gamma_terms(trajectory: Trajectory, dataset: Dataset, spec: LossSpec,
+def gamma_terms(trajectory: Trajectory, weighted, spec: LossSpec,
                 theta, model: DynamicalModel) -> tuple[Array, Array]:
     """Per-step gradient seeds of the (penalty-augmented) local loss.
 
-    Returns ``(gamma, big_gamma)`` with shapes (T, n_theta) and (T, n_x):
-    ``gamma[k]`` is the direct parameter gradient of the loss at step k
-    (zero unless a state penalty depends on the parameters), ``big_gamma[k]``
-    the loss gradient pulled back through the observation map into state
-    space, ``(2/T) e_k' Q Jg(x_k)`` plus the weighted state-penalty gradient.
+    ``weighted`` is ``prediction_error(trajectory, dataset) @ spec.Q``, as
+    the cost forms it.  Returns ``(gamma, big_gamma)`` with shapes
+    (T, n_theta) and (T, n_x): ``gamma[k]`` is the direct parameter gradient
+    of the loss at step k (zero unless a state penalty depends on the
+    parameters), ``big_gamma[k]`` the loss gradient pulled back through the
+    observation map into state space, ``(2/T) e_k' Q Jg(x_k)`` plus the
+    weighted state-penalty gradient.
     """
-    horizon = _check_pair(trajectory, dataset, spec)
+    horizon = trajectory.horizon
     theta = np.asarray(theta, dtype=float)
     states = trajectory.states[:horizon]
-    weighted = (2.0 / horizon) * (prediction_error(trajectory, dataset) @ spec.Q)
+    weighted = (2.0 / horizon) * check_rows("weighted", weighted, (horizon, model.dims.n_z))
     jac_g = check_rows("jac_g_x_batch", model.jac_g_x_batch(states),
                        (horizon, model.dims.n_z, model.dims.n_x))
     big_gamma = np.einsum("ti,tij->tj", weighted, jac_g)
@@ -276,8 +274,8 @@ def _analytic_parts(model, trajectory, dataset, spec, theta):
     transition Jacobians."""
     theta = np.asarray(theta, dtype=float)
     _spot_check_trajectory(model, trajectory, dataset, theta)
-    per_step, penalty_total = _cost_parts(trajectory, dataset, spec, theta)
-    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+    per_step, penalty_total, weighted = _cost_parts(trajectory, dataset, spec, theta)
+    gamma, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
     grad_theta = gamma.sum(axis=0)
     if spec.penalty is not None:
@@ -372,6 +370,6 @@ def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
         return cost(rollout(model, x, th, dataset.inputs), dataset, spec, th)
 
     center = rollout(model, x0, theta, dataset.inputs)
-    per_step, penalty_total = _cost_parts(center, dataset, spec, theta)
+    per_step, penalty_total, _ = _cost_parts(center, dataset, spec, theta)
     grad = numeric_jacobian(evaluate, np.concatenate([theta, x0]), step)
     return _report(per_step, penalty_total, grad[:n_theta], grad[n_theta:])

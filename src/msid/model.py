@@ -15,6 +15,7 @@ is the job of the ``gradient`` and ``optimizer`` modules.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -74,8 +75,8 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     inputs keep a sensible relative step.  Raises :class:`NonFiniteValue` if
     any evaluation is non-finite.
     """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     p = np.asarray(point, dtype=float)
     if p.ndim == 0 or p.shape[-1] == 0:
         raise DimensionMismatch("point must have at least one component")
@@ -110,6 +111,11 @@ def check_rows(name: str, result, shape: tuple) -> Array:
     return result
 
 
+class _Differenced(functools.partial):
+    """A Jacobian the model does not give, differencing its ``f`` or ``g``;
+    rebuilt at every construction, so ``dataclasses.replace`` keeps none stale."""
+
+
 @dataclass(frozen=True)
 class DynamicalModel:
     """A parametric discrete-time model with its Jacobians.
@@ -134,7 +140,7 @@ class DynamicalModel:
     raises :class:`DimensionMismatch`, naming the Jacobian, on any other
     shape.  A Jacobian not given is differenced centrally, one
     :func:`numeric_jacobian` call on the whole block, which calls ``f`` or
-    ``g`` on blocks.
+    ``g`` on blocks, also after ``dataclasses.replace`` of ``f`` or ``g``.
 
     ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
     the gradient then sets the state Jacobian to zero outside the mask, from
@@ -169,8 +175,8 @@ class DynamicalModel:
                 lambda block: check_rows("g", g(block), (len(block), n_z)), states),
         }
         for name, fallback in differenced.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, fallback)
+            if getattr(self, name) is None or isinstance(getattr(self, name), _Differenced):
+                object.__setattr__(self, name, _Differenced(fallback))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ multi-step cost and its gradient, and takes one ADAM step on p = (theta,
 x0), with one learning rate for the theta slots and one for the x0 slots
 (they usually live on very different scales).  The loop stops when the
 epoch budget is exhausted, the cost drops below its threshold, or the
-gradient norm does; the reason is recorded.  Because the cost can rise
+gradient norm does (``max_epochs``, ``cost_tol``, ``grad_tol`` of
+:class:`IdentifyOptions`); the reason is recorded.  Because the cost can rise
 temporarily while the optimizer trades one parameter against another, the
 returned estimate is the iterate with the lowest recorded cost, not the
 last one; the full history is kept either way.
@@ -14,7 +15,7 @@ last one; the full history is kept either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -82,25 +83,6 @@ def adam_step(state: AdamState, grad, params) -> tuple[Array, AdamState]:
     return new_params, replace(state, m=m, v=v, t=t)
 
 
-@dataclass(frozen=True)
-class StoppingCriteria:
-    """Epoch budget plus cost and gradient-norm thresholds.
-
-    A threshold of zero disables its condition (cost and norm are never
-    negative).
-    """
-
-    max_epochs: int
-    cost_tol: float = 0.0
-    grad_tol: float = 0.0
-
-    def __post_init__(self):
-        if not self.max_epochs >= 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not (self.cost_tol >= 0 and self.grad_tol >= 0):
-            raise ValueError("thresholds must be nonnegative")
-
-
 class StopReason(str, Enum):
     MAX_EPOCHS = "max_epochs"
     COST_BELOW_TOL = "cost_below_tol"
@@ -121,19 +103,27 @@ class HistoryRecord:
 
 @dataclass(frozen=True)
 class IdentifyOptions:
-    """Knobs of the identification loop."""
+    """Knobs of the identification loop: the fields and defaults of
+    ``msid.config.OptimizerConfig``, ``box`` as a ``(lower, upper)`` pair.
+    A ``cost_tol`` or ``grad_tol`` of 0 disables its stopping condition."""
 
     lr_theta: float = 1e-3
     lr_x0: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    stopping: StoppingCriteria = field(default_factory=lambda: StoppingCriteria(1000))
+    max_epochs: int = 1000
+    cost_tol: float = 0.0
+    grad_tol: float = 0.0
     box: Optional[tuple] = None
     gradient_method: str = "adjoint"
     fd_step: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.max_epochs, (int, np.integer)) or self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
+        if not (self.cost_tol >= 0 and self.grad_tol >= 0):
+            raise ValueError("thresholds must be nonnegative")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
                 f"gradient_method must be one of {GRADIENT_METHODS}, "
@@ -190,17 +180,17 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
     Every epoch: rollout, cost and gradient, one ADAM update of p = (theta,
     x0) with the learning rate ``lr_theta`` on the theta slots and ``lr_x0``
     on the x0 slots, optional projection of the theta slice onto a box,
-    stopping check.  An epoch whose candidate makes the rollout or the cost
-    non-finite, or lies outside the model's domain (:class:`OutsideDomain`,
-    e.g. a nonpositive inertia), is rejected: the previous candidate and
-    ADAM state are restored, every learning rate is halved, and the update
-    is retried; after ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the
+    stopping check (``max_epochs`` updates, ``cost_tol``, ``grad_tol``).
+    An epoch whose candidate makes the rollout or the cost non-finite, or
+    lies outside the model's domain (:class:`OutsideDomain`, e.g. a
+    nonpositive inertia), is rejected: the previous candidate and ADAM
+    state are restored, every learning rate is halved, and the update is
+    retried; after ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the
     run aborts with :class:`DivergedRollout`.  At the initial candidate
     there is nothing to restore: a non-finite evaluation raises
     :class:`DivergedRollout` and an out-of-domain one re-raises its error.
     """
     options = options or IdentifyOptions()
-    stopping = options.stopping
     theta = np.array(theta0, dtype=float)
     x0 = np.array(x0, dtype=float)
     n_theta, n_x = model.dims.n_theta, model.dims.n_x
@@ -249,13 +239,13 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
             history.append(HistoryRecord(epoch=epoch, cost=report.cost,
                                          grad_norm=grad_norm,
                                          theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
-            if stopping.cost_tol > 0.0 and report.cost < stopping.cost_tol:
+            if options.cost_tol > 0.0 and report.cost < options.cost_tol:
                 stop_reason = StopReason.COST_BELOW_TOL
                 break
-            if stopping.grad_tol > 0.0 and grad_norm < stopping.grad_tol:
+            if options.grad_tol > 0.0 and grad_norm < options.grad_tol:
                 stop_reason = StopReason.GRAD_BELOW_TOL
                 break
-            if epoch >= stopping.max_epochs:
+            if epoch >= options.max_epochs:
                 stop_reason = StopReason.MAX_EPOCHS
                 break
             epoch += 1

@@ -72,6 +72,10 @@ class SparsityMask:
     def n_nz(self) -> int:
         return int(np.count_nonzero(self.state_mask))
 
+    def check_fits(self, n_x: int) -> None:
+        if self.n_x != n_x:
+            raise DimensionMismatch(f"mask is {self.n_x}x{self.n_x} but the model has n_x={n_x}")
+
 
 def masked_jac_f_x(model: "DynamicalModel", x, u, theta, mask: SparsityMask) -> Array:
     """State Jacobian at a point (n_x,) or at each row of a block (..., n_x),
@@ -83,9 +87,7 @@ def masked_jac_f_x(model: "DynamicalModel", x, u, theta, mask: SparsityMask) -> 
     per row, the masked entries kept.
     """
     n_x = model.dims.n_x
-    if mask.n_x != n_x:
-        raise DimensionMismatch(
-            f"mask is {mask.n_x}x{mask.n_x} but the model has n_x={n_x}")
+    mask.check_fits(n_x)
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     if x.shape[-1:] != (n_x,):
         raise DimensionMismatch(f"states must have shape (..., {n_x}), got {x.shape}")
@@ -106,8 +108,10 @@ def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
     each one ``jac_f_x_batch`` call on a block of one row.
 
     Raises :class:`MaskViolation` on the first structurally-zero entry whose
-    dense value exceeds ``STRUCTURAL_ZERO_TOL`` in magnitude or is not finite.
+    dense value exceeds ``STRUCTURAL_ZERO_TOL`` in magnitude or is not finite,
+    and :class:`DimensionMismatch` if the mask does not fit the model.
     """
+    mask.check_fits(model.dims.n_x)
     for x, u, theta in points:
         dense = check_rows("jac_f_x_batch", model.jac_f_x_batch(
             np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta),

@@ -186,8 +186,8 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     Jacobians; the RK4 map falls back to central differences.  Either one
     rolls out through :func:`attitude_trajectory`.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
     dims = ModelDims(n_x=3, n_u=3, n_z=3, n_theta=3)

@@ -8,7 +8,8 @@ import pytest
 from msid import (Dataset, DynamicalModel, EnergyConservation, LossSpec,
                   LowerBarrier, ModelDims, NoiseSpec, ParameterBox,
                   PenaltySpec, UpperBarrier, euler_attitude_model,
-                  gamma_terms, generate_dataset, masked_jac_f_x, rollout)
+                  gamma_terms, generate_dataset, masked_jac_f_x, prediction_error,
+                  rollout)
 
 ATTITUDE_THETA = np.array([0.0403, 0.0404, 0.0080])
 ATTITUDE_OMEGA0 = np.array([9.915e-6, -1.102e-3, 1.3179e-5])
@@ -176,7 +177,8 @@ def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
     one adjoint row, the parameter term added inside the loop, and the
     sparse product as ``np.add.at`` on a masked model."""
     horizon = trajectory.horizon
-    gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+    weighted = prediction_error(trajectory, dataset) @ spec.Q
+    gamma, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
     states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
     jac_theta = model.jac_f_theta_batch(states, inputs, theta)
     if model.sparsity is None:

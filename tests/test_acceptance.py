@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from msid import (Dataset, LossSpec, NoiseSpec, ParameterBox, PenaltySpec,
-                  StoppingCriteria, UpperBarrier, euler_attitude_model,
-                  euler_sparsity_mask, fd_gradient, generate_dataset, gradient,
+                  UpperBarrier, euler_attitude_model, euler_sparsity_mask, fd_gradient, generate_dataset, gradient,
                   gradient_naive, identify, masked_jac_f_x, rollout)
 from msid.optimizer import IdentifyOptions
 from msid.structure import entry_evaluations
@@ -28,9 +27,8 @@ def report(number, passed, detail):
     assert passed, detail
 
 
-def reproduction_options(max_epochs=3000, **overrides):
-    defaults = dict(lr_theta=1e-3, lr_x0=1e-6,
-                    stopping=StoppingCriteria(max_epochs=max_epochs))
+def reproduction_options(**overrides):
+    defaults = dict(lr_theta=1e-3, lr_x0=1e-6, max_epochs=3000)
     defaults.update(overrides)
     return IdentifyOptions(**defaults)
 
@@ -78,9 +76,7 @@ def test_criterion_2_noiseless_recovery():
                                noise, dt=ATTITUDE_DT)
     spec = LossSpec.scaled_identity(3, 50)
     theta0, _ = perturbed_init(7, fraction_theta=0.3, fraction_x0=0.0)
-    options = reproduction_options(
-        max_epochs=20000,
-        stopping=StoppingCriteria(max_epochs=20000, cost_tol=1e-26))
+    options = reproduction_options(max_epochs=20000, cost_tol=1e-26)
     run = identify(model, dataset, spec, theta0, ATTITUDE_OMEGA0, options)
     relative = (np.linalg.norm(run.theta_hat - ATTITUDE_THETA)
                 / np.linalg.norm(ATTITUDE_THETA))
@@ -157,8 +153,7 @@ def test_criterion_6_analytic_vs_numeric_gradient():
         theta0, x00 = perturbed_init(seed)
         for method, bucket in (("adjoint", analytic_errors), ("fd", fd_errors)):
             options = reproduction_options(
-                max_epochs=100, gradient_method=method, fd_step=1e-4,
-                stopping=StoppingCriteria(max_epochs=100))
+                max_epochs=100, gradient_method=method, fd_step=1e-4)
             run = identify(model, dataset, spec, theta0, x00, options)
             bucket.append(float(np.linalg.norm(run.theta_hat - ATTITUDE_THETA)))
     median_analytic = sorted(analytic_errors)[1]

@@ -1,5 +1,6 @@
 """Run configuration parsing and the command-line surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import msid
 from msid.cli import (cmd_generate, cmd_gradcheck, cmd_identify, cmd_sweep,
                       main, read_history_csv)
-from msid.config import RunConfig
+from msid.config import OptimizerConfig, RunConfig, build_options
 from msid.errors import ConfigError
 from msid.model import Dataset, load_dataset, save_dataset
 
@@ -120,6 +121,25 @@ class TestRunConfig:
         path = tmp_path / "config.json"
         config.to_json(path)
         assert RunConfig.from_json(path) == config
+
+    def test_optimizer_section_declares_the_identify_options(self):
+        def declared(cls):
+            return [(spec.name, spec.default) for spec in dataclasses.fields(cls)]
+        assert declared(OptimizerConfig) == declared(msid.IdentifyOptions)
+
+    def test_build_options_copies_every_field_by_name(self, tmp_path):
+        raw = scalar_config(tmp_path)
+        del raw["optimizer"]
+        assert build_options(RunConfig.from_dict(raw)) == msid.IdentifyOptions()
+        # a value off its default in every field, so a field left uncopied shows
+        section = {"lr_theta": 2e-3, "lr_x0": 3e-6, "beta1": 0.8, "beta2": 0.99,
+                   "eps": 1e-7, "max_epochs": 7, "cost_tol": 1e-9, "grad_tol": 1e-10,
+                   "box": {"lower": [0.5], "upper": [1.5]},
+                   "gradient_method": "naive", "fd_step": 1e-5}
+        raw["optimizer"] = section
+        options = build_options(RunConfig.from_dict(raw))
+        box = section.pop("box")
+        assert options == msid.IdentifyOptions(**section, box=(box["lower"], box["upper"]))
 
     def test_zero_epochs_rejected_at_parse_time(self, tmp_path):
         raw = attitude_config(tmp_path)

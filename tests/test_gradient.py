@@ -109,22 +109,31 @@ class TestGammaTerms:
         dataset = Dataset(np.zeros((3, 1)), np.ones((3, 1)))
         trajectory = rollout(model, [1.0], [1.0], dataset.inputs)
         spec = LossSpec.scaled_identity(1, 3)
-        gamma, big_gamma = gamma_terms(trajectory, dataset, spec,
+        weighted = prediction_error(trajectory, dataset) @ spec.Q
+        gamma, big_gamma = gamma_terms(trajectory, weighted, spec,
                                        np.array([1.0]), model)
         assert np.array_equal(gamma, np.zeros((3, 1)))
         assert np.array_equal(big_gamma, np.zeros((3, 1)))
 
     def test_scalar_hand_value(self, scalar_problem):
         model, trajectory, dataset, spec, theta, _ = scalar_problem
-        _, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+        weighted = prediction_error(trajectory, dataset) @ spec.Q
+        _, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
         # e = [0, 1]; Gamma_k = (2/2) e_k
         assert np.allclose(big_gamma.ravel(), [0.0, 1.0])
+
+    def test_weighted_errors_of_another_horizon_are_refused(self, scalar_problem):
+        model, trajectory, dataset, spec, theta, _ = scalar_problem
+        weighted = prediction_error(trajectory, dataset) @ spec.Q
+        with pytest.raises(DimensionMismatch, match="weighted must be row-wise"):
+            gamma_terms(trajectory, weighted[:-1], spec, theta, model)
 
     def test_match_local_loss_finite_differences(self):
         # seeds for Gamma/gamma equal FD of the per-step penalized local loss
         model, dataset, spec, theta, x0 = random_instance(21, penalty_kind="upper")
         trajectory = rollout(model, x0, theta, dataset.inputs)
-        gamma, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+        weighted = prediction_error(trajectory, dataset) @ spec.Q
+        gamma, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
         horizon = spec.horizon
         h = 1e-6
 
@@ -295,7 +304,8 @@ class TestStructuralProperties:
         model, dataset, spec, theta, x0 = random_instance(88, horizon=16)
         horizon, short = spec.horizon, 9
         trajectory = rollout(model, x0, theta, dataset.inputs)
-        _, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+        weighted = prediction_error(trajectory, dataset) @ spec.Q
+        _, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
         big_gamma = big_gamma.copy()
         big_gamma[short:] = 0.0
 
@@ -487,7 +497,8 @@ class TestChunkedScan:
         model, dataset, spec, theta, x0 = random_instance(
             24, penalty_kind="energy", n_x=4, horizon=horizon)
         trajectory = rollout(model, x0, theta, dataset.inputs)
-        _, big_gamma = gamma_terms(trajectory, dataset, spec, theta, model)
+        weighted = prediction_error(trajectory, dataset) @ spec.Q
+        _, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
         jac_x = model.jac_f_x_batch(trajectory.states[:horizon - 1],
                                     dataset.inputs[:horizon - 1], theta)
         exact = big_gamma.astype(np.longdouble)

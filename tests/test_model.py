@@ -1,5 +1,7 @@
 """Model layer: rollouts, Jacobian fallbacks, dataset serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,20 @@ class TestOneJacobianForm:
         assert np.array_equal(bare.jac_f_x_batch(states, inputs, theta), jac_x)
         assert np.array_equal(bare.jac_f_theta_batch(states, inputs, theta), jac_theta)
         assert np.array_equal(bare.jac_g_x_batch(states), jac_g)
+
+    def test_replaced_map_is_differenced_afresh(self):
+        # the RK4 model differences its own step; a copy with another f must
+        # difference that f, as a model built with it does
+        rk4 = euler_attitude_model(integrator="rk4")
+        doubled = dataclasses.replace(rk4, f=lambda x, u, th: 2.0 * x, simulate=None)
+        fresh = DynamicalModel(dims=rk4.dims, f=doubled.f, g=rk4.g)
+        states, inputs = np.ones((4, 3)), np.zeros((4, 3))
+        jac_x = doubled.jac_f_x_batch(states, inputs, ATTITUDE_THETA)
+        jac_theta = doubled.jac_f_theta_batch(states, inputs, ATTITUDE_THETA)
+        assert np.array_equal(jac_x, np.broadcast_to(2.0 * np.eye(3), (4, 3, 3)))
+        assert np.array_equal(jac_x, fresh.jac_f_x_batch(states, inputs, ATTITUDE_THETA))
+        assert np.array_equal(jac_theta, np.zeros((4, 3, 3)))
+        assert doubled.jac_g_x_batch is rk4.jac_g_x_batch
 
 
 class TestRowWiseContract:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from msid import (AdamState, Dataset, DivergedRollout, HistoryRecord,
                   IdentificationRun, LossSpec, NoiseSpec, NonFiniteGradient,
                   NonFiniteValue, NonPositiveInertia, OutsideDomain, ParameterBox,
-                  PenaltySpec, StoppingCriteria, StopReason, UpperBarrier, adam_step,
+                  PenaltySpec, StopReason, UpperBarrier, adam_step,
                   cost, euler_attitude_model, gradient, identify, numeric_jacobian,
                   project_box, rollout, scalar_linear_model)
 from msid.optimizer import IdentifyOptions
@@ -88,8 +88,7 @@ def scalar_fixture(theta_true=2.0, horizon=12):
 class TestIdentify:
     def test_stationary_at_global_minimum(self):
         model, dataset, spec = scalar_fixture()
-        options = IdentifyOptions(
-            stopping=StoppingCriteria(max_epochs=10, cost_tol=1e-12))
+        options = IdentifyOptions(max_epochs=10, cost_tol=1e-12)
         run = identify(model, dataset, spec, [2.0], [1.0], options)
         assert run.stop_reason is StopReason.COST_BELOW_TOL
         assert run.epochs <= 2
@@ -106,14 +105,13 @@ class TestIdentify:
         assert all(earlier >= later for earlier, later in zip(values, values[1:]))
         options = IdentifyOptions(
             lr_theta=1e-2, lr_x0=1e-6,
-            stopping=StoppingCriteria(max_epochs=5000, cost_tol=0.0))
+            max_epochs=5000, cost_tol=0.0)
         run = identify(model, dataset, spec, [1.0], [1.0], options)
         assert abs(run.theta_hat[0] - 2.0) <= 1e-4
 
     def test_stopping_soundness(self):
         model, dataset, spec = scalar_fixture()
-        options = IdentifyOptions(
-            stopping=StoppingCriteria(max_epochs=300, cost_tol=1e-6, grad_tol=1e-9))
+        options = IdentifyOptions(max_epochs=300, cost_tol=1e-6, grad_tol=1e-9)
         run = identify(model, dataset, spec, [1.7], [1.0], options)
         conditions = {
             StopReason.COST_BELOW_TOL: lambda r: r.cost < 1e-6,
@@ -127,7 +125,7 @@ class TestIdentify:
 
     def test_history_integrity(self):
         model, dataset, spec = scalar_fixture()
-        options = IdentifyOptions(stopping=StoppingCriteria(max_epochs=50))
+        options = IdentifyOptions(max_epochs=50)
         run = identify(model, dataset, spec, [1.5], [0.9], options)
         assert run.epochs <= 51
         for record in run.history[::7]:
@@ -137,8 +135,7 @@ class TestIdentify:
 
     def test_returns_best_cost_iterate(self):
         model, dataset, spec = scalar_fixture()
-        options = IdentifyOptions(lr_theta=5e-2,
-                                  stopping=StoppingCriteria(max_epochs=200))
+        options = IdentifyOptions(lr_theta=5e-2, max_epochs=200)
         run = identify(model, dataset, spec, [1.2], [1.0], options)
         best = min(record.cost for record in run.history)
         returned = rollout(model, run.x0_hat, run.theta_hat, dataset.inputs)
@@ -159,8 +156,7 @@ class TestIdentify:
     def test_projection_keeps_iterates_feasible(self):
         model, dataset, spec = scalar_fixture()
         box = (np.array([1.4]), np.array([1.9]))
-        options = IdentifyOptions(lr_theta=5e-2, box=box,
-                                  stopping=StoppingCriteria(max_epochs=100))
+        options = IdentifyOptions(lr_theta=5e-2, box=box, max_epochs=100)
         run = identify(model, dataset, spec, [1.5], [1.0], options)
         for record in run.history[1:]:
             assert box[0][0] <= record.theta[0] <= box[1][0]
@@ -169,8 +165,7 @@ class TestIdentify:
         model, dataset = attitude_dataset(seed=5, nominal_inputs=True)
         spec = LossSpec.scaled_identity(3, 50)
         theta0, x00 = perturbed_init(5)
-        options = IdentifyOptions(lr_x0=1e-6,
-                                  stopping=StoppingCriteria(max_epochs=40))
+        options = IdentifyOptions(lr_x0=1e-6, max_epochs=40)
         first = identify(model, dataset, spec, theta0, x00, options)
         second = identify(model, dataset, spec, theta0, x00, options)
         assert first.stop_reason == second.stop_reason
@@ -183,8 +178,7 @@ class TestIdentify:
         model, dataset = attitude_dataset(seed=2, nominal_inputs=True)
         spec = LossSpec.scaled_identity(3, 50)
         theta0, x00 = perturbed_init(2)
-        options = IdentifyOptions(lr_x0=1e-6,
-                                  stopping=StoppingCriteria(max_epochs=800))
+        options = IdentifyOptions(lr_x0=1e-6, max_epochs=800)
         run = identify(model, dataset, spec, theta0, x00, options)
         costs = np.array([record.cost for record in run.history])
         tenth = max(1, len(costs) // 10)
@@ -196,8 +190,7 @@ class TestIdentify:
         # an enormous learning rate throws the iterate into overflow; halving
         # ten times in a row is not enough to recover, so the run aborts.
         model, dataset, spec = scalar_fixture(theta_true=3.0, horizon=40)
-        options = IdentifyOptions(lr_theta=1e9,
-                                  stopping=StoppingCriteria(max_epochs=30))
+        options = IdentifyOptions(lr_theta=1e9, max_epochs=30)
         with pytest.raises(DivergedRollout):
             identify(model, dataset, spec, [3.1], [1.0], options)
 
@@ -219,8 +212,7 @@ class TestIdentify:
         truth = rollout(model, [0.5], [0.99], inputs)
         dataset = Dataset(inputs, truth.predictions.copy())
         spec = LossSpec.scaled_identity(1, 10)
-        options = IdentifyOptions(lr_theta=0.08,
-                                  stopping=StoppingCriteria(max_epochs=80))
+        options = IdentifyOptions(lr_theta=0.08, max_epochs=80)
         with np.errstate(invalid="ignore", divide="ignore"):
             run = identify(model, dataset, spec, [0.85], [0.5], options)
         assert run.rejected_steps > 0
@@ -231,8 +223,7 @@ class TestIdentify:
         # candidate, halves the learning rates and still converges
         model, dataset = attitude_dataset(seed=1)
         spec = LossSpec.scaled_identity(3, len(dataset))
-        options = IdentifyOptions(lr_theta=5e-2, lr_x0=1e-6,
-                                  stopping=StoppingCriteria(max_epochs=200))
+        options = IdentifyOptions(lr_theta=5e-2, lr_x0=1e-6, max_epochs=200)
         run = identify(model, dataset, spec, 1.2 * ATTITUDE_THETA, ATTITUDE_OMEGA0,
                        options)
         assert run.rejected_steps > 0
@@ -243,7 +234,7 @@ class TestIdentify:
         spec = LossSpec.scaled_identity(3, len(dataset))
         with pytest.raises(NonPositiveInertia):
             identify(model, dataset, spec, [0.04, -0.04, 0.008], ATTITUDE_OMEGA0,
-                     IdentifyOptions(stopping=StoppingCriteria(max_epochs=5)))
+                     IdentifyOptions(max_epochs=5))
 
     def test_naive_gradient_method_matches_adjoint(self):
         # same loop driven by the double-sum gradient lands at the same
@@ -251,15 +242,14 @@ class TestIdentify:
         model, dataset, spec = scalar_fixture()
         runs = {}
         for method in ("adjoint", "naive"):
-            options = IdentifyOptions(gradient_method=method,
-                                      stopping=StoppingCriteria(max_epochs=30))
+            options = IdentifyOptions(gradient_method=method, max_epochs=30)
             runs[method] = identify(model, dataset, spec, [1.6], [1.0], options)
         assert abs(runs["adjoint"].theta_hat[0]
                    - runs["naive"].theta_hat[0]) <= 1e-9
 
     def test_grad_norm_is_concatenated_euclidean(self):
         model, dataset, spec = scalar_fixture()
-        options = IdentifyOptions(stopping=StoppingCriteria(max_epochs=1))
+        options = IdentifyOptions(max_epochs=1)
         run = identify(model, dataset, spec, [1.5], [0.8], options)
         from msid import gradient
         record = run.history[0]
@@ -293,7 +283,7 @@ def two_state_reference(model, dataset, spec, theta, x0, options):
             grad_theta, grad_x0 = report.grad_theta, report.grad_x0
             grad_norm = np.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
             rows.append((report.cost, grad_norm, theta.copy(), x0.copy()))
-            if epoch >= options.stopping.max_epochs:
+            if epoch >= options.max_epochs:
                 return rows, rejected
             epoch += 1
         previous = (theta, x0, adam_theta, adam_x0, grad_theta, grad_x0)
@@ -322,8 +312,7 @@ class TestOneAdamState:
         return run
 
     def test_rejections_halve_both_rates(self):
-        options = IdentifyOptions(lr_theta=5e-2, lr_x0=1e-6,
-                                  stopping=StoppingCriteria(max_epochs=200))
+        options = IdentifyOptions(lr_theta=5e-2, lr_x0=1e-6, max_epochs=200)
         run = self.check(1.2 * ATTITUDE_THETA, options)
         assert run.rejected_steps >= 1
 
@@ -331,8 +320,7 @@ class TestOneAdamState:
         # the x0 components lie below every lower bound, so a box that also
         # clamped x0 would move them
         box = (np.array([0.0405, 0.03, 0.007]), np.array([0.06, 0.0402, 0.0085]))
-        options = IdentifyOptions(lr_theta=2e-3, lr_x0=1e-6, box=box,
-                                  stopping=StoppingCriteria(max_epochs=200))
+        options = IdentifyOptions(lr_theta=2e-3, lr_x0=1e-6, box=box, max_epochs=200)
         run = self.check(np.array([0.045, 0.038, 0.0082]), options)
         thetas = np.array([record.theta for record in run.history])
         assert np.any(thetas == box[0]) and np.any(thetas == box[1])
@@ -341,7 +329,7 @@ class TestOneAdamState:
 class TestValidation:
     def test_max_epochs_at_least_one(self):
         with pytest.raises(ValueError):
-            StoppingCriteria(max_epochs=0)
+            IdentifyOptions(max_epochs=0)
 
     def test_unknown_gradient_method(self):
         with pytest.raises(ValueError):
@@ -357,15 +345,23 @@ class TestValidation:
     @pytest.mark.parametrize("build,message", [
         pytest.param(lambda: euler_attitude_model(dt=np.nan), "dt must be positive",
                      id="attitude-dt"),
+        pytest.param(lambda: euler_attitude_model(dt=np.inf), "dt must be positive and finite",
+                     id="attitude-dt-inf"),
         pytest.param(lambda: numeric_jacobian(lambda x: x, np.ones(2), step=np.nan),
                      "step must be positive", id="fd-step"),
+        pytest.param(lambda: numeric_jacobian(lambda x: x, np.ones(2), step=np.inf),
+                     "step must be positive and finite", id="fd-step-inf"),
         pytest.param(lambda: NoiseSpec(torque_std=np.nan), "nonnegative", id="torque-std"),
         pytest.param(lambda: NoiseSpec(obs_std=np.nan), "nonnegative", id="obs-std"),
-        pytest.param(lambda: StoppingCriteria(max_epochs=np.nan), "max_epochs",
+        pytest.param(lambda: IdentifyOptions(max_epochs=np.nan), "max_epochs",
                      id="max-epochs"),
-        pytest.param(lambda: StoppingCriteria(10, grad_tol=np.nan), "nonnegative",
+        pytest.param(lambda: IdentifyOptions(max_epochs=np.inf), "integer",
+                     id="max-epochs-inf"),
+        pytest.param(lambda: IdentifyOptions(max_epochs=2.5), "integer",
+                     id="float-max-epochs"),
+        pytest.param(lambda: IdentifyOptions(grad_tol=np.nan), "nonnegative",
                      id="grad-tol"),
-        pytest.param(lambda: StoppingCriteria(10, cost_tol=np.nan), "nonnegative",
+        pytest.param(lambda: IdentifyOptions(cost_tol=np.nan), "nonnegative",
                      id="cost-tol"),
         pytest.param(lambda: PenaltySpec((UpperBarrier(np.ones(2), 1.0, weight=np.nan),)),
                      "nonnegative", id="penalty-weight"),

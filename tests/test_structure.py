@@ -108,6 +108,16 @@ class TestMaskedJacobian:
         with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
             masked_jac_f_x(model, np.zeros((4, 2)), np.zeros((4, 1)), np.ones(1), mask)
 
+    @pytest.mark.parametrize("check", [
+        pytest.param(lambda model, mask: validate_mask(
+            model, mask, [(ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA)]), id="validate_mask"),
+        pytest.param(lambda model, mask: masked_jac_f_x(
+            model, ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA, mask), id="masked_jac_f_x"),
+    ])
+    def test_mask_of_another_size_is_refused(self, check):
+        with pytest.raises(DimensionMismatch, match="mask is 2x2 but the model has n_x=3"):
+            check(euler_attitude_model(), SparsityMask(np.eye(2, dtype=int)))
+
 
 def reference_masked_values(model, states, inputs, theta, mask):
     """The per-point loop that block evaluation replaced: one dense Jacobian
