@@ -357,17 +357,19 @@ def fd_gradient(model: DynamicalModel, x0, theta, dataset: Dataset,
 
     Independent of the analytic path; serves as its oracle and as the
     numerically-approximated gradient in optimizer comparisons.  The
-    parameters and the initial state are differenced together by
-    :func:`~msid.model.numeric_jacobian`, whose step for each component
-    scales with max(1, |value|).
+    parameters and the initial state are differenced together by one
+    :func:`~msid.model.numeric_jacobian` call, whose step for each component
+    scales with max(1, |value|); it hands over all perturbed (theta, x0)
+    points stacked, and each row is rolled out and costed on its own.
     """
     x0 = np.asarray(x0, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n_theta = theta.size
 
-    def evaluate(point):
-        th, x = point[:n_theta], point[n_theta:]
-        return cost(rollout(model, x, th, dataset.inputs), dataset, spec, th)
+    def evaluate(points):
+        # one rollout per perturbed point: the stack is mapped row by row
+        return np.array([cost(rollout(model, p[n_theta:], p[:n_theta], dataset.inputs),
+                              dataset, spec, p[:n_theta]) for p in points])
 
     center = rollout(model, x0, theta, dataset.inputs)
     per_step, penalty_total, _ = _cost_parts(center, dataset, spec, theta)

@@ -31,6 +31,14 @@ Array = np.ndarray
 
 FD_STEP = 1e-6
 
+# Most rows of the stacked block that numeric_jacobian hands to one call of
+# its map; a larger stack is split into groups of whole perturbed copies.
+# Set from the per-row time of the RK4 attitude step on one block: lowest
+# at 3,072-4,096 rows (91-117 ns), higher from 5,120 rows on (108-154 ns),
+# about where an (N, 3) float block passes glibc's 128 KiB mmap threshold
+# (N = 5,462).  Measured on a 2-core x86 VM, Python 3.11, numpy 2.4.
+ROW_BUDGET = 4096
+
 
 def _vector(value, n: Optional[int], name: str) -> Array:
     arr = np.asarray(value, dtype=float)
@@ -64,39 +72,64 @@ class ModelDims:
 
 
 def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP) -> Array:
-    """Central-difference Jacobian of ``fn``, row by row.
+    """Central-difference Jacobian of ``fn``, row by row, in one stacked call.
 
     ``point`` is one point of shape (n,) or a block of points of shape
-    (..., n); ``fn`` maps such a block to one result per row, of shape
-    (..., m) or, for a scalar map, (...).  The Jacobian has shape
-    (..., m, n), or (..., n) for a scalar map.  Each column j takes one
-    evaluation of ``fn`` on the whole block per side.  The perturbation of
-    component j is ``step * max(1, |point[..., j]|)`` so that badly scaled
-    inputs keep a sensible relative step.  Raises :class:`NonFiniteValue` if
-    any evaluation is non-finite.
+    (..., n); ``fn`` must be row-wise over its leading axes: it maps a block
+    of shape (k, ...) + (n,) to one result per row, of shape (k, ...) + (m,)
+    or, for a scalar map, (k, ...).  The Jacobian has shape (..., m, n), or
+    (..., n) for a scalar map.  The perturbation of component j is
+    ``step * max(1, |point[..., j]|)`` so that badly scaled inputs keep a
+    sensible relative step, and each quotient is divided by the exact
+    spacing of its two points.  All 2n perturbed copies of ``point`` are
+    stacked on a new leading axis and ``fn`` is called once on the stack,
+    or, where the stack would exceed ``ROW_BUDGET`` rows, once per group of
+    whole copies, in the fewest groups that fit.  Raises
+    :class:`DimensionMismatch` if a result has not one row per stacked point,
+    and :class:`NonFiniteValue`, naming the first component, if any
+    evaluation is non-finite.
     """
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     p = np.asarray(point, dtype=float)
     if p.ndim == 0 or p.shape[-1] == 0:
         raise DimensionMismatch("point must have at least one component")
+    n = p.shape[-1]
+    per_group = max(1, ROW_BUDGET // max(p[..., 0].size, 1))
     columns = []
-    for j in range(p.shape[-1]):
-        h = step * np.maximum(1.0, np.abs(p[..., j]))
-        plus = p.copy()
-        plus[..., j] += h
-        minus = p.copy()
-        minus[..., j] -= h
-        f_plus = np.asarray(fn(plus), dtype=float)
-        f_minus = np.asarray(fn(minus), dtype=float)
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            raise NonFiniteValue(f"non-finite evaluation while differencing component {j}")
-        # divide by the exact spacing of the two evaluated points, not by the
-        # nominal 2h, so rounding of p +/- h does not leak into the quotient
-        spacing = plus[..., j] - minus[..., j]
-        if f_plus.ndim > spacing.ndim:
-            spacing = spacing[..., None]
-        columns.append((f_plus - f_minus) / spacing)
+    for start in range(0, 2 * n, per_group):
+        # copy 2j moves component j up by its shift and copy 2j+1 down by it
+        group = range(start, min(start + per_group, 2 * n))
+        stack = np.empty((len(group),) + p.shape)
+        stack[...] = p
+        for i, copy in enumerate(group):
+            shift = step * np.maximum(1.0, np.abs(p[..., copy // 2]))
+            if copy % 2:
+                stack[i, ..., copy // 2] -= shift
+            else:
+                stack[i, ..., copy // 2] += shift
+        values = np.asarray(fn(stack), dtype=float)
+        if values.shape[:p.ndim] != stack.shape[:-1] or values.ndim > p.ndim + 1:
+            raise DimensionMismatch(
+                f"fn must be row-wise: gave shape {values.shape} for points of "
+                f"shape {stack.shape}")
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values.reshape(len(group), -1)).all(axis=1)
+            raise NonFiniteValue("non-finite evaluation while differencing component "
+                                 f"{group[np.argmin(finite)] // 2}")
+        for i, copy in enumerate(group):
+            if copy % 2 == 0:
+                upper = stack[i, ..., copy // 2], values[i]
+                continue
+            # divide by the exact spacing of the two evaluated points, not by
+            # the nominal 2h, so rounding of p +/- h does not leak into it
+            spacing = upper[0] - stack[i, ..., copy // 2]
+            if values.ndim > p.ndim:
+                spacing = spacing[..., None]
+            columns.append((upper[1] - values[i]) / spacing)
+        # release this group's block before the next one is built (a copy
+        # whose partner is in the next group stays referenced by ``upper``)
+        del stack, values
     return np.stack(columns, axis=-1)
 
 
@@ -109,6 +142,15 @@ def check_rows(name: str, result, shape: tuple) -> Array:
         raise DimensionMismatch(
             f"{name} must be row-wise: gave shape {result.shape}, expected {shape}")
     return result
+
+
+def _as_one_block(name: str, n_out: int, stack: Array, evaluate) -> Array:
+    """``evaluate(block, tile)`` on the (copies, N, n) ``stack`` flattened to
+    one (copies * N, n) block, checked row-wise and shaped (copies, N, n_out);
+    ``tile(rows)`` repeats another block of N rows once per copy."""
+    block, copies = stack.reshape(-1, stack.shape[-1]), len(stack)
+    result = evaluate(block, lambda rows: rows if copies == 1 else np.tile(rows, (copies, 1)))
+    return check_rows(name, result, (len(block), n_out)).reshape(stack.shape[:-1] + (n_out,))
 
 
 class _Differenced(functools.partial):
@@ -139,8 +181,12 @@ class DynamicalModel:
     shapes (N, n_x, n_x), (N, n_x, n_theta) and (N, n_z, n_x); the gradient
     raises :class:`DimensionMismatch`, naming the Jacobian, on any other
     shape.  A Jacobian not given is differenced centrally, one
-    :func:`numeric_jacobian` call on the whole block, which calls ``f`` or
-    ``g`` on blocks, also after ``dataclasses.replace`` of ``f`` or ``g``.
+    :func:`numeric_jacobian` call on the whole block, also after
+    ``dataclasses.replace`` of ``f`` or ``g``: every perturbed copy of the
+    block goes to one call of ``f`` or ``g``, the copies stacked into one
+    (copies * N, n) block with the other arguments tiled to match (a few
+    such calls above ``ROW_BUDGET`` rows), which is why both maps must be
+    row-wise.
 
     ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
     the gradient then sets the state Jacobian to zero outside the mask, from
@@ -163,16 +209,20 @@ class DynamicalModel:
     def __post_init__(self):
         f, g = self.f, self.g
         n_x, n_z = self.dims.n_x, self.dims.n_z
-        # central differences of each map over the whole block of rows
+        # central differences of each map; numeric_jacobian hands over a stack
+        # (copies, N, n) of perturbed blocks, evaluated as one block of rows
         differenced = {
             "jac_f_x_batch": lambda states, inputs, theta: numeric_jacobian(
-                lambda block: check_rows("f", f(block, inputs, theta), (len(block), n_x)),
+                lambda stack: _as_one_block("f", n_x, stack, lambda block, tile: f(
+                    block, tile(inputs), theta)),
                 states),
             "jac_f_theta_batch": lambda states, inputs, theta: numeric_jacobian(
-                lambda block: check_rows("f", f(states, inputs, block), (len(block), n_x)),
+                lambda stack: _as_one_block("f", n_x, stack, lambda block, tile: f(
+                    tile(states), tile(inputs), block)),
                 np.broadcast_to(theta, (len(states),) + np.shape(theta))),
             "jac_g_x_batch": lambda states: numeric_jacobian(
-                lambda block: check_rows("g", g(block), (len(block), n_z)), states),
+                lambda stack: _as_one_block("g", n_z, stack, lambda block, tile: g(block)),
+                states),
         }
         for name, fallback in differenced.items():
             if getattr(self, name) is None or isinstance(getattr(self, name), _Differenced):
@@ -204,8 +254,8 @@ class Dataset:
                 f"({observations.shape[0]} rows) must have equal length")
         if inputs.shape[0] < 2:
             raise DimensionMismatch(f"need at least 2 samples, got {inputs.shape[0]}")
-        if not self.dt > 0:
-            raise DimensionMismatch(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise DimensionMismatch(f"dt must be positive and finite, got {self.dt}")
         for name, values in (("inputs", inputs), ("observations", observations)):
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:

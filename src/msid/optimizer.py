@@ -124,6 +124,8 @@ class IdentifyOptions:
             raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
         if not (self.cost_tol >= 0 and self.grad_tol >= 0):
             raise ValueError("thresholds must be nonnegative")
+        if not 0 < self.fd_step < np.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
                 f"gradient_method must be one of {GRADIENT_METHODS}, "
@@ -200,8 +202,10 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
         raise DimensionMismatch(f"x0 must have shape ({n_x},), got {x0.shape}")
     box = None
     if options.box is not None:
-        lower, upper = options.box
-        box = (np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+        box = tuple(np.asarray(bound, dtype=float) for bound in options.box)
+        if [bound.shape for bound in box] != [(n_theta,)] * 2:
+            raise DimensionMismatch(f"box bounds must have shape ({n_theta},), got "
+                                    f"{' and '.join(str(bound.shape) for bound in box)}")
         project_box(theta, *box)  # validates the box ordering
 
     p = np.concatenate([theta, x0])

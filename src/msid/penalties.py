@@ -53,10 +53,12 @@ class EnergyConservation:
 
     ``h(x) = (energy_fn(x) - reference)**2``.  ``energy_fn`` must be a fixed
     map of the state alone, applied row by row: it maps a block of states of
-    shape (..., n_x) to energies of shape (...).  ``energy_grad``, if given,
-    maps the same block to gradients of shape (..., n_x); if omitted, the
-    gradient is approximated by central differences of the whole block
-    (:func:`~msid.model.numeric_jacobian`).
+    shape (..., n_x) to energies of shape (...), over any leading axes.
+    ``energy_grad``, if given, maps the same block to gradients of shape
+    (..., n_x); if omitted, the gradient is approximated by central
+    differences of the whole block (:func:`~msid.model.numeric_jacobian`),
+    which evaluate ``energy_fn`` once on every perturbed copy of the block,
+    stacked on a new leading axis.
     """
 
     energy_fn: Callable[[Array], Array]

@@ -98,14 +98,14 @@ EXPECTED = {
 
 # euler_step calls of one rollout plus one gradient: none for the rollout,
 # which runs the whole trajectory in one attitude_trajectory call, three for
-# the gradient's spot check of the stored trajectory, and on RK4 one per side
-# and perturbed column of each differenced map (2 * (3 + 3)), each on the
-# whole block of transitions.
+# the gradient's spot check of the stored trajectory, and on RK4 one per
+# differenced map (2), each on all six perturbed copies of the block of
+# transitions stacked into one block, within numeric_jacobian's row budget.
 EULER_STEPS = {
     "euler": 3,
     "euler-sparse": 3,
     "euler-sparse-scan": 3,
-    "rk4": 3 + 12,
+    "rk4": 3 + 2,
     "scalar": 0,
     "euler-penalty": 3,
 }

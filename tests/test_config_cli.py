@@ -332,6 +332,7 @@ class TestMainEntryPoint:
     BAD_DATASET_FILES = {
         "non-finite-observation": (9, "7,0.0,nan", "observations[7, 0] is not finite"),
         "malformed-metadata": (0, "# dt=0.1 n_x=one n_u=1 n_z=1", "bad metadata line"),
+        "infinite-dt": (0, "# dt=inf n_x=1 n_u=1 n_z=1", "dt must be positive and finite"),
         "non-numeric-cell": (5, "3,abc,1.0", "row 3, column u_1: 'abc' is not a number"),
     }
 

@@ -9,7 +9,8 @@ from msid import (Dataset, DimensionMismatch, DynamicalModel, LossSpec, ModelDim
                   NonFiniteState, NonFiniteValue, gradient, load_dataset,
                   numeric_jacobian, rollout, save_dataset, scalar_linear_model)
 from conftest import (ATTITUDE_DT, ATTITUDE_OMEGA0, ATTITUDE_THETA, jacobians_at,
-                      max_rel_gap, random_smooth_model)
+                      max_rel_gap, random_smooth_model, rows_times)
+from msid import model as model_module
 from msid.systems import euler_attitude_model
 
 
@@ -213,6 +214,11 @@ class TestDataset:
         with pytest.raises(NonFiniteValue, match=rf"{field}\[7, 1\]"):
             Dataset(data["inputs"], data["observations"])
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -0.1])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(DimensionMismatch, match="dt must be positive and finite"):
+            Dataset(np.zeros((3, 1)), np.ones((3, 1)), dt=dt)
+
     def test_immutable(self):
         dataset = Dataset(np.zeros((3, 1)), np.ones((3, 1)))
         with pytest.raises(ValueError):
@@ -265,8 +271,8 @@ class TestOneJacobianForm:
         for _ in range(50):
             point = rng.normal(scale=10.0, size=3)
             assert np.array_equal(
-                numeric_jacobian(lambda v: np.sin(mat @ v), point),
-                reference_numeric_jacobian(lambda v: np.sin(mat @ v), point))
+                numeric_jacobian(lambda v: np.sin(rows_times(v, mat)), point),
+                reference_numeric_jacobian(lambda v: np.sin(rows_times(v, mat)), point))
 
     @pytest.mark.parametrize("shape", [(7, 3), (2, 4, 3)])
     def test_block_equals_per_row_calls(self, shape):
@@ -292,7 +298,7 @@ class TestOneJacobianForm:
                               np.stack([numeric_jacobian(scalar_map, r) for r in rows]))
 
     def test_scalar_map_at_a_point_is_a_gradient(self):
-        grad = numeric_jacobian(lambda x: float(x @ x), np.array([1.0, -2.0]))
+        grad = numeric_jacobian(lambda x: np.sum(x * x, axis=-1), np.array([1.0, -2.0]))
         assert grad.shape == (2,)
         assert max_rel_gap(grad, [2.0, -4.0]) <= 1e-9
 
@@ -329,6 +335,73 @@ class TestOneJacobianForm:
         assert doubled.jac_g_x_batch is rk4.jac_g_x_batch
 
 
+def elementwise_map(x):
+    """A row-wise map whose rows round alike in any block: elementwise only."""
+    return np.stack([np.sin(x[..., 0] * x[..., 1]), x[..., 2] ** 3 - x[..., 0]], axis=-1)
+
+
+class CountingMap:
+    """``elementwise_map``, recording the leading shape of each block it is given."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __call__(self, x):
+        self.blocks.append(x.shape[:-1])
+        return elementwise_map(x)
+
+
+class TestStackedDifferences:
+    """numeric_jacobian evaluates every perturbed copy in one stacked call, or
+    in the fewest groups of whole copies that fit its row budget."""
+
+    # (point shape, row budget, fn calls): 6 perturbed copies of 1, 7 or 8 rows
+    CASES = {
+        "point": ((3,), None, 1),
+        "point-two-groups": ((3,), 4, 2),
+        "block": ((7, 3), None, 1),
+        "block-three-groups": ((7, 3), 14, 3),
+        "block-one-copy-per-group": ((7, 3), 6, 6),
+        "stack": ((2, 4, 3), None, 1),
+        "stack-two-groups": ((2, 4, 3), 24, 2),
+    }
+
+    @pytest.mark.parametrize("shape,budget,calls", CASES.values(), ids=CASES.keys())
+    def test_calls_per_jacobian_and_values(self, monkeypatch, shape, budget, calls):
+        if budget is not None:
+            monkeypatch.setattr(model_module, "ROW_BUDGET", budget)
+        point = np.random.default_rng(27).normal(scale=5.0, size=shape)
+        counting = CountingMap()
+        jac = numeric_jacobian(counting, point)
+        assert len(counting.blocks) == calls
+        rows = int(np.prod(shape[:-1]))
+        assert sum(block[0] for block in counting.blocks) == 6
+        assert all(block[1:] == shape[:-1] for block in counting.blocks)
+        if budget is not None:
+            assert all(block[0] * rows <= max(budget, rows) for block in counting.blocks)
+        reference = np.stack([reference_numeric_jacobian(elementwise_map, row)
+                              for row in point.reshape(-1, 3)])
+        assert np.array_equal(jac, reference.reshape(shape[:-1] + (2, 3)))
+
+    def test_first_non_finite_component_is_named(self, monkeypatch):
+        # non-finite exactly where component 2 or 3 is perturbed off zero
+        def fn(x):
+            return np.where((x[..., 2:] == 0.0).all(axis=-1, keepdims=True), x, np.inf)
+
+        for budget in (4096, 1):
+            monkeypatch.setattr(model_module, "ROW_BUDGET", budget)
+            for point in (np.zeros(4), np.zeros((5, 4))):
+                with pytest.raises(NonFiniteValue,
+                                   match="while differencing component 2$"):
+                    numeric_jacobian(fn, point)
+
+    def test_map_that_is_not_row_wise_is_refused(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"fn must be row-wise: gave shape \(\) for points "
+                                 r"of shape \(6, 3\)"):
+            numeric_jacobian(lambda x: x.sum(), np.ones(3))
+
+
 class TestRowWiseContract:
     """A map the fallback differences must be row-wise."""
 
@@ -339,7 +412,8 @@ class TestRowWiseContract:
                                g=lambda x: x)
         rng = np.random.default_rng(25)
         states, inputs, theta = rng.normal(size=(199, 1)), rng.normal(size=(199, 1)), [0.8]
-        message = r"f must be row-wise: gave shape \(1, 1\), expected \(199, 1\)"
+        # two perturbed copies of the 199 rows, differenced as one block
+        message = r"f must be row-wise: gave shape \(1, 1\), expected \(398, 1\)"
         with pytest.raises(DimensionMismatch, match=message):
             model.jac_f_x_batch(states, inputs, theta)
         with pytest.raises(DimensionMismatch, match=message):
@@ -355,8 +429,9 @@ class TestRowWiseContract:
                                jac_f_x_batch=lambda s, i, th: np.broadcast_to(
                                    np.eye(2), (len(s), 2, 2)),
                                jac_f_theta_batch=lambda s, i, th: np.zeros((len(s), 2, 1)))
+        # four perturbed copies of the 5 rows, differenced as one block
         with pytest.raises(DimensionMismatch,
-                           match=r"g must be row-wise: gave shape \(1, 2\), expected \(5, 1\)"):
+                           match=r"g must be row-wise: gave shape \(1, 2\), expected \(20, 1\)"):
             model.jac_g_x_batch(np.ones((5, 2)))
 
     def test_scalar_model_f_is_row_wise(self):

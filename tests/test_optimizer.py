@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (AdamState, Dataset, DivergedRollout, HistoryRecord,
+from msid import (AdamState, Dataset, DimensionMismatch, DivergedRollout, HistoryRecord,
                   IdentificationRun, LossSpec, NoiseSpec, NonFiniteGradient,
                   NonFiniteValue, NonPositiveInertia, OutsideDomain, ParameterBox,
                   PenaltySpec, StopReason, UpperBarrier, adam_step,
@@ -327,6 +327,17 @@ class TestOneAdamState:
 
 
 class TestValidation:
+    def test_box_of_another_length_is_refused_by_name(self):
+        model = euler_attitude_model()
+        inputs = np.zeros((10, 3))
+        dataset = Dataset(inputs, rollout(model, ATTITUDE_OMEGA0, ATTITUDE_THETA,
+                                          inputs).predictions)
+        spec = LossSpec.scaled_identity(3, 10)
+        for box in (([0.0, 0.0], [1.0, 1.0]), (np.zeros(3), np.ones(2)), (0.0, 1.0)):
+            with pytest.raises(DimensionMismatch, match=r"box bounds must have shape \(3,\)"):
+                identify(model, dataset, spec, ATTITUDE_THETA, ATTITUDE_OMEGA0,
+                         IdentifyOptions(box=box))
+
     def test_max_epochs_at_least_one(self):
         with pytest.raises(ValueError):
             IdentifyOptions(max_epochs=0)
@@ -363,6 +374,14 @@ class TestValidation:
                      id="grad-tol"),
         pytest.param(lambda: IdentifyOptions(cost_tol=np.nan), "nonnegative",
                      id="cost-tol"),
+        pytest.param(lambda: IdentifyOptions(fd_step=np.nan), "fd_step", id="options-fd-step"),
+        pytest.param(lambda: IdentifyOptions(fd_step=np.inf), "fd_step",
+                     id="options-fd-step-inf"),
+        pytest.param(lambda: IdentifyOptions(fd_step=-np.inf), "fd_step",
+                     id="options-fd-step-minus-inf"),
+        pytest.param(lambda: IdentifyOptions(fd_step=0.0), "fd_step", id="options-fd-step-zero"),
+        pytest.param(lambda: IdentifyOptions(fd_step=-1e-6), "fd_step",
+                     id="options-fd-step-negative"),
         pytest.param(lambda: PenaltySpec((UpperBarrier(np.ones(2), 1.0, weight=np.nan),)),
                      "nonnegative", id="penalty-weight"),
         pytest.param(lambda: ParameterBox([np.nan, 0.0], [1.0, 1.0], alpha=1.0), "NaN",

@@ -45,7 +45,7 @@ class TestEnergyConservation:
         assert term.value(x, THETA) == pytest.approx(2.25, abs=1e-14)
 
     def test_numeric_energy_grad_fallback(self):
-        term = EnergyConservation(energy_fn=lambda x: 0.5 * float(x @ x),
+        term = EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
                                   reference=0.1)
         x = np.array([0.4, -0.3])
         grad_x = term.grad_x(x, THETA)

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from msid import (DimensionMismatch, NoiseSpec, NonFiniteState, NonPositiveInertia,
-                  angular_rates, euler_attitude_model, euler_step, generate_dataset,
-                  numeric_jacobian, rollout, rotational_energy,
+from msid import (DimensionMismatch, DynamicalModel, NoiseSpec, NonFiniteState,
+                  NonPositiveInertia, angular_rates, euler_attitude_model, euler_step,
+                  generate_dataset, numeric_jacobian, rollout, rotational_energy,
                   rotational_energy_gradient, rotational_energy_term)
 from msid.systems import attitude_trajectory
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0,
@@ -311,17 +311,24 @@ class TestAttitudeJacobianForms:
                 evaluate()
 
 
-def reference_row_differencing(model, states, inputs, theta):
-    """The fallback before f took blocks: numeric_jacobian over blocks whose
-    f evaluations run one row per call, stacked."""
-    def rows(fn, *blocks):
-        return np.stack([np.asarray(fn(*row), dtype=float) for row in zip(*blocks)])
+def reference_row_differencing(model, states, inputs, theta, step=1e-6):
+    """The fallback as a per-row reference: for each transition, a central
+    difference of ``f`` on that one point per perturbed component, divided by
+    the exact spacing, without numeric_jacobian."""
+    def differences(fn, point):
+        columns = []
+        for j in range(point.size):
+            h = step * max(1.0, abs(point[j]))
+            plus, minus = point.copy(), point.copy()
+            plus[j] += h
+            minus[j] -= h
+            columns.append((fn(plus) - fn(minus)) / (plus[j] - minus[j]))
+        return np.stack(columns, axis=-1)
 
-    jac_x = numeric_jacobian(
-        lambda block: rows(lambda x, u: model.f(x, u, theta), block, inputs), states)
-    jac_theta = numeric_jacobian(
-        lambda block: rows(model.f, states, inputs, block),
-        np.broadcast_to(theta, (len(states),) + theta.shape))
+    jac_x = np.stack([differences(lambda v: model.f(v, u, theta), x)
+                      for x, u in zip(states, inputs)])
+    jac_theta = np.stack([differences(lambda v: model.f(x, u, v), theta)
+                          for x, u in zip(states, inputs)])
     return jac_x, jac_theta
 
 
@@ -335,6 +342,29 @@ class TestRk4Fallback:
             jac_x, jac_theta = reference_row_differencing(model, states, inputs, theta)
             assert np.array_equal(model.jac_f_x_batch(states, inputs, theta), jac_x)
             assert np.array_equal(model.jac_f_theta_batch(states, inputs, theta), jac_theta)
+
+    # (horizon, rows of each f call of one differenced map): the six
+    # perturbed copies of the T-1 transitions go in one call at the
+    # rk4-fallback horizon, and one copy per call at the long-horizon one,
+    # where two copies would pass numeric_jacobian's row budget
+    @pytest.mark.parametrize("horizon,rows_per_call", [(200, [6 * 199]), (3200, [3199] * 6)])
+    def test_stacked_fallback_equals_per_row_reference(self, horizon, rows_per_call):
+        rk4 = euler_attitude_model(dt=ATTITUDE_DT, integrator="rk4")
+        calls = []
+
+        def counted_f(x, u, theta):
+            calls.append(len(x))
+            return rk4.f(x, u, theta)
+
+        model = DynamicalModel(dims=rk4.dims, f=counted_f, g=rk4.g)
+        rng = np.random.default_rng(45)
+        states = rng.normal(scale=0.8, size=(horizon - 1, 3))
+        inputs = rng.normal(scale=0.1, size=(horizon - 1, 3))
+        jac_x, jac_theta = reference_row_differencing(rk4, states, inputs, ATTITUDE_THETA)
+        assert np.array_equal(model.jac_f_x_batch(states, inputs, ATTITUDE_THETA), jac_x)
+        assert calls == rows_per_call
+        assert np.array_equal(model.jac_f_theta_batch(states, inputs, ATTITUDE_THETA), jac_theta)
+        assert calls == 2 * rows_per_call
 
 
 ONE_INERTIA_CALLERS = {
