@@ -16,10 +16,10 @@ an adjoint row vector starts at the last step and is pulled back one state
 transition at a time, so the whole computation costs O(T) Jacobian-chain
 applications.  Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES
 states, the same recurrence runs as a chunked two-level scan: O(T n_x^3)
-work in about 3 sqrt(T) numpy steps instead of O(T n_x^2) work in T Python
-steps, equal up to rounding.  A masked model takes the same loop or scan on
-its masked Jacobians, which are dense stacks with exact zeros outside the
-mask.  :func:`gradient_naive`
+work in sqrt(T)/2 numpy steps plus the same recurrence over the 2 sqrt(T)
+chunks, instead of O(T n_x^2) work in T Python steps, equal up to rounding.
+A masked model takes the same loop or scan on its masked Jacobians, which
+are dense stacks with exact zeros outside the mask.  :func:`gradient_naive`
 expands the same quantity as an explicit double sum over step pairs with
 O(T^2) matrix chains and exists as a cross-check and benchmark baseline.
 :func:`fd_gradient` differentiates the cost by central differences
@@ -232,34 +232,33 @@ def _backward_adjoints(big_gamma, jac_x, product):
 
     ``jac_x`` is the (T-1, n_x, n_x) stack, masked or not, and ``product``
     forms each ``rows @ jac`` by it (``np.matmul`` contract).  The scan
-    (T > SCAN_MIN_HORIZON, n_x <= SCAN_MAX_STATES) takes chunks of
-    B ~ sqrt(T)/2 steps.  B batched steps solve every chunk from a zero
-    incoming adjoint and form each position's transfer product to the
-    chunk's end, one step per chunk carries the true incoming adjoints back,
-    and one batched product adds them in.  A transfer product that
-    overflows falls back to the step-by-step loop (:func:`gradient` runs
-    this under ``np.errstate``, so an overflow warns nothing).
+    (T > SCAN_MIN_HORIZON, n_x <= SCAN_MAX_STATES; a two-level prefix scan,
+    Blelloch 1990) takes chunks of B ~ sqrt(T)/2 steps.  B ``product`` steps
+    pull an (n_x+1, n_x) block per chunk back: the transfer products to the
+    chunk's end over the adjoints from a zero incoming adjoint.  The chunk
+    heads follow this recurrence too, solved by a recursive call on
+    ``np.matmul`` (transfer products are dense); one batched product adds
+    them in.  A level whose transfer products overflow falls back to the
+    loop (:func:`gradient` runs this under ``np.errstate``: it warns nothing).
     """
     horizon, n_x = big_gamma.shape
     if horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
         size = max(6, round(horizon ** 0.5 / 2))
         chunks, pad = -(-horizon // size), -horizon % size
         # zero seeds and Jacobians pad the horizon to whole chunks
-        local = np.concatenate([big_gamma, np.zeros((pad, n_x))])
+        local = np.concatenate([big_gamma, np.zeros((pad, n_x))]).reshape(chunks, size, n_x)
         jac = np.concatenate([jac_x, np.zeros((pad + 1, n_x, n_x))])
-        local = local.reshape(chunks, size, n_x)
         jac = jac.reshape(chunks, size, n_x, n_x)
         transfer = np.empty((chunks, size, n_x, n_x))
-        row, chain = np.zeros((chunks, 1, n_x)), np.eye(n_x)
+        block = np.eye(n_x + 1, n_x)  # the identity over a zero adjoint row
         for j in range(size - 1, -1, -1):
-            row = local[:, j, None] + product(row, jac[:, j])
-            local[:, j] = row[:, 0]
-            chain = transfer[:, j] = product(chain, jac[:, j])
+            block = product(block, jac[:, j])
+            block[:, n_x] += local[:, j]
+            local[:, j] = block[:, n_x]
+            transfer[:, j] = block[:, :n_x]
         if np.all(np.isfinite(transfer)):
-            incoming = np.zeros((chunks, n_x))
-            for c in range(chunks - 2, -1, -1):
-                incoming[c] = local[c + 1, 0] + incoming[c + 1] @ transfer[c + 1, 0]
-            local += (incoming[:, None, None, :] @ transfer)[..., 0, :]
+            heads = _backward_adjoints(local[:, 0], transfer[:-1, 0], np.matmul)
+            local[:-1] += (heads[1:, None, None, :] @ transfer[:-1])[..., 0, :]
             return local.reshape(-1, n_x)[:horizon]
     adjoints = big_gamma.copy()
     for k in range(horizon - 1, 0, -1):
@@ -304,9 +303,8 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES states, the
     pass runs as a chunked scan of O(T n_x^3) work (:func:`_backward_adjoints`),
     on a masked model as on a dense one; ``chain_applications`` is T-1 either
-    way.  A masked model's products go through
-    :func:`~msid.structure.sparse_chain_apply`, ``np.matmul`` under the name
-    the benchmark traces.
+    way.  A masked model's products by its Jacobians take ``np.matmul`` under
+    the name the benchmark traces, :func:`~msid.structure.sparse_chain_apply`.
 
     The trajectory must have been produced by :func:`~msid.model.rollout`
     under ``theta`` and its stored initial state; a spot check re-evaluates

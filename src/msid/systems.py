@@ -73,11 +73,18 @@ def _advance(w, m, i, dt, integrator: str) -> list:
     raise ValueError(f"unknown integrator {integrator!r}")
 
 
+def _points(omega: Array, torque: Array, inertia: Array) -> tuple:
+    """Three float arrays as lists; DimensionMismatch unless each has shape (3,)."""
+    if not omega.shape == torque.shape == inertia.shape == (3,):
+        raise DimensionMismatch(f"omega, torque and inertia must have shape (3,), got "
+                                f"{omega.shape}, {torque.shape} and {inertia.shape}")
+    return omega.tolist(), torque.tolist(), inertia.tolist()
+
+
 def angular_rates(omega, torque, inertia) -> Array:
     """Angular acceleration of the rigid body: solve I*dw/dt = M - w x (I*w)."""
-    return np.array(_rates(np.asarray(omega, dtype=float).tolist(),
-                           np.asarray(torque, dtype=float).tolist(),
-                           np.asarray(inertia, dtype=float).tolist()))
+    points = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
+    return np.array(_rates(*_points(*points)))
 
 
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
@@ -94,9 +101,9 @@ def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULE
     inertia = np.asarray(inertia, dtype=float)
     point = omega.ndim == torque.ndim == inertia.ndim == 1
     if point:
-        w, m, i = omega.tolist(), torque.tolist(), inertia.tolist()
+        w, m, i = _points(omega, torque, inertia)
         # the inertia check on the floats at hand; _check_inertia names the fault
-        if not (len(i) == 3 and i[0] > 0 and i[1] > 0 and i[2] > 0):
+        if not (i[0] > 0 and i[1] > 0 and i[2] > 0):
             _check_inertia(inertia)
     elif omega.shape[-1:] == torque.shape[-1:] == (3,):
         inertia = _check_inertia(inertia, rows=True)
@@ -115,18 +122,28 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
     row 0 is ``omega0`` and row k+1 equals ``euler_step`` of row k under
     ``torques[k]`` bit for bit.  The inertia is checked once, and the steps
     run on Python floats, read from ``torques`` and written into the states
-    one at a time, so the Python objects held do not grow with T."""
-    inertia = _check_inertia(inertia).tolist()
+    one at a time, so the Python objects held do not grow with T.  Forward
+    Euler writes the operations of ``_rates`` out in order: no call per step."""
+    ix, iy, iz = inertia = _check_inertia(inertia).tolist()
     torques = np.ascontiguousarray(torques, dtype=float)
     if np.shape(omega0) != (3,) or torques.ndim != 2 or torques.shape[1] != 3:
         raise DimensionMismatch(f"need omega0 (3,) and torques (T, 3), got "
                                 f"{np.shape(omega0)} and {torques.shape}")
     states = np.empty((len(torques) + 1, 3))
     states[0] = omega0
-    w = states[0].tolist()
+    wx, wy, wz = w = states[0].tolist()
     out = memoryview(states.reshape(-1))
     values = iter(memoryview(torques.reshape(-1)))
     j = 3
+    if integrator == FORWARD_EULER:
+        dzy, dxz, dyx = iz - iy, ix - iz, iy - ix
+        for mx, my, mz in zip(values, values, values):
+            wx, wy, wz = (wx + dt * ((mx - dzy * wy * wz) / ix),
+                          wy + dt * ((my - dxz * wz * wx) / iy),
+                          wz + dt * ((mz - dyx * wx * wy) / iz))
+            out[j], out[j + 1], out[j + 2] = wx, wy, wz
+            j += 3
+        return states
     for m in zip(values, values, values):
         w = _advance(w, m, inertia, dt, integrator)
         out[j], out[j + 1], out[j + 2] = w

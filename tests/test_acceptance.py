@@ -123,11 +123,13 @@ def test_criterion_5_horizon_sweep():
         dataset = Dataset(np.full_like(raw.inputs, ATTITUDE_NOISE["torque_mean"]),
                           raw.observations.copy(), ATTITUDE_DT)
         cases[horizon] = (dataset, LossSpec.scaled_identity(3, horizon))
-    # the wall time of a horizon is the fastest of three identical runs, the
-    # horizons taking turns, so that a burst of machine slowness inside one
-    # run cannot reorder horizons whose costs differ by a tenth
+    # the wall time of a horizon is the fastest of nine identical runs, the
+    # horizons taking turns, so that a burst of machine speed or slowness
+    # inside one run cannot reorder horizons whose costs differ by a tenth
+    # (on a 2-core VM, T=100 read below T=50 in 5 of 9 runs of this test with
+    # the fastest of five, and in none of 6 alone with the fastest of nine)
     results = {horizon: (float("inf"), None) for horizon in cases}
-    for _ in range(3):
+    for _ in range(9):
         for horizon, (dataset, spec) in cases.items():
             started = time.perf_counter()
             run = identify(model, dataset, spec, theta0, x00,

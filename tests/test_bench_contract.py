@@ -84,13 +84,14 @@ def span_counts():
 # batched fields; the masked path takes its state Jacobian from the
 # jac_f_x_batch call, once for the whole trajectory, zeroed outside the mask,
 # and makes its products through sparse_chain_apply (np.matmul under the
-# traced name): one per transition on the step-by-step loop, or two per step
-# of a chunk on the scan (the adjoint rows and the transfer products, one
-# call for all chunks); the RK4 model differences f once per batched map.
+# traced name): one per transition on the step-by-step loop, or one per step
+# of a chunk on the scan (the transfer products with the adjoint row under
+# them, one call for all chunks), the chunk carries taking np.matmul; the
+# RK4 model differences f once per batched map.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
     "euler-sparse": (1, HORIZON - 1, 0, 3),
-    "euler-sparse-scan": (1, 2 * SCAN_CHUNK, 0, 3),
+    "euler-sparse-scan": (1, SCAN_CHUNK, 0, 3),
     "rk4": (0, 0, 2, 3),
     "scalar": (0, 0, 0, 3),
     "euler-penalty": (0, 0, 0, 3),

@@ -1,6 +1,7 @@
 """Gradient engine: hand examples, oracle agreement, structural properties."""
 
 import dataclasses
+import importlib
 import time
 
 import numpy as np
@@ -15,6 +16,9 @@ from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport
 from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
                       random_instance, reference_adjoint_loop, report_gap)
+
+# the module itself: the package exports its function ``gradient`` under its name
+gradient_module = importlib.import_module("msid.gradient")
 
 
 @pytest.fixture
@@ -518,19 +522,38 @@ class TestChunkedScan:
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
 
-    def test_overflowing_transfer_products_fall_back_to_the_loop(self):
-        # x[k+1] = 1e200 x[k] from x0 = 0: every state and every adjoint
-        # but the first is zero, while the chunk products overflow
-        horizon = SCAN_MIN_HORIZON + 1
+    # x[k+1] = theta x[k] from x0 = 0: every state and every adjoint but the
+    # first is zero.  At theta = 1e200 the chunk products overflow, so the
+    # scan falls back at once.  At theta = 1e5 and T = 3200 the products over
+    # a chunk of 28 steps (1e140) stay finite, while the scan over the 115
+    # chunk heads overflows on its chunks of 6 and falls back to the loop
+    # there; a scan that went on would add 0 * inf = NaN.
+    @pytest.mark.parametrize("horizon,theta,levels", [
+        (SCAN_MIN_HORIZON + 1, 1e200, [SCAN_MIN_HORIZON + 1]),
+        (3200, 1e5, [3200, 115])], ids=["chunk-products", "carry-products"])
+    def test_overflowing_transfer_products_fall_back_to_the_loop(
+            self, monkeypatch, horizon, theta, levels):
         model = scalar_linear_model()
         observations = np.zeros((horizon, 1))
         observations[0] = 1.0
         dataset = Dataset(np.zeros((horizon, 1)), observations)
-        theta = np.array([1e200])
+        theta = np.array([theta])
+        spec = LossSpec.scaled_identity(1, horizon)
         trajectory = rollout(model, [0.0], theta, dataset.inputs)
+        backward_adjoints, horizons = gradient_module._backward_adjoints, []
+
+        def recorded(big_gamma, jac_x, product):
+            horizons.append(len(big_gamma))
+            return backward_adjoints(big_gamma, jac_x, product)
+
+        monkeypatch.setattr(gradient_module, "_backward_adjoints", recorded)
         for model in (model, with_full_mask(model)):
-            report = gradient(model, trajectory, dataset,
-                              LossSpec.scaled_identity(1, horizon), theta)
+            horizons.clear()
+            report = gradient(model, trajectory, dataset, spec, theta)
+            assert horizons == levels
+            grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+            assert np.array_equal(report.grad_theta, grad_theta)
+            assert np.array_equal(report.grad_x0, grad_x0)
             assert np.array_equal(report.grad_theta, [0.0])
             assert np.array_equal(report.grad_x0, [-2.0 / horizon])
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msid import (DimensionMismatch, DynamicalModel, NoiseSpec, NonFiniteState,
                   NonPositiveInertia, angular_rates, euler_attitude_model, euler_step,
@@ -92,6 +94,20 @@ class TestEulerStep:
             with pytest.raises(error):
                 euler_step(ATTITUDE_OMEGA0, np.zeros(3), bad, 0.1, integrator)
 
+    @pytest.mark.parametrize("function", ["euler_step", "angular_rates"])
+    @pytest.mark.parametrize("argument", [0, 1, 2])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_point_of_another_length_is_refused_by_name(self, function, argument, length):
+        # a (4,) torque used to lose its 4th component, a (4,) or (2,) omega
+        # to raise a bare ValueError from tuple unpacking
+        points = [ATTITUDE_OMEGA0, np.array([0.02, -0.03, 0.01]), ATTITUDE_THETA]
+        points[argument] = np.full(length, 0.04)
+        with pytest.raises(DimensionMismatch, match=rf"must have shape \(3,\).*\({length},\)"):
+            if function == "euler_step":
+                euler_step(*points, 0.1)
+            else:
+                angular_rates(*points)
+
     def test_cyclic_permutation_commutes(self):
         rng = np.random.default_rng(0)
         for integrator in ("forward_euler", "rk4"):
@@ -106,6 +122,9 @@ class TestEulerStep:
 
 
 INTEGRATORS = ("forward_euler", "rk4")
+# which of three drawn values each inertia component takes: all distinct,
+# two equal (in each position) or all equal
+PATTERNS = [(0, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]
 
 
 def random_step_arguments(rng, n):
@@ -182,6 +201,24 @@ class TestAttitudeTrajectory:
         # torques that are not C-contiguous give the same states
         assert np.array_equal(attitude_trajectory(omega0, np.asfortranarray(torques), inertia,
                                                   ATTITUDE_DT, integrator), states)
+
+    @given(inertia=st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),
+                             st.floats(1e-3, 10.0), st.sampled_from(PATTERNS)),
+           omega0=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           torques=st.integers(1, 64).flatmap(lambda horizon: st.lists(
+               st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+               min_size=horizon, max_size=horizon)),
+           dt=st.floats(1e-3, 1.0))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_written_out_euler_kernel_equals_euler_steps(self, inertia, omega0, torques, dt):
+        # the forward-Euler loop writes the step out; it must stay the step
+        *values, pattern = inertia
+        inertia = np.array([values[k] for k in pattern])
+        expected = [np.array(omega0)]
+        for torque in torques:
+            expected.append(euler_step(expected[-1], torque, inertia, dt))
+        states = attitude_trajectory(omega0, torques, inertia, dt)
+        assert np.array_equal(states, np.array(expected), equal_nan=True)
 
     def test_wrong_shapes_raise(self):
         for omega0, torques in ((np.zeros(2), np.zeros((4, 3))),
