@@ -58,7 +58,7 @@ class EnergyConservation:
     (..., n_x); if omitted, the gradient is approximated by central
     differences of the whole block (:func:`~msid.model.numeric_jacobian`),
     which evaluate ``energy_fn`` once on every perturbed copy of the block,
-    stacked on a new leading axis.
+    stacked on a new leading axis, after checking its energies' shape.
     """
 
     energy_fn: Callable[[Array], Array]
@@ -80,6 +80,9 @@ class EnergyConservation:
         deviation = self._deviation(x)
         if self.energy_grad is not None:
             grad = np.asarray(self.energy_grad(x), dtype=float)
+        elif deviation.shape != x.shape[:-1]:
+            raise DimensionMismatch(f"energy_fn must map states of shape {x.shape} to shape "
+                                    f"{x.shape[:-1]}, got {deviation.shape}")
         else:
             grad = numeric_jacobian(self.energy_fn, x)
         return (2.0 * deviation)[..., None] * grad

@@ -83,8 +83,10 @@ def _points(omega: Array, torque: Array, inertia: Array) -> tuple:
 
 def angular_rates(omega, torque, inertia) -> Array:
     """Angular acceleration of the rigid body: solve I*dw/dt = M - w x (I*w)."""
-    points = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
-    return np.array(_rates(*_points(*points)))
+    omega, torque, inertia = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
+    w, m, i = _points(omega, torque, inertia)
+    _check_inertia(inertia)
+    return np.array(_rates(w, m, i))
 
 
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
@@ -122,21 +124,24 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
     row 0 is ``omega0`` and row k+1 equals ``euler_step`` of row k under
     ``torques[k]`` bit for bit.  The inertia is checked once, and the steps
     run on Python floats, read from ``torques`` and written into the states
-    one at a time, so the Python objects held do not grow with T.  Forward
-    Euler writes the operations of ``_rates`` out in order: no call per step."""
-    ix, iy, iz = inertia = _check_inertia(inertia).tolist()
+    one at a time, so the Python objects held do not grow with T.  Each
+    integrator writes the operations of ``_advance`` and ``_rates`` out in
+    order, RK4 stage by stage: no call per step."""
+    ix, iy, iz = _check_inertia(inertia).tolist()
     torques = np.ascontiguousarray(torques, dtype=float)
     if np.shape(omega0) != (3,) or torques.ndim != 2 or torques.shape[1] != 3:
         raise DimensionMismatch(f"need omega0 (3,) and torques (T, 3), got "
                                 f"{np.shape(omega0)} and {torques.shape}")
+    if integrator not in INTEGRATORS:
+        raise ValueError(f"unknown integrator {integrator!r}")
     states = np.empty((len(torques) + 1, 3))
     states[0] = omega0
-    wx, wy, wz = w = states[0].tolist()
+    wx, wy, wz = states[0].tolist()
     out = memoryview(states.reshape(-1))
     values = iter(memoryview(torques.reshape(-1)))
     j = 3
+    dzy, dxz, dyx = iz - iy, ix - iz, iy - ix
     if integrator == FORWARD_EULER:
-        dzy, dxz, dyx = iz - iy, ix - iz, iy - ix
         for mx, my, mz in zip(values, values, values):
             wx, wy, wz = (wx + dt * ((mx - dzy * wy * wz) / ix),
                           wy + dt * ((my - dxz * wz * wx) / iy),
@@ -144,9 +149,23 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
             out[j], out[j + 1], out[j + 2] = wx, wy, wz
             j += 3
         return states
-    for m in zip(values, values, values):
-        w = _advance(w, m, inertia, dt, integrator)
-        out[j], out[j + 1], out[j + 2] = w
+    half, sixth = 0.5 * dt, dt / 6.0
+    for mx, my, mz in zip(values, values, values):
+        ax, ay, az = ((mx - dzy * wy * wz) / ix, (my - dxz * wz * wx) / iy,
+                      (mz - dyx * wx * wy) / iz)
+        px, py, pz = wx + half * ax, wy + half * ay, wz + half * az
+        bx, by, bz = ((mx - dzy * py * pz) / ix, (my - dxz * pz * px) / iy,
+                      (mz - dyx * px * py) / iz)
+        px, py, pz = wx + half * bx, wy + half * by, wz + half * bz
+        cx, cy, cz = ((mx - dzy * py * pz) / ix, (my - dxz * pz * px) / iy,
+                      (mz - dyx * px * py) / iz)
+        px, py, pz = wx + dt * cx, wy + dt * cy, wz + dt * cz
+        dx, dy, dz = ((mx - dzy * py * pz) / ix, (my - dxz * pz * px) / iy,
+                      (mz - dyx * px * py) / iz)
+        wx, wy, wz = (wx + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
+                      wy + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
+                      wz + sixth * (az + 2.0 * bz + 2.0 * cz + dz))
+        out[j], out[j + 1], out[j + 2] = wx, wy, wz
         j += 3
     return states
 

@@ -52,6 +52,13 @@ class TestEnergyConservation:
         expected = 2.0 * (0.5 * float(x @ x) - 0.1) * x
         assert max_rel_gap(grad_x, expected) <= 1e-6
 
+    def test_numeric_fallback_names_an_energy_fn_that_is_not_row_wise(self):
+        # the error names the map at fault, not numeric_jacobian's anonymous "fn"
+        term = EnergyConservation(energy_fn=lambda x: np.sum(x * x), reference=0.0)
+        with pytest.raises(DimensionMismatch,
+                           match=r"energy_fn .*\(5, 3\) .*\(5,\), got \(\)"):
+            term.grad_x(np.ones((5, 3)), np.ones(3))
+
 
 class TestBarriers:
     def test_upper_value_at_bound(self):

@@ -1,6 +1,7 @@
 """Attitude dynamics, data generation, and rotational energy."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,13 @@ class TestEulerStep:
                        np.array([0.1, -0.1, 0.1]), 0.1)
         with pytest.raises(NonPositiveInertia):
             rotational_energy(ATTITUDE_OMEGA0, np.array([0.0, 0.1, 0.1]))
+
+    @pytest.mark.parametrize("inertia", [[0.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
+                                         [np.nan, 1.0, 1.0]])
+    def test_angular_rates_rejects_nonpositive_inertia(self, inertia):
+        # refused by name, as euler_step refuses it, before any division
+        with pytest.raises(NonPositiveInertia):
+            angular_rates([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], inertia)
 
     @pytest.mark.parametrize("integrator", ["forward_euler", "rk4"])
     def test_every_bad_inertia_raises_from_euler_step(self, integrator):
@@ -210,15 +218,41 @@ class TestAttitudeTrajectory:
                min_size=horizon, max_size=horizon)),
            dt=st.floats(1e-3, 1.0))
     @settings(derandomize=True, max_examples=60, deadline=None)
-    def test_written_out_euler_kernel_equals_euler_steps(self, inertia, omega0, torques, dt):
-        # the forward-Euler loop writes the step out; it must stay the step
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_written_out_kernel_equals_euler_steps(self, integrator, inertia, omega0,
+                                                   torques, dt):
+        # each integrator's loop writes the step out; it must stay the step
         *values, pattern = inertia
         inertia = np.array([values[k] for k in pattern])
         expected = [np.array(omega0)]
         for torque in torques:
-            expected.append(euler_step(expected[-1], torque, inertia, dt))
-        states = attitude_trajectory(omega0, torques, inertia, dt)
+            expected.append(euler_step(expected[-1], torque, inertia, dt, integrator))
+        states = attitude_trajectory(omega0, torques, inertia, dt, integrator)
         assert np.array_equal(states, np.array(expected), equal_nan=True)
+
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_rollout_makes_no_call_per_step(self, integrator):
+        # a count of Python-level calls, not a timing: a written-out kernel
+        # makes the same calls at every horizon
+        def calls(horizon):
+            events = []
+            torques = np.full((horizon, 3), 1e-3)
+            previous = sys.getprofile()
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                attitude_trajectory(ATTITUDE_OMEGA0, torques, ATTITUDE_THETA, ATTITUDE_DT,
+                                    integrator)
+            finally:
+                sys.setprofile(previous)
+            return events.count("call")
+
+        assert calls(10) == calls(500) > 0
+
+    @pytest.mark.parametrize("horizon", [0, 1])
+    def test_unknown_integrator_is_refused_at_every_horizon(self, horizon):
+        # T=0 takes no step, so the refusal must not come from one
+        with pytest.raises(ValueError, match="unknown integrator 'bogus'"):
+            attitude_trajectory(np.zeros(3), np.zeros((horizon, 3)), np.ones(3), 0.1, "bogus")
 
     def test_wrong_shapes_raise(self):
         for omega0, torques in ((np.zeros(2), np.zeros((4, 3))),
