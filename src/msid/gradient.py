@@ -14,10 +14,13 @@ out trajectory.
 :func:`gradient` evaluates the exact gradient in a single backward pass:
 an adjoint row vector starts at the last step and is pulled back one state
 transition at a time, so the whole computation costs O(T) Jacobian-chain
-applications.  Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES
-states, the same recurrence runs as a chunked two-level scan: O(T n_x^3)
-work in sqrt(T)/2 numpy steps plus the same recurrence over the 2 sqrt(T)
-chunks, instead of O(T n_x^2) work in T Python steps, equal up to rounding.
+applications.  The loop steps through row views made once, forming each
+dense step as one ``ndarray.dot`` of a row by a Jacobian, bit for bit the
+``np.matmul`` product.  Above SCAN_MIN_HORIZON steps, with at most
+SCAN_MAX_STATES states, the same recurrence runs as a chunked two-level
+scan: O(T n_x^3) work in sqrt(T)/2 numpy steps plus the same recurrence over
+the 2 sqrt(T) chunks, instead of O(T n_x^2) work in T Python steps, equal up
+to rounding.
 A masked model takes the same loop or scan on its masked Jacobians, which
 are dense stacks with exact zeros outside the mask.  :func:`gradient_naive`
 expands the same quantity as an explicit double sum over step pairs with
@@ -53,7 +56,11 @@ PSD_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
 # The backward pass runs as a chunked scan above this horizon and up to this
-# many states; at shorter horizons or more states the loop is faster.
+# many states, and as the step-by-step loop otherwise.  On a random 3-state
+# chain the row-view loop and the scan break even at T = 55 (54-56 us against
+# 56-59 at T = 50, 68-71 against 60-63 at T = 64; fastest of 150 calls, three
+# sweeps, 2-core x86 VM, Python 3.11, numpy 2.4).  Lowering the threshold
+# would move the rounding of T = 55..64 to save a few us, so it stays 64.
 SCAN_MIN_HORIZON = 64
 SCAN_MAX_STATES = 10
 
@@ -231,15 +238,20 @@ def _backward_adjoints(big_gamma, jac_x, product):
     big_gamma[T-1]``: row k is the cost gradient by x[k].
 
     ``jac_x`` is the (T-1, n_x, n_x) stack, masked or not, and ``product``
-    forms each ``rows @ jac`` by it (``np.matmul`` contract).  The scan
-    (T > SCAN_MIN_HORIZON, n_x <= SCAN_MAX_STATES; a two-level prefix scan,
-    Blelloch 1990) takes chunks of B ~ sqrt(T)/2 steps.  B ``product`` steps
-    pull an (n_x+1, n_x) block per chunk back: the transfer products to the
-    chunk's end over the adjoints from a zero incoming adjoint.  The chunk
-    heads follow this recurrence too, solved by a recursive call on
-    ``np.matmul`` (transfer products are dense); one batched product adds
-    them in.  A level whose transfer products overflow falls back to the
-    loop (:func:`gradient` runs this under ``np.errstate``: it warns nothing).
+    forms each ``rows @ jac`` by it (``np.matmul`` contract).  The loop
+    steps through row views of the adjoints and of ``jac_x``, made once.  It
+    forms a dense product of a row by a C- or F-ordered matrix with
+    ``ndarray.dot``, which gives the bits of ``np.matmul`` without its
+    gufunc dispatch; other strides keep ``np.matmul``, and a masked model
+    makes one ``product`` call per step.  The scan (T > SCAN_MIN_HORIZON,
+    n_x <= SCAN_MAX_STATES; a two-level prefix scan, Blelloch 1990) takes
+    chunks of B ~ sqrt(T)/2 steps.  B ``product`` steps pull an
+    (n_x+1, n_x) block per chunk back: the transfer products to the chunk's
+    end over the adjoints from a zero incoming adjoint.  The chunk heads
+    follow this recurrence too, solved by a recursive call on ``np.matmul``
+    (transfer products are dense); one batched product adds them in.  A
+    level whose transfer products overflow falls back to the loop
+    (:func:`gradient` runs this under ``np.errstate``: it warns nothing).
     """
     horizon, n_x = big_gamma.shape
     if horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
@@ -261,8 +273,14 @@ def _backward_adjoints(big_gamma, jac_x, product):
             local[:-1] += (heads[1:, None, None, :] @ transfer[:-1])[..., 0, :]
             return local.reshape(-1, n_x)[:horizon]
     adjoints = big_gamma.copy()
+    rows, jacs = list(adjoints), list(jac_x)
+    head = jac_x[:1].flags
+    if product is np.matmul and (head.c_contiguous or head.f_contiguous):
+        # both hand a row times a C- or F-ordered matrix to BLAS and round
+        # alike; ndarray.dot skips the gufunc dispatch
+        product = np.ndarray.dot
     for k in range(horizon - 1, 0, -1):
-        adjoints[k - 1] += product(adjoints[k], jac_x[k - 1])
+        rows[k - 1] += product(rows[k], jacs[k - 1])
     return adjoints
 
 

@@ -67,7 +67,8 @@ class ModelDims:
     def __post_init__(self):
         for name in ("n_x", "n_u", "n_z", "n_theta"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < 1):
                 raise DimensionMismatch(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -86,8 +87,9 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     or, where the stack would exceed ``ROW_BUDGET`` rows, once per group of
     whole copies, in the fewest groups that fit.  Raises
     :class:`DimensionMismatch` if a result has not one row per stacked point,
-    and :class:`NonFiniteValue`, naming the first component, if any
-    evaluation is non-finite.
+    and :class:`NonFiniteValue` if any evaluation is non-finite, naming the
+    point's first non-finite component, or on a finite point the first
+    component whose perturbed evaluations are non-finite.
     """
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -114,6 +116,10 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
                 f"fn must be row-wise: gave shape {values.shape} for points of "
                 f"shape {stack.shape}")
         if not np.isfinite(values).all():
+            point_finite = np.isfinite(p.reshape(-1, n)).all(axis=0)
+            if not point_finite.all():
+                raise NonFiniteValue(
+                    f"point is not finite at component {np.argmin(point_finite)}")
             finite = np.isfinite(values.reshape(len(group), -1)).all(axis=1)
             raise NonFiniteValue("non-finite evaluation while differencing component "
                                  f"{group[np.argmin(finite)] // 2}")

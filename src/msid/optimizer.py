@@ -120,7 +120,8 @@ class IdentifyOptions:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.max_epochs, (int, np.integer)) or self.max_epochs < 1:
+        if (isinstance(self.max_epochs, bool)
+                or not isinstance(self.max_epochs, (int, np.integer)) or self.max_epochs < 1):
             raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
         if not (self.cost_tol >= 0 and self.grad_tol >= 0):
             raise ValueError("thresholds must be nonnegative")

@@ -58,7 +58,9 @@ class EnergyConservation:
     (..., n_x); if omitted, the gradient is approximated by central
     differences of the whole block (:func:`~msid.model.numeric_jacobian`),
     which evaluate ``energy_fn`` once on every perturbed copy of the block,
-    stacked on a new leading axis, after checking its energies' shape.
+    stacked on a new leading axis.  There the shape of the energies is
+    checked on the block and on the stack, and a map that gives another
+    shape raises :class:`~msid.errors.DimensionMismatch` naming ``energy_fn``.
     """
 
     energy_fn: Callable[[Array], Array]
@@ -75,16 +77,24 @@ class EnergyConservation:
         deviation = self._deviation(x)
         return deviation * deviation
 
+    def _energies(self, x) -> Array:
+        """``energy_fn(x)``, checked to give one energy per state of ``x``."""
+        energies = np.asarray(self.energy_fn(x), dtype=float)
+        if energies.shape != x.shape[:-1]:
+            raise DimensionMismatch(f"energy_fn must map states of shape {x.shape} to shape "
+                                    f"{x.shape[:-1]}, got {energies.shape}")
+        return energies
+
     def grad_x(self, x, theta) -> Array:
         x = np.asarray(x, dtype=float)
-        deviation = self._deviation(x)
         if self.energy_grad is not None:
+            deviation = self._deviation(x)
             grad = np.asarray(self.energy_grad(x), dtype=float)
-        elif deviation.shape != x.shape[:-1]:
-            raise DimensionMismatch(f"energy_fn must map states of shape {x.shape} to shape "
-                                    f"{x.shape[:-1]}, got {deviation.shape}")
         else:
-            grad = numeric_jacobian(self.energy_fn, x)
+            # the stacked copies are checked too: a map that reduces every
+            # axis gives one state the right shape, but not a block of them
+            deviation = self._energies(x) - self.reference
+            grad = numeric_jacobian(self._energies, x)
         return (2.0 * deviation)[..., None] * grad
 
     def grad_theta(self, x, theta) -> Array:

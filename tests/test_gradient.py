@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport,
                   LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, SparsityMask,
@@ -14,6 +16,7 @@ from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport
                   generate_dataset, gradient, gradient_naive, prediction_error, rollout,
                   rotational_energy, rotational_energy_term, scalar_linear_model)
 from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
+from msid.structure import sparse_chain_apply
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
                       random_instance, reference_adjoint_loop, report_gap)
 
@@ -429,7 +432,37 @@ def with_full_mask(model):
     return dataclasses.replace(model, sparsity=SparsityMask(np.ones((n_x, n_x), dtype=int)))
 
 
+# a random Jacobian stack in four memory layouts: row-major, a transposed
+# view (each matrix column-major), one matrix broadcast over the horizon, and
+# every other column of a wider stack (each matrix in neither order)
+JACOBIAN_LAYOUTS = {
+    "contiguous": lambda jac: jac,
+    "transposed": lambda jac: jac.transpose(0, 2, 1),
+    "broadcast": lambda jac: np.broadcast_to(jac[0], jac.shape),
+    "strided": lambda jac: np.repeat(jac, 2, axis=-1)[..., ::2],
+}
+
+
 class TestBackwardPass:
+    @given(horizon=st.integers(2, SCAN_MIN_HORIZON), n_x=st.integers(1, SCAN_MAX_STATES + 2),
+           layout=st.sampled_from(sorted(JACOBIAN_LAYOUTS)), masked=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_loop_equals_plain_matmul_loop(self, horizon, n_x, layout, masked, seed):
+        # up to SCAN_MIN_HORIZON steps the pass is the step-by-step loop on row
+        # views; it must give the bits of adjoint @ jac, one step at a time
+        rng = np.random.default_rng(seed)
+        big_gamma = rng.normal(size=(horizon, n_x))
+        seeds = big_gamma.copy()
+        jac_x = JACOBIAN_LAYOUTS[layout](rng.normal(size=(horizon - 1, n_x, n_x)))
+        expected = big_gamma.copy()
+        for k in range(horizon - 1, 0, -1):
+            expected[k - 1] += expected[k] @ jac_x[k - 1]
+        product = sparse_chain_apply if masked else np.matmul
+        adjoints = gradient_module._backward_adjoints(big_gamma, jac_x, product)
+        assert np.array_equal(adjoints, expected)
+        assert np.array_equal(big_gamma, seeds)
+
     @pytest.mark.parametrize("seed,penalty_kind",
                              [(11, None), (12, "energy"), (13, "upper"), (14, "box")])
     def test_dense_path_equals_step_by_step_loop(self, seed, penalty_kind):

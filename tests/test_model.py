@@ -262,6 +262,16 @@ def reference_numeric_jacobian(fn, point, step=1e-6):
     return jac
 
 
+class TestModelDims:
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True, False, np.True_])
+    def test_counts_must_be_positive_integers(self, value):
+        with pytest.raises(DimensionMismatch, match="n_x must be a positive integer"):
+            ModelDims(value, 1, 1, 1)
+
+    def test_numpy_integers_are_counts(self):
+        assert ModelDims(np.int64(2), 1, 1, 1).n_x == 2
+
+
 class TestOneJacobianForm:
     """Each derivative has one form, batched; a block equals its rows bit for bit."""
 
@@ -394,6 +404,16 @@ class TestStackedDifferences:
                 with pytest.raises(NonFiniteValue,
                                    match="while differencing component 2$"):
                     numeric_jacobian(fn, point)
+
+    def test_non_finite_point_names_its_own_component(self):
+        # every perturbed copy carries the point's NaN, so every copy's
+        # evaluation is non-finite: the point's component is the cause
+        with pytest.raises(NonFiniteValue, match="point is not finite at component 1$"):
+            numeric_jacobian(lambda x: x, [1.0, np.nan])
+        block = np.ones((4, 3))
+        block[2, 2] = np.nan
+        with pytest.raises(NonFiniteValue, match="point is not finite at component 2$"):
+            numeric_jacobian(lambda x: x, block)
 
     def test_map_that_is_not_row_wise_is_refused(self):
         with pytest.raises(DimensionMismatch,

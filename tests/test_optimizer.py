@@ -370,6 +370,10 @@ class TestValidation:
                      id="max-epochs-inf"),
         pytest.param(lambda: IdentifyOptions(max_epochs=2.5), "integer",
                      id="float-max-epochs"),
+        pytest.param(lambda: IdentifyOptions(max_epochs=True), "max_epochs must be an integer",
+                     id="bool-max-epochs"),
+        pytest.param(lambda: IdentifyOptions(max_epochs=np.True_),
+                     "max_epochs must be an integer", id="numpy-bool-max-epochs"),
         pytest.param(lambda: IdentifyOptions(grad_tol=np.nan), "nonnegative",
                      id="grad-tol"),
         pytest.param(lambda: IdentifyOptions(cost_tol=np.nan), "nonnegative",

@@ -59,6 +59,14 @@ class TestEnergyConservation:
                            match=r"energy_fn .*\(5, 3\) .*\(5,\), got \(\)"):
             term.grad_x(np.ones((5, 3)), np.ones(3))
 
+    def test_numeric_fallback_names_energy_fn_on_one_state(self):
+        # one state of shape (3,) gets the right energy shape (); the fault
+        # shows on the (6, 3) stack of perturbed copies
+        term = EnergyConservation(energy_fn=lambda x: np.sum(x * x), reference=0.0)
+        with pytest.raises(DimensionMismatch,
+                           match=r"energy_fn .*\(6, 3\) .*\(6,\), got \(\)"):
+            term.grad_x(np.ones(3), None)
+
 
 class TestBarriers:
     def test_upper_value_at_bound(self):
