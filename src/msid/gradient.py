@@ -37,6 +37,7 @@ would make the result disagree with finite differences of the cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,7 +85,7 @@ class LossSpec:
         q = np.asarray(self.Q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"Q must be square, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise DimensionMismatch("Q must be finite")
         if not np.array_equal(q, q.T):
             asymmetry = float(np.max(np.abs(q - q.T)))
@@ -164,7 +165,7 @@ def cost(trajectory: Trajectory, dataset: Dataset, spec: LossSpec, theta) -> flo
     """Multi-step cost of one candidate, penalties included."""
     per_step, penalty_total, _ = _cost_parts(trajectory, dataset, spec, theta)
     total = float(per_step.sum() + penalty_total)
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise NonFiniteValue("cost is not finite")
     return total
 
@@ -193,22 +194,22 @@ def gamma_terms(trajectory: Trajectory, weighted, spec: LossSpec,
     else:
         big_gamma += spec.penalty.step_grad_x(states, theta)
         gamma = spec.penalty.step_grad_theta(states, theta)
-    if not (np.all(np.isfinite(big_gamma)) and np.all(np.isfinite(gamma))):
+    if not (np.isfinite(big_gamma).all() and np.isfinite(gamma).all()):
         raise NonFiniteValue("gradient seeds are not finite")
     return gamma, big_gamma
 
 
 def _spot_check_trajectory(model, trajectory, dataset, theta):
+    # nested lists of floats are equal where np.array_equal holds, at less cost
     theta = np.asarray(theta, dtype=float)
-    if not np.array_equal(trajectory.parameters, theta):
+    if trajectory.parameters.tolist() != theta.tolist():
         raise TrajectoryMismatch("trajectory was generated with different parameters")
-    if not np.array_equal(trajectory.states[0], trajectory.initial_state):
+    states, horizon = trajectory.states, trajectory.horizon
+    if states[0].tolist() != trajectory.initial_state.tolist():
         raise TrajectoryMismatch("trajectory initial state is inconsistent")
-    horizon = trajectory.horizon
     for k in sorted({0, horizon // 2, horizon - 1}):
-        expected = np.asarray(
-            model.f(trajectory.states[k], dataset.inputs[k], theta), dtype=float)
-        if not np.array_equal(expected, trajectory.states[k + 1]):
+        expected = np.asarray(model.f(states[k], dataset.inputs[k], theta), dtype=float)
+        if expected.tolist() != states[k + 1].tolist():
             raise TrajectoryMismatch(
                 f"stored state at step {k + 1} does not reproduce under f")
 
@@ -305,8 +306,8 @@ def _report(per_step, penalty_total, grad_theta, grad_x0,
     """The report of one gradient evaluation; raises :class:`NonFiniteValue`
     unless the cost and both gradients are finite."""
     total_cost = float(per_step.sum() + penalty_total)
-    if not (np.isfinite(total_cost)
-            and np.all(np.isfinite(grad_theta)) and np.all(np.isfinite(grad_x0))):
+    # math.isfinite on a few Python floats costs less than np.isfinite(...).all()
+    if not all(map(math.isfinite, [total_cost] + grad_theta.tolist() + grad_x0.tolist())):
         raise NonFiniteValue("gradient evaluation produced non-finite values")
     return GradientReport(
         cost=total_cost, grad_theta=grad_theta, grad_x0=grad_x0,
@@ -337,7 +338,7 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
         adjoints = _backward_adjoints(big_gamma, jac_x, product)
         # the transition terms, summed in backward-pass order (not pairwise)
         products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
-        grad_theta = np.cumsum(np.concatenate([grad_theta[None], products]), axis=0)[-1]
+        grad_theta = np.concatenate([grad_theta[None], products]).cumsum(axis=0)[-1]
     return _report(per_step, penalty_total, grad_theta, adjoints[0], trajectory.horizon - 1)
 
 

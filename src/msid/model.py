@@ -86,9 +86,9 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     stacked on a new leading axis and ``fn`` is called once on the stack,
     or, where the stack would exceed ``ROW_BUDGET`` rows, once per group of
     whole copies, in the fewest groups that fit.  Raises
-    :class:`DimensionMismatch` if a result has not one row per stacked point,
-    and :class:`NonFiniteValue` if any evaluation is non-finite, naming the
-    point's first non-finite component, or on a finite point the first
+    :class:`NonFiniteValue` naming the point's first non-finite component
+    before any evaluation, :class:`DimensionMismatch` if a result has not one
+    row per stacked point, and :class:`NonFiniteValue` naming the first
     component whose perturbed evaluations are non-finite.
     """
     if not 0 < step < np.inf:
@@ -97,6 +97,9 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     if p.ndim == 0 or p.shape[-1] == 0:
         raise DimensionMismatch("point must have at least one component")
     n = p.shape[-1]
+    if not np.isfinite(p).all():
+        point_finite = np.isfinite(p.reshape(-1, n)).all(axis=0)
+        raise NonFiniteValue(f"point is not finite at component {np.argmin(point_finite)}")
     per_group = max(1, ROW_BUDGET // max(p[..., 0].size, 1))
     columns = []
     for start in range(0, 2 * n, per_group):
@@ -116,10 +119,6 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
                 f"fn must be row-wise: gave shape {values.shape} for points of "
                 f"shape {stack.shape}")
         if not np.isfinite(values).all():
-            point_finite = np.isfinite(p.reshape(-1, n)).all(axis=0)
-            if not point_finite.all():
-                raise NonFiniteValue(
-                    f"point is not finite at component {np.argmin(point_finite)}")
             finite = np.isfinite(values.reshape(len(group), -1)).all(axis=1)
             raise NonFiniteValue("non-finite evaluation while differencing component "
                                  f"{group[np.argmin(finite)] // 2}")
@@ -346,9 +345,8 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
         states[1] = check_rows("f", model.f(x0, inputs[0], theta), (dims.n_x,))
         for k in range(1, horizon):
             states[k + 1] = model.f(states[k], inputs[k], theta)
-    finite = np.isfinite(states[1:]).all(axis=1)
-    if not finite.all():
-        step = int(np.argmin(finite)) + 1
+    if not np.isfinite(states[1:]).all():
+        step = int(np.argmin(np.isfinite(states[1:]).all(axis=1))) + 1
         raise NonFiniteState(f"state became non-finite at step {step}", step=step)
     predictions = check_rows("g", model.g(states[:horizon]), (horizon, dims.n_z))
     return Trajectory(states=states, predictions=predictions,

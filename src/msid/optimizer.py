@@ -58,7 +58,7 @@ class AdamState:
         lr = np.array(lr, dtype=float)
         if lr.shape not in ((), (n,)):
             raise DimensionMismatch(f"lr must be a scalar or have shape ({n},), got {lr.shape}")
-        if not (np.all(lr > 0) and np.all(np.isfinite(lr)) and 0 < eps < math.inf):
+        if not ((lr > 0).all() and np.isfinite(lr).all() and 0 < eps < math.inf):
             raise ValueError("learning rate and eps must be finite and positive")
         return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr,
                    beta1=beta1, beta2=beta2, eps=eps)
@@ -72,15 +72,16 @@ def adam_step(state: AdamState, grad, params) -> tuple[Array, AdamState]:
         raise DimensionMismatch(
             f"gradient {grad.shape}, params {params.shape}, and moments "
             f"{state.m.shape} must share one shape")
-    if not np.all(np.isfinite(grad)):
+    if not all(map(math.isfinite, grad.ravel().tolist())):
         raise NonFiniteGradient("gradient contains non-finite components")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
+    beta1, beta2, t = state.beta1, state.beta2, state.t + 1
+    m = beta1 * state.m + (1.0 - beta1) * grad
+    v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
     new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, replace(state, m=m, v=v, t=t)
+    # the constructor, not dataclasses.replace: the same state, at less cost
+    return new_params, AdamState(m, v, t, state.lr, beta1, beta2, state.eps)
 
 
 class StopReason(str, Enum):

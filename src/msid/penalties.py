@@ -14,9 +14,9 @@ naming the term, when a term returns anything but one row per state.
 State-dependent terms (energy deviation, state bounds) are charged at every
 step of the horizon.  Parameter-only terms (parameter box) receive
 ``x=None`` and are charged once per cost evaluation.  Every term carries
-its own nonnegative weight and exposes analytic gradients with respect to
-the state and the parameters; one of the two is identically zero for
-single-argument terms.
+its own finite, nonnegative weight and exposes analytic gradients with
+respect to the state and the parameters; one of the two is identically zero
+for single-argument terms.
 
 Exponential barriers saturate their exponent at the module constant
 ``EXP_CAP`` (700, just under the double-precision overflow boundary) so
@@ -44,6 +44,7 @@ def _clipped_exp(exponent):
 
 
 def _zero_theta_rows(x, theta) -> Array:
+    # the grad_theta of a term free of the parameters; PenaltySpec skips it
     return np.zeros(np.shape(x)[:-1] + np.shape(theta))
 
 
@@ -97,8 +98,7 @@ class EnergyConservation:
             grad = numeric_jacobian(self._energies, x)
         return (2.0 * deviation)[..., None] * grad
 
-    def grad_theta(self, x, theta) -> Array:
-        return _zero_theta_rows(x, theta)
+    grad_theta = staticmethod(_zero_theta_rows)
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,12 @@ class _ExpBarrier:
             2.0 * self.alpha * self.sign * (np.asarray(x, dtype=float) - self.bounds))
 
     def value(self, x, theta) -> Array:
-        return np.sum(self._exp(x), axis=-1)
+        return self._exp(x).sum(axis=-1)
 
     def grad_x(self, x, theta) -> Array:
         return 2.0 * self.alpha * self.sign * self._exp(x)
 
-    def grad_theta(self, x, theta) -> Array:
-        return _zero_theta_rows(x, theta)
+    grad_theta = staticmethod(_zero_theta_rows)
 
 
 class UpperBarrier(_ExpBarrier):
@@ -192,7 +191,7 @@ class ParameterBox:
 
     def value(self, x, theta) -> float:
         above, below = self._exps(theta)
-        return float(np.sum(above) + np.sum(below))
+        return float(above.sum() + below.sum())
 
     def grad_x(self, x, theta) -> Array:
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -221,13 +220,12 @@ class ReluUpperBound:
         object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
 
     def value(self, x, theta) -> Array:
-        return np.sum(np.maximum(0.0, np.asarray(x, dtype=float) - self.bounds), axis=-1)
+        return np.maximum(0.0, np.asarray(x, dtype=float) - self.bounds).sum(axis=-1)
 
     def grad_x(self, x, theta) -> Array:
         return (np.asarray(x, dtype=float) > self.bounds).astype(float)
 
-    def grad_theta(self, x, theta) -> Array:
-        return _zero_theta_rows(x, theta)
+    grad_theta = staticmethod(_zero_theta_rows)
 
 
 @dataclass(frozen=True)
@@ -244,8 +242,9 @@ class PenaltySpec:
     def __post_init__(self):
         terms = tuple(self.terms)
         for term in terms:
-            if not term.weight >= 0:
-                raise InvalidBox(f"penalty weight must be nonnegative, got {term.weight}")
+            if not 0 <= term.weight < np.inf:
+                raise InvalidBox(f"penalty term {type(term).__name__}: weight must be "
+                                 f"finite and nonnegative, got {term.weight}")
         object.__setattr__(self, "terms", terms)
 
     def _param_terms(self):
@@ -253,11 +252,12 @@ class PenaltySpec:
 
     def _row_sum(self, method: str, x, theta, tail: tuple) -> Array:
         """Weighted sum of ``method`` over the state-dependent terms, each
-        checked to give one row of shape ``tail`` per state row of ``x``."""
+        checked to give one row of shape ``tail`` per state row of ``x``; a
+        ``_zero_theta_rows`` method would add its finite weight times zeros."""
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape[:-1] + tail)
         for t in self.terms:
-            if t.depends_on_state:
+            if t.depends_on_state and getattr(type(t), method, None) is not _zero_theta_rows:
                 total += t.weight * check_rows(f"penalty term {type(t).__name__}.{method}",
                                                getattr(t, method)(x, theta), total.shape)
         return total
@@ -280,14 +280,14 @@ class PenaltySpec:
         return sum(t.weight * t.value(None, theta) for t in self._param_terms())
 
     def param_grad(self, theta) -> Array:
-        grad = np.zeros_like(np.asarray(theta, dtype=float))
+        grad = np.zeros(np.shape(theta))
         for t in self._param_terms():
             grad += t.weight * t.grad_theta(None, theta)
         return grad
 
     def total_value(self, states, theta) -> float:
         """Weighted penalty over a whole trajectory (states = first T rows)."""
-        return float(self.param_value(theta) + np.sum(self.step_value(states, theta)))
+        return float(self.param_value(theta) + self.step_value(states, theta).sum())
 
 
 def project_box(theta, lower, upper) -> Array:

@@ -23,6 +23,10 @@ HORIZON = 12
 SCAN_HORIZON = 400
 SCAN_CHUNK = 10
 
+# ADAM updates of the traced fit: each follows one rollout and one gradient,
+# and one more rollout and gradient score the last update
+IDENTIFY_EPOCHS = 3
+
 SCRIPT = r"""
 import json, sys
 sys.path[:0] = sys.argv[1:3]
@@ -34,7 +38,7 @@ tracer.install()
 import msid
 optimizer = sys.modules["msid.optimizer"]
 
-short, long = int(sys.argv[3]), int(sys.argv[4])
+short, long, IDENTIFY_EPOCHS = int(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])
 attitude = (np.array([0.0403, 0.0404, 0.0080]), np.array([0.02, -0.03, 0.01]))
 models = {
     "euler": (msid.euler_attitude_model(dt=0.1), attitude),
@@ -65,6 +69,19 @@ for name, (model, (theta, x0)) in models.items():
     counts[name] = {span: stats[0] - before.get(span, 0)
                     for span, stats in tracer.spans.items()}
     counts[name]["chain_applications"] = tracer.chain_applications - chains
+
+# a short fit of the penalized model through the traced optimizer loop
+model, (theta, x0) = models["euler-penalty"]
+inputs = 1e-3 * rng.normal(size=(short, 3))
+dataset = msid.Dataset(inputs, msid.rollout(model, x0, theta, inputs).predictions + 1e-3)
+spec = msid.LossSpec.scaled_identity(3, short, penalty=penalties["euler-penalty"])
+before = {span: stats[0] for span, stats in tracer.spans.items()}
+run = optimizer.identify(tracer.wrap_model(model), dataset, spec, 1.05 * theta, x0,
+                         msid.IdentifyOptions(max_epochs=IDENTIFY_EPOCHS))
+counts["identify"] = {span: stats[0] - before.get(span, 0)
+                      for span, stats in tracer.spans.items()}
+counts["identify"]["records"] = run.epochs
+counts["identify"]["rejected"] = run.rejected_steps
 print(json.dumps(counts))
 """
 
@@ -73,7 +90,7 @@ print(json.dumps(counts))
 def span_counts():
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench"),
-         str(HORIZON), str(SCAN_HORIZON)],
+         str(HORIZON), str(SCAN_HORIZON), str(IDENTIFY_EPOCHS)],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -129,6 +146,20 @@ def test_traced_layers_fire_on_the_models_that_use_them(span_counts, name):
             counts["model.numeric_jacobian"], counts["model.jacobians"]) == EXPECTED[name]
     assert counts["systems.euler_step"] == EULER_STEPS[name]
     assert counts.get("penalties", 0) == PENALTY_CALLS.get(name, 0)
+
+
+def test_traced_fit_makes_one_rollout_and_one_adam_step_per_epoch(span_counts):
+    # the benchmark's epoch clock marks each optimizer rollout, and its
+    # per-epoch figures divide by these counts
+    counts = span_counts["identify"]
+    assert counts["rejected"] == 0
+    assert counts["records"] == IDENTIFY_EPOCHS + 1
+    assert counts["model.rollout"] == IDENTIFY_EPOCHS + 1
+    assert counts["optimizer.adam_step"] == IDENTIFY_EPOCHS
+    gradients = counts["gradient.gradient"]
+    assert gradients == IDENTIFY_EPOCHS + 1
+    assert counts["systems.euler_step"] == EULER_STEPS["euler-penalty"] * gradients
+    assert counts["penalties"] == PENALTY_CALLS["euler-penalty"] * gradients
 
 
 def load_benchmark_driver():

@@ -203,6 +203,34 @@ class TestGradient:
         with pytest.raises(TrajectoryMismatch, match=f"step {horizon // 2 + 1}"):
             gradient(model, tampered, dataset, spec, np.array([0.9]))
 
+    @pytest.mark.parametrize("step", [1, 20], ids=["first", "last"])
+    def test_spot_check_covers_the_first_and_last_step(self, step):
+        model = scalar_linear_model()
+        dataset = Dataset(np.zeros((20, 1)), np.ones((20, 1)))
+        trajectory = rollout(model, [1.0], [0.9], dataset.inputs)
+        states = trajectory.states.copy()
+        states[step] += 1e-3
+        tampered = Trajectory(states, trajectory.predictions,
+                              trajectory.parameters, trajectory.initial_state)
+        spec = LossSpec.scaled_identity(1, 20)
+        with pytest.raises(TrajectoryMismatch, match=f"step {step} does not reproduce"):
+            gradient(model, tampered, dataset, spec, np.array([0.9]))
+
+    def test_spot_check_compares_the_initial_state(self, scalar_problem):
+        model, trajectory, dataset, spec, theta, _ = scalar_problem
+        tampered = Trajectory(trajectory.states, trajectory.predictions,
+                              trajectory.parameters, trajectory.initial_state + 1e-12)
+        with pytest.raises(TrajectoryMismatch, match="initial state is inconsistent"):
+            gradient(model, tampered, dataset, spec, theta)
+
+    @pytest.mark.parametrize("theta", [[[2.0]], [2.0, 0.0], 2.0],
+                             ids=["column", "one-more", "scalar"])
+    def test_theta_of_another_shape_is_a_mismatch(self, scalar_problem, theta):
+        # equal values in another shape are other parameters, as for np.array_equal
+        model, trajectory, dataset, spec, _, _ = scalar_problem
+        with pytest.raises(TrajectoryMismatch, match="different parameters"):
+            gradient(model, trajectory, dataset, spec, np.array(theta))
+
     def test_report_invariant_and_serialization(self, scalar_problem):
         model, trajectory, dataset, spec, theta, _ = scalar_problem
         report = gradient(model, trajectory, dataset, spec, theta)

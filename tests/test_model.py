@@ -1,6 +1,7 @@
 """Model layer: rollouts, Jacobian fallbacks, dataset serialization."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,26 @@ class TestStackedDifferences:
         block[2, 2] = np.nan
         with pytest.raises(NonFiniteValue, match="point is not finite at component 2$"):
             numeric_jacobian(lambda x: x, block)
+
+    def test_nan_point_is_refused_before_any_evaluation(self):
+        # a map that ignores the NaN would give NaN columns from NaN spacings
+        counting = CountingMap()
+        with pytest.raises(NonFiniteValue, match="point is not finite at component 1$"):
+            numeric_jacobian(counting, [1.0, np.nan, 2.0])
+        assert counting.blocks == []
+        with pytest.raises(NonFiniteValue, match="point is not finite at component 1$"):
+            numeric_jacobian(lambda x: np.zeros_like(x), [1.0, np.nan])
+
+    def test_infinite_point_is_refused_without_a_warning(self):
+        # differencing an infinite component would form inf - inf first
+        block = np.ones((4, 3))
+        block[1, 2] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="point is not finite at component 1$"):
+                numeric_jacobian(lambda x: x, [1.0, np.inf])
+            with pytest.raises(NonFiniteValue, match="point is not finite at component 2$"):
+                numeric_jacobian(lambda x: x, block)
 
     def test_map_that_is_not_row_wise_is_refused(self):
         with pytest.raises(DimensionMismatch,

@@ -209,6 +209,72 @@ class TestPenaltySpec:
         with pytest.raises(InvalidBox):
             PenaltySpec((UpperBarrier(bounds=np.zeros(1), alpha=1.0, weight=-0.1),))
 
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("term", [
+        lambda w: UpperBarrier(bounds=np.zeros(3), alpha=1.0, weight=w),
+        lambda w: ParameterBox(lower=-np.ones(2), upper=np.ones(2), alpha=1.0, weight=w),
+        lambda w: EnergyConservation(energy_fn=lambda x: x.sum(axis=-1), reference=0.0,
+                                     weight=w),
+    ], ids=["UpperBarrier", "ParameterBox", "EnergyConservation"])
+    def test_rejects_a_non_finite_weight_naming_the_term(self, term, weight):
+        # an infinite weight times a term's zero rows would be NaN
+        built = term(weight)
+        with pytest.raises(InvalidBox, match=f"penalty term {type(built).__name__}: weight"):
+            PenaltySpec((built,))
+
+    def test_methods_equal_the_sum_over_terms_bit_for_bit(self):
+        class ThetaTerm:
+            # a state term that depends on the parameters, so its rows count
+            depends_on_state = True
+            weight = 0.25
+
+            def value(self, x, theta):
+                return np.sum(x, axis=-1) * theta[0]
+
+            def grad_x(self, x, theta):
+                return np.full(np.shape(x), theta[0])
+
+            def grad_theta(self, x, theta):
+                rows = np.zeros(np.shape(x)[:-1] + np.shape(theta))
+                rows[..., 0] = np.sum(x, axis=-1)
+                return rows
+
+        rng = np.random.default_rng(11)
+        states = rng.normal(size=(40, 3))
+        theta = np.array([0.2, -0.4])
+        terms = (
+            UpperBarrier(bounds=np.array([0.5, np.inf, -0.2]), alpha=1.3, weight=0.3),
+            # far below the states: its exponentials underflow, grad_x rows are -0.0
+            LowerBarrier(bounds=np.full(3, -600.0), alpha=1.0, weight=2.0),
+            EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                               reference=0.4, energy_grad=lambda x: 1.0 * x, weight=0.7),
+            ReluUpperBound(bounds=np.array([0.2, -0.1, 0.0]), weight=1.5),
+            ThetaTerm(),
+            ParameterBox(lower=np.array([-0.1, -0.1]), upper=np.array([0.1, 0.1]),
+                         alpha=2.0, weight=0.4),
+        )
+        spec = PenaltySpec(terms)
+
+        def per_term_sum(method, tail):
+            total = np.zeros(states.shape[:-1] + tail)
+            for term in terms:
+                if term.depends_on_state:
+                    total += term.weight * getattr(term, method)(states, theta)
+            return total
+
+        param_value = sum(t.weight * t.value(None, theta)
+                          for t in terms if not t.depends_on_state)
+        total_value = float(param_value + per_term_sum("value", ()).sum())
+        assert np.float64(spec.total_value(states, theta)).tobytes() == \
+            np.float64(total_value).tobytes()
+        for method, tail, got in (
+                ("grad_x", (3,), spec.step_grad_x(states, theta)),
+                ("grad_theta", (2,), spec.step_grad_theta(states, theta))):
+            expected = per_term_sum(method, tail)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), method
+        assert spec.step_grad_theta(states, theta)[:, 0].any()
+
     @pytest.mark.parametrize("term, tol", [
         (EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
                             reference=0.4, energy_grad=lambda x: 1.0 * x,
