@@ -186,9 +186,7 @@ def gamma_terms(trajectory: Trajectory, weighted, spec: LossSpec,
     theta = np.asarray(theta, dtype=float)
     states = trajectory.states[:horizon]
     weighted = (2.0 / horizon) * check_rows("weighted", weighted, (horizon, model.dims.n_z))
-    jac_g = check_rows("jac_g_x_batch", model.jac_g_x_batch(states),
-                       (horizon, model.dims.n_z, model.dims.n_x))
-    big_gamma = np.einsum("ti,tij->tj", weighted, jac_g)
+    big_gamma = np.einsum("ti,tij->tj", weighted, model.observation_jacobians(states))
     if spec.penalty is None:
         gamma = np.zeros((horizon, theta.shape[0]))
     else:
@@ -222,15 +220,11 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     transition into the final state is never needed because no loss is
     evaluated there.
     """
-    dims, steps = model.dims, trajectory.horizon - 1
-    states, inputs = trajectory.states[:steps], dataset.inputs[:steps]
+    steps = trajectory.horizon - 1
+    jac_x, jac_theta = model.transition_jacobians(trajectory.states[:steps],
+                                                  dataset.inputs[:steps], theta)
     if model.sparsity is not None:
-        jac_x = masked_jac_f_x(model, states, inputs, theta, model.sparsity)
-    else:
-        jac_x = check_rows("jac_f_x_batch", model.jac_f_x_batch(states, inputs, theta),
-                           (steps, dims.n_x, dims.n_x))
-    jac_theta = check_rows("jac_f_theta_batch", model.jac_f_theta_batch(states, inputs, theta),
-                           (steps, dims.n_x, dims.n_theta))
+        jac_x = masked_jac_f_x(jac_x, model.sparsity)
     return jac_x, jac_theta
 
 

@@ -15,7 +15,6 @@ is the job of the ``gradient`` and ``optimizer`` modules.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -36,7 +35,9 @@ FD_STEP = 1e-6
 # Set from the per-row time of the RK4 attitude step on one block: lowest
 # at 3,072-4,096 rows (91-117 ns), higher from 5,120 rows on (108-154 ns),
 # about where an (N, 3) float block passes glibc's 128 KiB mmap threshold
-# (N = 5,462).  Measured on a 2-core x86 VM, Python 3.11, numpy 2.4.
+# (N = 5,462).  Measured on a 2-core x86 VM, Python 3.11, numpy 2.4.  The
+# RK4 model's joint (x, theta) stack at T=200 is 12 x 199 = 2,388 rows, one
+# f call; at T=3200 each of the 12 copies of 3,199 rows is a call of its own.
 ROW_BUDGET = 4096
 
 
@@ -158,11 +159,6 @@ def _as_one_block(name: str, n_out: int, stack: Array, evaluate) -> Array:
     return check_rows(name, result, (len(block), n_out)).reshape(stack.shape[:-1] + (n_out,))
 
 
-class _Differenced(functools.partial):
-    """A Jacobian the model does not give, differencing its ``f`` or ``g``;
-    rebuilt at every construction, so ``dataclasses.replace`` keeps none stale."""
-
-
 @dataclass(frozen=True)
 class DynamicalModel:
     """A parametric discrete-time model with its Jacobians.
@@ -179,24 +175,17 @@ class DynamicalModel:
     raises :class:`DimensionMismatch` on any other shape.  ``simulate`` is
     never derived from ``f``: a model that replaces ``f`` replaces it too.
 
-    The three Jacobians are batched: ``jac_f_x_batch(states, inputs,
-    theta)``, ``jac_f_theta_batch(states, inputs, theta)`` and
-    ``jac_g_x_batch(states)`` map a block of N rows to the N matrices of f
-    by the state, f by the parameters and g by the state, stacked with
-    shapes (N, n_x, n_x), (N, n_x, n_theta) and (N, n_z, n_x); the gradient
-    raises :class:`DimensionMismatch`, naming the Jacobian, on any other
-    shape.  A Jacobian not given is differenced centrally, one
-    :func:`numeric_jacobian` call on the whole block, also after
-    ``dataclasses.replace`` of ``f`` or ``g``: every perturbed copy of the
-    block goes to one call of ``f`` or ``g``, the copies stacked into one
-    (copies * N, n) block with the other arguments tiled to match (a few
-    such calls above ``ROW_BUDGET`` rows), which is why both maps must be
-    row-wise.
+    The three Jacobians are batched and optional: ``jac_f_x_batch(states,
+    inputs, theta)``, ``jac_f_theta_batch(states, inputs, theta)`` and
+    ``jac_g_x_batch(states)`` map N rows to the N matrices of f by the
+    state, f by theta and g by the state.  A field not given stays ``None``:
+    :meth:`transition_jacobians` and :meth:`observation_jacobians` difference
+    the model's current ``f`` and ``g`` for it, also after
+    ``dataclasses.replace``.
 
-    ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`;
-    the gradient then sets the state Jacobian to zero outside the mask, from
-    one ``jac_f_x_batch`` call per trajectory, and
-    ``msid.structure.entry_evaluations`` counts the entries kept.
+    ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`:
+    the gradient zeroes the state Jacobians outside it by one
+    :func:`~msid.structure.masked_jac_f_x` call, which counts the entries kept.
     """
 
     dims: ModelDims
@@ -211,27 +200,55 @@ class DynamicalModel:
     # not fields: perfbench/spans.py JACOBIAN_FIELDS still reads these names
     jac_f_x = jac_f_theta = jac_g_x = None
 
-    def __post_init__(self):
-        f, g = self.f, self.g
-        n_x, n_z = self.dims.n_x, self.dims.n_z
-        # central differences of each map; numeric_jacobian hands over a stack
-        # (copies, N, n) of perturbed blocks, evaluated as one block of rows
-        differenced = {
-            "jac_f_x_batch": lambda states, inputs, theta: numeric_jacobian(
-                lambda stack: _as_one_block("f", n_x, stack, lambda block, tile: f(
-                    block, tile(inputs), theta)),
-                states),
-            "jac_f_theta_batch": lambda states, inputs, theta: numeric_jacobian(
-                lambda stack: _as_one_block("f", n_x, stack, lambda block, tile: f(
-                    tile(states), tile(inputs), block)),
-                np.broadcast_to(theta, (len(states),) + np.shape(theta))),
-            "jac_g_x_batch": lambda states: numeric_jacobian(
-                lambda stack: _as_one_block("g", n_z, stack, lambda block, tile: g(block)),
-                states),
-        }
-        for name, fallback in differenced.items():
-            if getattr(self, name) is None or isinstance(getattr(self, name), _Differenced):
-                object.__setattr__(self, name, _Differenced(fallback))
+    def transition_jacobians(self, states, inputs, theta) -> tuple[Array, Array]:
+        """The Jacobians (N, n_x, n_x) and (N, n_x, n_theta) of ``f`` by the
+        state and by theta at (N, n_x) states and (N, n_u) inputs.
+
+        One call of each field the model gives, shape-checked.  The missing
+        ones are differenced together: one :func:`numeric_jacobian` call over
+        the concatenated (x, theta) columns hands every perturbed copy to one
+        ``f`` call (a few above ``ROW_BUDGET`` rows), the other arguments
+        tiled.  A non-finite state or theta there raises
+        :class:`NonFiniteValue` naming it as ``x[j]`` or ``theta[j]``.
+        """
+        n_x, n_u, n_theta = self.dims.n_x, self.dims.n_u, self.dims.n_theta
+        states, inputs = np.asarray(states, dtype=float), np.asarray(inputs, dtype=float)
+        rows = len(states) if states.ndim == 2 else -1
+        if states.shape != (rows, n_x) or inputs.shape != (rows, n_u):
+            raise DimensionMismatch(f"states {states.shape} and inputs {inputs.shape} must "
+                                    f"have shapes (N, {n_x}) and (N, {n_u})")
+        jac_x = None if self.jac_f_x_batch is None else check_rows(
+            "jac_f_x_batch", self.jac_f_x_batch(states, inputs, theta), (rows, n_x, n_x))
+        jac_theta = None if self.jac_f_theta_batch is None else check_rows(
+            "jac_f_theta_batch", self.jac_f_theta_batch(states, inputs, theta),
+            (rows, n_x, n_theta))
+        if jac_x is not None and jac_theta is not None:
+            return jac_x, jac_theta
+        theta = _vector(theta, n_theta, "theta")
+        for name, values in (("x", states), ("theta", theta)):
+            if not np.isfinite(values).all():
+                finite = np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
+                raise NonFiniteValue(f"{name}[{np.argmin(finite)}] is not finite")
+        point = np.concatenate([states] * (jac_x is None) + [np.broadcast_to(
+            theta, (rows, n_theta))] * (jac_theta is None), axis=1)
+
+        def evaluate(block, tile):
+            return self.f(block[:, :n_x] if jac_x is None else tile(states), tile(inputs),
+                          block[:, -n_theta:] if jac_theta is None else theta)
+
+        jac = numeric_jacobian(lambda stack: _as_one_block("f", n_x, stack, evaluate), point)
+        return (np.ascontiguousarray(jac[..., :n_x]) if jac_x is None else jac_x,
+                np.ascontiguousarray(jac[..., -n_theta:]) if jac_theta is None else jac_theta)
+
+    def observation_jacobians(self, states) -> Array:
+        """The Jacobians (N, n_z, n_x) of ``g`` at (N, n_x) states: one call of
+        ``jac_g_x_batch``, shape-checked, else ``g`` differenced in one call."""
+        n_z, g = self.dims.n_z, self.g
+        if self.jac_g_x_batch is not None:
+            return check_rows("jac_g_x_batch", self.jac_g_x_batch(states),
+                              (len(states), n_z, self.dims.n_x))
+        return numeric_jacobian(
+            lambda stack: _as_one_block("g", n_z, stack, lambda block, tile: g(block)), states)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, MaskViolation
-from .model import check_rows
 
 if TYPE_CHECKING:
     from .model import DynamicalModel
@@ -77,35 +76,21 @@ class SparsityMask:
             raise DimensionMismatch(f"mask is {self.n_x}x{self.n_x} but the model has n_x={n_x}")
 
 
-def masked_jac_f_x(model: "DynamicalModel", x, u, theta, mask: SparsityMask) -> Array:
-    """State Jacobian at a point (n_x,) or at each row of a block (..., n_x),
-    shaped (..., n_x, n_x), with every entry outside the mask set to 0.0.
-
-    One ``jac_f_x_batch`` call on the block, shape-checked; the masked-out
-    entries are selected away rather than multiplied by zero, so a non-finite
-    value there never reaches the gradient.  The entry counter grows by n_nz
-    per row, the masked entries kept.
+def masked_jac_f_x(jac_x, mask: SparsityMask) -> Array:
+    """State Jacobians (..., n_x, n_x), as from
+    :meth:`~msid.model.DynamicalModel.transition_jacobians`, with every entry
+    outside the mask set to 0.0: selected away rather than multiplied by
+    zero, so a non-finite value there never reaches the gradient.  The entry
+    counter grows by n_nz per matrix, the masked entries kept.
     """
-    n_x = model.dims.n_x
-    mask.check_fits(n_x)
-    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    if x.shape[-1:] != (n_x,):
-        raise DimensionMismatch(f"states must have shape (..., {n_x}), got {x.shape}")
-    lead = x.shape[:-1]
-    if u.shape != lead + (model.dims.n_u,):
-        raise DimensionMismatch(
-            f"inputs must have shape {lead + (model.dims.n_u,)} to match states "
-            f"{x.shape}, got {u.shape}")
-    rows = math.prod(lead)
-    dense = check_rows("jac_f_x_batch", model.jac_f_x_batch(
-        x.reshape(rows, n_x), u.reshape(rows, model.dims.n_u), theta), (rows, n_x, n_x))
-    entry_evaluations.add(mask.n_nz * rows)
-    return np.where(mask.state_mask, dense, 0.0).reshape(lead + (n_x, n_x))
+    mask.check_fits(np.shape(jac_x)[-1])
+    entry_evaluations.add(mask.n_nz * math.prod(np.shape(jac_x)[:-2]))
+    return np.where(mask.state_mask, jac_x, 0.0)
 
 
 def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
-    """Check the mask against the dense Jacobian at each (x, u, theta) point,
-    each one ``jac_f_x_batch`` call on a block of one row.
+    """Check the mask against the dense state Jacobian at each (x, u, theta)
+    point, each one ``model.transition_jacobians`` call on a block of one row.
 
     Raises :class:`MaskViolation` on the first structurally-zero entry whose
     dense value exceeds ``STRUCTURAL_ZERO_TOL`` in magnitude or is not finite,
@@ -113,9 +98,8 @@ def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
     """
     mask.check_fits(model.dims.n_x)
     for x, u, theta in points:
-        dense = check_rows("jac_f_x_batch", model.jac_f_x_batch(
-            np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta),
-            (1, model.dims.n_x, model.dims.n_x))[0]
+        dense = model.transition_jacobians(
+            np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta)[0][0]
         # selected, not multiplied: a non-finite entry inside the mask is no
         # violation, and one outside it (NaN included) is
         outside = np.where(mask.state_mask, 0.0, np.abs(dense))

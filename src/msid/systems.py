@@ -47,26 +47,27 @@ def _check_inertia(inertia, rows: bool = False) -> Array:
     raise NonPositiveInertia(f"inertia components must be positive, got {inertia}")
 
 
-def _rates(omega, torque, inertia) -> tuple:
-    """Angular acceleration from (x, y, z) sequences: floats or columns."""
-    wx, wy, wz = omega
-    ix, iy, iz = inertia
-    return ((torque[0] - (iz - iy) * wy * wz) / ix,
-            (torque[1] - (ix - iz) * wz * wx) / iy,
-            (torque[2] - (iy - ix) * wx * wy) / iz)
+def _rates(omega, torque, inertia, differences) -> tuple:
+    """Angular acceleration from (x, y, z) sequences: floats or columns;
+    ``differences`` are the inertia's ``(iz - iy, ix - iz, iy - ix)``."""
+    (wx, wy, wz), (ix, iy, iz), (dzy, dxz, dyx) = omega, inertia, differences
+    return ((torque[0] - dzy * wy * wz) / ix,
+            (torque[1] - dxz * wz * wx) / iy,
+            (torque[2] - dyx * wx * wy) / iz)
 
 
 def _advance(w, m, i, dt, integrator: str) -> list:
     """One integrator step on (x, y, z) sequences: floats or columns."""
+    d = (i[2] - i[1], i[0] - i[2], i[1] - i[0])
     if integrator == FORWARD_EULER:
-        rx, ry, rz = _rates(w, m, i)
+        rx, ry, rz = _rates(w, m, i, d)
         return [w[0] + dt * rx, w[1] + dt * ry, w[2] + dt * rz]
     if integrator == RK4:
         half, sixth = 0.5 * dt, dt / 6.0
-        ax, ay, az = _rates(w, m, i)
-        bx, by, bz = _rates((w[0] + half * ax, w[1] + half * ay, w[2] + half * az), m, i)
-        cx, cy, cz = _rates((w[0] + half * bx, w[1] + half * by, w[2] + half * bz), m, i)
-        dx, dy, dz = _rates((w[0] + dt * cx, w[1] + dt * cy, w[2] + dt * cz), m, i)
+        ax, ay, az = _rates(w, m, i, d)
+        bx, by, bz = _rates((w[0] + half * ax, w[1] + half * ay, w[2] + half * az), m, i, d)
+        cx, cy, cz = _rates((w[0] + half * bx, w[1] + half * by, w[2] + half * bz), m, i, d)
+        dx, dy, dz = _rates((w[0] + dt * cx, w[1] + dt * cy, w[2] + dt * cz), m, i, d)
         return [w[0] + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
                 w[1] + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
                 w[2] + sixth * (az + 2.0 * bz + 2.0 * cz + dz)]
@@ -86,7 +87,7 @@ def angular_rates(omega, torque, inertia) -> Array:
     omega, torque, inertia = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
     w, m, i = _points(omega, torque, inertia)
     _check_inertia(inertia)
-    return np.array(_rates(w, m, i))
+    return np.array(_rates(w, m, i, (i[2] - i[1], i[0] - i[2], i[1] - i[0])))
 
 
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
@@ -202,6 +203,12 @@ def _euler_jac_theta_batch(states, inputs, inertia, dt):
     return jac
 
 
+def _constant_stack(matrix: Array, rows: int) -> Array:
+    """``np.broadcast_to(matrix, (rows,) + matrix.shape)`` of a read-only
+    ``matrix``, a third of its cost: one read-only view of stride 0."""
+    return np.ndarray((rows,) + matrix.shape, matrix.dtype, matrix, 0, (0,) + matrix.strides)
+
+
 def euler_sparsity_mask() -> SparsityMask:
     """Dependency pattern of the discrete attitude map.
 
@@ -219,7 +226,8 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     diagonal inertia entries (kg*m^2), which must be positive at evaluation
     time (the optimizer may propose nonpositive values; evaluation rejects
     them).  Observation: the full state.  The forward-Euler map has exact
-    Jacobians; the RK4 map falls back to central differences.  Either one
+    Jacobians; the RK4 map gives none, so ``transition_jacobians`` differences
+    both from one stacked ``f`` call.  Either one
     rolls out through :func:`attitude_trajectory`.
     """
     if not 0 < dt < np.inf:
@@ -236,9 +244,6 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     def g(x):
         return x
 
-    def jac_g_x_batch(states):
-        return np.broadcast_to(identity, (states.shape[0], 3, 3))
-
     analytic = integrator == FORWARD_EULER
     return DynamicalModel(
         dims=dims, f=f, g=g,
@@ -246,7 +251,7 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
         if analytic else None,
         jac_f_theta_batch=(lambda s, u, th: _euler_jac_theta_batch(s, u, th, dt))
         if analytic else None,
-        jac_g_x_batch=jac_g_x_batch,
+        jac_g_x_batch=lambda s: _constant_stack(identity, len(s)),
         sparsity=euler_sparsity_mask() if with_sparsity else None,
         simulate=lambda x0, u, th: attitude_trajectory(x0, u, th, dt, integrator),
     )
@@ -263,7 +268,7 @@ def scalar_linear_model() -> DynamicalModel:
         g=lambda x: x,
         jac_f_x_batch=lambda s, i, th: np.full((s.shape[0], 1, 1), th[0]),
         jac_f_theta_batch=lambda s, i, th: s[:, :, None].copy(),
-        jac_g_x_batch=lambda s: np.broadcast_to(one, (s.shape[0], 1, 1)),
+        jac_g_x_batch=lambda s: _constant_stack(one, len(s)),
         sparsity=None,
     )
 

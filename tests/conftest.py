@@ -91,8 +91,8 @@ def random_smooth_model(rng, n_x, n_u, n_z, n_theta, dt=0.1):
 def jacobians_at(model, x, u, theta):
     """The three Jacobians of ``model`` at one point: each the batch of one row."""
     x, u = np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None]
-    return (model.jac_f_x_batch(x, u, theta)[0], model.jac_f_theta_batch(x, u, theta)[0],
-            model.jac_g_x_batch(x)[0])
+    jac_x, jac_theta = model.transition_jacobians(x, u, theta)
+    return jac_x[0], jac_theta[0], model.observation_jacobians(x)[0]
 
 
 def penalty_variant(kind, states, theta, rng):
@@ -180,12 +180,10 @@ def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
     weighted = prediction_error(trajectory, dataset) @ spec.Q
     gamma, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
     states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
-    jac_theta = model.jac_f_theta_batch(states, inputs, theta)
-    if model.sparsity is None:
-        jac_x = model.jac_f_x_batch(states, inputs, theta)
-    else:
+    jac_x, jac_theta = model.transition_jacobians(states, inputs, theta)
+    if model.sparsity is not None:
         rows, cols = np.nonzero(model.sparsity.state_mask)
-        vals = masked_jac_f_x(model, states, inputs, theta, model.sparsity)[:, rows, cols]
+        vals = masked_jac_f_x(jac_x, model.sparsity)[:, rows, cols]
     grad_theta = gamma.sum(axis=0)
     if spec.penalty is not None:
         grad_theta = grad_theta + spec.penalty.param_grad(theta)

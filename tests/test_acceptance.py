@@ -223,7 +223,8 @@ def test_criterion_8_complexity():
     model = euler_attitude_model(dt=ATTITUDE_DT)
     mask = euler_sparsity_mask()
     entry_evaluations.reset()
-    masked_jac_f_x(model, ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA, mask)
+    masked_jac_f_x(model.transition_jacobians(ATTITUDE_OMEGA0[None], np.zeros((1, 3)),
+                                              ATTITUDE_THETA)[0], mask)
     masked_ok = entry_evaluations.count == mask.n_nz
 
     noise = NoiseSpec(seed=5, **ATTITUDE_NOISE)

@@ -82,6 +82,17 @@ counts["identify"] = {span: stats[0] - before.get(span, 0)
                       for span, stats in tracer.spans.items()}
 counts["identify"]["records"] = run.epochs
 counts["identify"]["rejected"] = run.rejected_steps
+
+# one more RK4 gradient on the model as built, none of its fields wrapped
+model, (theta, x0) = models["rk4"]
+inputs = 1e-3 * rng.normal(size=(short, 3))
+dataset = msid.Dataset(inputs, msid.rollout(model, x0, theta, inputs).predictions + 1e-3)
+before = {span: stats[0] for span, stats in tracer.spans.items()}
+trajectory = optimizer.rollout(model, x0, 1.05 * theta, inputs)
+optimizer.gradient(model, trajectory, dataset, msid.LossSpec.scaled_identity(3, short),
+                   1.05 * theta)
+counts["rk4-unwrapped"] = {span: stats[0] - before.get(span, 0)
+                           for span, stats in tracer.spans.items()}
 print(json.dumps(counts))
 """
 
@@ -97,33 +108,34 @@ def span_counts():
 
 
 # (masked_jac_f_x calls, sparse_chain_apply calls, numeric_jacobian calls,
-#  Jacobian-field calls) for one gradient.  The gradient calls only the three
-# batched fields; the masked path takes its state Jacobian from the
-# jac_f_x_batch call, once for the whole trajectory, zeroed outside the mask,
-# and makes its products through sparse_chain_apply (np.matmul under the
-# traced name): one per transition on the step-by-step loop, or one per step
-# of a chunk on the scan (the transfer products with the adjoint row under
-# them, one call for all chunks), the chunk carries taking np.matmul; the
-# RK4 model differences f once per batched map.
+#  Jacobian-field calls) for one gradient.  The gradient calls each batched
+# field the model gives, once; the masked path masks the stack of state
+# Jacobians, once for the whole trajectory, and makes its products through
+# sparse_chain_apply (np.matmul under the traced name): one per transition
+# on the step-by-step loop, or one per step of a chunk on the scan (the
+# transfer products with the adjoint row under them, one call for all
+# chunks), the chunk carries taking np.matmul.  The RK4 model gives only
+# jac_g_x_batch and differences both Jacobians of f in one call.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
     "euler-sparse": (1, HORIZON - 1, 0, 3),
     "euler-sparse-scan": (1, SCAN_CHUNK, 0, 3),
-    "rk4": (0, 0, 2, 3),
+    "rk4": (0, 0, 1, 1),
     "scalar": (0, 0, 0, 3),
     "euler-penalty": (0, 0, 0, 3),
 }
 
 # euler_step calls of one rollout plus one gradient: none for the rollout,
 # which runs the whole trajectory in one attitude_trajectory call, three for
-# the gradient's spot check of the stored trajectory, and on RK4 one per
-# differenced map (2), each on all six perturbed copies of the block of
-# transitions stacked into one block, within numeric_jacobian's row budget.
+# the gradient's spot check of the stored trajectory, and on RK4 one for the
+# differenced Jacobians: all twelve perturbed copies of the block of
+# transitions (six of the state, six of theta) stacked into one block,
+# within numeric_jacobian's row budget.
 EULER_STEPS = {
     "euler": 3,
     "euler-sparse": 3,
     "euler-sparse-scan": 3,
-    "rk4": 3 + 2,
+    "rk4": 3 + 1,
     "scalar": 0,
     "euler-penalty": 3,
 }
@@ -160,6 +172,16 @@ def test_traced_fit_makes_one_rollout_and_one_adam_step_per_epoch(span_counts):
     assert gradients == IDENTIFY_EPOCHS + 1
     assert counts["systems.euler_step"] == EULER_STEPS["euler-penalty"] * gradients
     assert counts["penalties"] == PENALTY_CALLS["euler-penalty"] * gradients
+
+
+def test_untraced_rk4_gradient_takes_the_traced_path(span_counts):
+    # the tracer wraps the Jacobian fields a model gives; a gradient whose
+    # path depended on whether a field is wrapped would time another path
+    # under the tracer than without it
+    untraced = span_counts["rk4-unwrapped"]
+    assert untraced.get("model.jacobians", 0) == 0
+    assert untraced["model.numeric_jacobian"] == span_counts["rk4"]["model.numeric_jacobian"]
+    assert untraced["systems.euler_step"] == span_counts["rk4"]["systems.euler_step"] == 3 + 1
 
 
 def load_benchmark_driver():

@@ -1,4 +1,4 @@
-"""Model layer: rollouts, Jacobian fallbacks, dataset serialization."""
+"""Model layer: rollouts, differenced Jacobians, dataset serialization."""
 
 import dataclasses
 import warnings
@@ -313,10 +313,26 @@ class TestOneJacobianForm:
         assert grad.shape == (2,)
         assert max_rel_gap(grad, [2.0, -4.0]) <= 1e-9
 
-    def test_bare_model_differences_whole_blocks(self):
+    # the Jacobian fields the model gives; transition_jacobians differences
+    # the others, all of them in one numeric_jacobian call and one f call
+    @pytest.mark.parametrize("given", [(), ("jac_f_x_batch",), ("jac_f_theta_batch",)],
+                             ids=["neither", "state-given", "theta-given"])
+    def test_bare_model_differences_whole_blocks(self, monkeypatch, given):
         rng = np.random.default_rng(24)
         reference = random_smooth_model(rng, 3, 2, 2, 2)
-        bare = DynamicalModel(dims=reference.dims, f=reference.f, g=reference.g)
+        f_rows, differenced = [], []
+
+        def counted_f(x, u, th):
+            f_rows.append(len(x))
+            return reference.f(x, u, th)
+
+        def counted_numeric_jacobian(fn, point):
+            differenced.append(point.shape)
+            return numeric_jacobian(fn, point)
+
+        monkeypatch.setattr(model_module, "numeric_jacobian", counted_numeric_jacobian)
+        model = DynamicalModel(dims=reference.dims, f=counted_f, g=reference.g,
+                               **{name: getattr(reference, name) for name in given})
         states = rng.normal(size=(9, 3))
         inputs = rng.normal(size=(9, 2))
         theta = rng.normal(size=2)
@@ -327,9 +343,18 @@ class TestOneJacobianForm:
         jac_theta = np.stack([reference_numeric_jacobian(lambda v: f(x, u, v), theta)
                               for x, u in pairs])
         jac_g = np.stack([reference_numeric_jacobian(g, x) for x in states])
-        assert np.array_equal(bare.jac_f_x_batch(states, inputs, theta), jac_x)
-        assert np.array_equal(bare.jac_f_theta_batch(states, inputs, theta), jac_theta)
-        assert np.array_equal(bare.jac_g_x_batch(states), jac_g)
+        if given:
+            analytic = reference.transition_jacobians(states, inputs, theta)
+            jac_x, jac_theta = ((analytic[0], jac_theta) if given == ("jac_f_x_batch",)
+                                else (jac_x, analytic[1]))
+        columns = 3 * ("jac_f_x_batch" not in given) + 2 * ("jac_f_theta_batch" not in given)
+        got_x, got_theta = model.transition_jacobians(states, inputs, theta)
+        assert differenced == [(9, columns)]
+        assert f_rows == [2 * columns * 9]
+        assert np.array_equal(got_x, jac_x)
+        assert np.array_equal(got_theta, jac_theta)
+        assert np.array_equal(model.observation_jacobians(states), jac_g)
+        assert len(differenced) == 2
 
     def test_replaced_map_is_differenced_afresh(self):
         # the RK4 model differences its own step; a copy with another f must
@@ -338,12 +363,27 @@ class TestOneJacobianForm:
         doubled = dataclasses.replace(rk4, f=lambda x, u, th: 2.0 * x, simulate=None)
         fresh = DynamicalModel(dims=rk4.dims, f=doubled.f, g=rk4.g)
         states, inputs = np.ones((4, 3)), np.zeros((4, 3))
-        jac_x = doubled.jac_f_x_batch(states, inputs, ATTITUDE_THETA)
-        jac_theta = doubled.jac_f_theta_batch(states, inputs, ATTITUDE_THETA)
+        jac_x, jac_theta = doubled.transition_jacobians(states, inputs, ATTITUDE_THETA)
         assert np.array_equal(jac_x, np.broadcast_to(2.0 * np.eye(3), (4, 3, 3)))
-        assert np.array_equal(jac_x, fresh.jac_f_x_batch(states, inputs, ATTITUDE_THETA))
+        assert np.array_equal(jac_x, fresh.transition_jacobians(states, inputs,
+                                                                ATTITUDE_THETA)[0])
         assert np.array_equal(jac_theta, np.zeros((4, 3, 3)))
         assert doubled.jac_g_x_batch is rk4.jac_g_x_batch
+
+    @pytest.mark.parametrize("given", [(), ("jac_f_x_batch",)], ids=["neither", "state-given"])
+    def test_non_finite_point_is_named_by_block_and_index(self, given):
+        euler = euler_attitude_model()
+        f_calls = []
+        model = DynamicalModel(dims=euler.dims, f=lambda *args: f_calls.append(1),
+                               g=euler.g, **{name: getattr(euler, name) for name in given})
+        states, inputs, theta = np.full((5, 3), 0.1), np.zeros((5, 3)), ATTITUDE_THETA.copy()
+        states[3, 2] = np.nan
+        with pytest.raises(NonFiniteValue, match=r"^x\[2\] is not finite$"):
+            model.transition_jacobians(states, inputs, theta)
+        states[3, 2], theta[1] = 0.1, np.inf
+        with pytest.raises(NonFiniteValue, match=r"^theta\[1\] is not finite$"):
+            model.transition_jacobians(states, inputs, theta)
+        assert f_calls == []
 
 
 def elementwise_map(x):
@@ -453,12 +493,10 @@ class TestRowWiseContract:
                                g=lambda x: x)
         rng = np.random.default_rng(25)
         states, inputs, theta = rng.normal(size=(199, 1)), rng.normal(size=(199, 1)), [0.8]
-        # two perturbed copies of the 199 rows, differenced as one block
-        message = r"f must be row-wise: gave shape \(1, 1\), expected \(398, 1\)"
+        # four perturbed copies of the 199 rows, (x, theta) differenced as one block
+        message = r"f must be row-wise: gave shape \(1, 1\), expected \(796, 1\)"
         with pytest.raises(DimensionMismatch, match=message):
-            model.jac_f_x_batch(states, inputs, theta)
-        with pytest.raises(DimensionMismatch, match=message):
-            model.jac_f_theta_batch(states, inputs, np.array(theta))
+            model.transition_jacobians(states, inputs, theta)
         trajectory = rollout(model, [0.5], theta, inputs)
         dataset = Dataset(inputs, trajectory.predictions + 0.1)
         with pytest.raises(DimensionMismatch, match="f must be row-wise"):
@@ -473,7 +511,7 @@ class TestRowWiseContract:
         # four perturbed copies of the 5 rows, differenced as one block
         with pytest.raises(DimensionMismatch,
                            match=r"g must be row-wise: gave shape \(1, 2\), expected \(20, 1\)"):
-            model.jac_g_x_batch(np.ones((5, 2)))
+            model.observation_jacobians(np.ones((5, 2)))
 
     def test_scalar_model_f_is_row_wise(self):
         model = scalar_linear_model()
@@ -485,7 +523,6 @@ class TestRowWiseContract:
                                 in zip(*np.broadcast_arrays(states, inputs, theta))])
             assert np.array_equal(model.f(states, inputs, theta), per_row)
         bare = DynamicalModel(dims=model.dims, f=model.f, g=model.g)
-        assert max_rel_gap(bare.jac_f_x_batch(states, inputs, thetas[0]),
-                           model.jac_f_x_batch(states, inputs, thetas[0])) <= 1e-9
-        assert max_rel_gap(bare.jac_f_theta_batch(states, inputs, thetas[0]),
-                           model.jac_f_theta_batch(states, inputs, thetas[0])) <= 1e-9
+        for filled, given in zip(bare.transition_jacobians(states, inputs, thetas[0]),
+                                 model.transition_jacobians(states, inputs, thetas[0])):
+            assert max_rel_gap(filled, given) <= 1e-9

@@ -42,29 +42,32 @@ class TestSparsityMask:
             SparsityMask(np.ones(shape, dtype=int))
 
 
+def state_jacobians(model, states, inputs, theta):
+    return model.transition_jacobians(states, inputs, theta)[0]
+
+
 class TestMaskedJacobian:
     def test_full_mask_equals_dense(self):
-        model = euler_attitude_model()
-        mask = euler_sparsity_mask()
-        masked = masked_jac_f_x(model, ATTITUDE_OMEGA0, np.zeros(3),
-                                ATTITUDE_THETA, mask)
-        dense = model.jac_f_x_batch(ATTITUDE_OMEGA0[None], np.zeros((1, 3)), ATTITUDE_THETA)
-        assert np.array_equal(masked, dense[0])
+        dense = state_jacobians(euler_attitude_model(), ATTITUDE_OMEGA0[None],
+                                np.zeros((1, 3)), ATTITUDE_THETA)[0]
+        assert np.array_equal(masked_jac_f_x(dense, euler_sparsity_mask()), dense)
 
     def test_diagonal_model_work_bound(self):
         model = diagonal_square_model(4)
         mask = SparsityMask(np.eye(4, dtype=int))
+        dense = state_jacobians(model, np.array([[1.0, 2.0, 3.0, 4.0]]), np.zeros((1, 1)),
+                                np.ones(1))
         entry_evaluations.reset()
-        masked = masked_jac_f_x(model, np.array([1.0, 2.0, 3.0, 4.0]),
-                                np.zeros(1), np.ones(1), mask)
+        masked = masked_jac_f_x(dense, mask)
         assert entry_evaluations.count == 4
-        assert np.array_equal(masked, np.diag([2.0, 4.0, 6.0, 8.0]))
+        assert np.array_equal(masked, np.diag([2.0, 4.0, 6.0, 8.0])[None])
 
     def test_euler_entry_count_is_n_nz(self):
-        model = euler_attitude_model()
         mask = euler_sparsity_mask()
+        dense = state_jacobians(euler_attitude_model(), ATTITUDE_OMEGA0[None],
+                                np.zeros((1, 3)), ATTITUDE_THETA)
         entry_evaluations.reset()
-        masked_jac_f_x(model, ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA, mask)
+        masked_jac_f_x(dense, mask)
         assert entry_evaluations.count == mask.n_nz == 9
 
     def test_dense_gather_fallback(self):
@@ -73,8 +76,8 @@ class TestMaskedJacobian:
         model = random_smooth_model(rng, 3, 1, 2, 2)
         mask = SparsityMask(np.ones((3, 3), dtype=int))
         x, u, theta = rng.normal(size=3), rng.normal(size=1), rng.normal(size=2)
-        masked = masked_jac_f_x(model, x, u, theta, mask)
-        assert np.array_equal(masked, model.jac_f_x_batch(x[None], u[None], theta)[0])
+        masked = masked_jac_f_x(state_jacobians(model, x[None], u[None], theta), mask)
+        assert np.array_equal(masked, model.jac_f_x_batch(x[None], u[None], theta))
 
     def test_wrong_mask_detected(self):
         model = euler_attitude_model()
@@ -106,13 +109,14 @@ class TestMaskedJacobian:
         with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
             validate_mask(model, mask, [(np.zeros(2), np.zeros(1), np.ones(1))])
         with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
-            masked_jac_f_x(model, np.zeros((4, 2)), np.zeros((4, 1)), np.ones(1), mask)
+            model.transition_jacobians(np.zeros((4, 2)), np.zeros((4, 1)), np.ones(1))
 
     @pytest.mark.parametrize("check", [
         pytest.param(lambda model, mask: validate_mask(
             model, mask, [(ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA)]), id="validate_mask"),
-        pytest.param(lambda model, mask: masked_jac_f_x(
-            model, ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA, mask), id="masked_jac_f_x"),
+        pytest.param(lambda model, mask: masked_jac_f_x(state_jacobians(
+            model, ATTITUDE_OMEGA0[None], np.zeros((1, 3)), ATTITUDE_THETA), mask),
+            id="masked_jac_f_x"),
     ])
     def test_mask_of_another_size_is_refused(self, check):
         with pytest.raises(DimensionMismatch, match="mask is 2x2 but the model has n_x=3"):
@@ -142,18 +146,16 @@ class TestBlockMaskedJacobian:
             # 4 x 500 = 2,000 random attitude points
             states = rng.normal(scale=0.8, size=(500, 3))
             inputs = rng.normal(scale=0.1, size=(500, 3))
-            dense = model.jac_f_x_batch(states, inputs, inertia)
+            dense = state_jacobians(model, states, inputs, inertia)
             for mask in ATTITUDE_MASKS:
-                block = masked_jac_f_x(model, states, inputs, inertia, mask)
+                block = masked_jac_f_x(dense, mask)
                 assert block.shape == (500, 3, 3)
                 reference = reference_masked_values(model, states, inputs, inertia, mask)
                 assert np.array_equal(block, reference)
                 assert np.array_equal(block, dense * mask.state_mask)
-                nested = masked_jac_f_x(model, states.reshape(20, 25, 3),
-                                        inputs.reshape(20, 25, 3), inertia, mask)
+                nested = masked_jac_f_x(dense.reshape(20, 25, 3, 3), mask)
                 assert np.array_equal(nested.reshape(500, 3, 3), reference)
-                point = masked_jac_f_x(model, states[7], inputs[7], inertia, mask)
-                assert np.array_equal(point, reference[7])
+                assert np.array_equal(masked_jac_f_x(dense[7], mask), reference[7])
 
     def test_per_point_model_fallback_equals_per_point_loop(self):
         from conftest import random_smooth_model
@@ -162,28 +164,29 @@ class TestBlockMaskedJacobian:
         mask = SparsityMask(rng.integers(0, 2, size=(4, 4)))
         states, inputs = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
         theta = rng.normal(size=3)
-        block = masked_jac_f_x(model, states, inputs, theta, mask)
+        block = masked_jac_f_x(state_jacobians(model, states, inputs, theta), mask)
         assert np.array_equal(block, reference_masked_values(model, states, inputs, theta, mask))
 
     def test_entry_count_grows_by_n_nz_per_row(self):
-        model = euler_attitude_model()
         mask = ATTITUDE_MASKS[1]
-        for shape, rows in (((3,), 1), ((7, 3), 7), ((2, 4, 3), 8)):
+        for lead, rows in (((), 1), ((7,), 7), ((2, 4), 8)):
             entry_evaluations.reset()
-            masked_jac_f_x(model, np.full(shape, 0.1), np.zeros(shape), ATTITUDE_THETA, mask)
+            masked_jac_f_x(np.full(lead + (3, 3), 0.1), mask)
             assert entry_evaluations.count == rows * mask.n_nz == rows * 6
 
     def test_wrong_state_width_rejected(self):
         with pytest.raises(DimensionMismatch):
-            masked_jac_f_x(euler_attitude_model(), np.zeros((5, 2)), np.zeros((5, 3)),
-                           ATTITUDE_THETA, euler_sparsity_mask())
+            state_jacobians(euler_attitude_model(), np.zeros((5, 2)), np.zeros((5, 3)),
+                            ATTITUDE_THETA)
+        with pytest.raises(DimensionMismatch, match="mask is 3x3 but the model has n_x=2"):
+            masked_jac_f_x(np.zeros((5, 2, 2)), euler_sparsity_mask())
 
     @pytest.mark.parametrize("state_shape,input_shape", [
         ((5, 3), (5, 2)), ((5, 3), (5, 7)), ((4, 3), (5, 3)), ((3,), (2,)), ((2, 4, 3), (8, 3))])
     def test_wrong_input_shape_rejected(self, state_shape, input_shape):
         with pytest.raises(DimensionMismatch) as caught:
-            masked_jac_f_x(euler_attitude_model(), np.full(state_shape, 0.1),
-                           np.zeros(input_shape), ATTITUDE_THETA, euler_sparsity_mask())
+            state_jacobians(euler_attitude_model(), np.full(state_shape, 0.1),
+                            np.zeros(input_shape), ATTITUDE_THETA)
         assert str(state_shape) in str(caught.value)
         assert str(input_shape) in str(caught.value)
 

@@ -12,7 +12,7 @@ from msid import (DimensionMismatch, DynamicalModel, NoiseSpec, NonFiniteState,
                   NonPositiveInertia, angular_rates, euler_attitude_model, euler_step,
                   generate_dataset, numeric_jacobian, rollout, rotational_energy,
                   rotational_energy_gradient, rotational_energy_term)
-from msid.systems import attitude_trajectory
+from msid.systems import attitude_trajectory, scalar_linear_model
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0,
                       ATTITUDE_THETA, jacobians_at, max_rel_gap)
 
@@ -324,7 +324,7 @@ class TestEulerJacobians:
         model = euler_attitude_model(dt=0.05, integrator="rk4")
         omega = np.array([0.1, -0.2, 0.3])
         torque = np.array([0.01, 0.0, -0.02])
-        jac = model.jac_f_x_batch(omega[None], torque[None], ATTITUDE_THETA)[0]
+        jac = model.transition_jacobians(omega[None], torque[None], ATTITUDE_THETA)[0][0]
         fd = numeric_jacobian(
             lambda w: euler_step(w, torque, ATTITUDE_THETA, 0.05, "rk4"), omega)
         assert max_rel_gap(jac, fd) <= 1e-9
@@ -411,14 +411,15 @@ class TestRk4Fallback:
         inputs = rng.normal(scale=0.1, size=(400, 3))
         for theta in rng.uniform(0.005, 1.0, size=(3, 3)):
             jac_x, jac_theta = reference_row_differencing(model, states, inputs, theta)
-            assert np.array_equal(model.jac_f_x_batch(states, inputs, theta), jac_x)
-            assert np.array_equal(model.jac_f_theta_batch(states, inputs, theta), jac_theta)
+            got_x, got_theta = model.transition_jacobians(states, inputs, theta)
+            assert np.array_equal(got_x, jac_x)
+            assert np.array_equal(got_theta, jac_theta)
 
-    # (horizon, rows of each f call of one differenced map): the six
-    # perturbed copies of the T-1 transitions go in one call at the
+    # (horizon, rows of each f call): the twelve perturbed copies of the T-1
+    # transitions, six of the state and six of theta, go in one call at the
     # rk4-fallback horizon, and one copy per call at the long-horizon one,
     # where two copies would pass numeric_jacobian's row budget
-    @pytest.mark.parametrize("horizon,rows_per_call", [(200, [6 * 199]), (3200, [3199] * 6)])
+    @pytest.mark.parametrize("horizon,rows_per_call", [(200, [12 * 199]), (3200, [3199] * 12)])
     def test_stacked_fallback_equals_per_row_reference(self, horizon, rows_per_call):
         rk4 = euler_attitude_model(dt=ATTITUDE_DT, integrator="rk4")
         calls = []
@@ -432,10 +433,24 @@ class TestRk4Fallback:
         states = rng.normal(scale=0.8, size=(horizon - 1, 3))
         inputs = rng.normal(scale=0.1, size=(horizon - 1, 3))
         jac_x, jac_theta = reference_row_differencing(rk4, states, inputs, ATTITUDE_THETA)
-        assert np.array_equal(model.jac_f_x_batch(states, inputs, ATTITUDE_THETA), jac_x)
+        got_x, got_theta = model.transition_jacobians(states, inputs, ATTITUDE_THETA)
         assert calls == rows_per_call
-        assert np.array_equal(model.jac_f_theta_batch(states, inputs, ATTITUDE_THETA), jac_theta)
-        assert calls == 2 * rows_per_call
+        assert np.array_equal(got_x, jac_x)
+        assert np.array_equal(got_theta, jac_theta)
+
+
+@pytest.mark.parametrize("factory", [euler_attitude_model, scalar_linear_model])
+def test_constant_observation_jacobian_is_one_read_only_view(factory):
+    # the identity repeated by stride 0, as np.broadcast_to gives it: nothing
+    # is copied per row, and no caller can write into the shared matrix
+    model = factory()
+    n = model.dims.n_x
+    for rows in (0, 1, 199):
+        stack = model.jac_g_x_batch(np.zeros((rows, n)))
+        reference = np.broadcast_to(np.eye(n), (rows, n, n))
+        assert np.array_equal(stack, reference)
+        assert stack.strides[0] == 0 and stack.dtype == reference.dtype
+        assert not stack.flags.writeable
 
 
 ONE_INERTIA_CALLERS = {
