@@ -101,42 +101,33 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     if not np.isfinite(p).all():
         point_finite = np.isfinite(p.reshape(-1, n)).all(axis=0)
         raise NonFiniteValue(f"point is not finite at component {np.argmin(point_finite)}")
-    per_group = max(1, ROW_BUDGET // max(p[..., 0].size, 1))
-    columns = []
+    # moved[c] is the perturbed component c // 2 of copy c: copy 2j moves
+    # component j up by its shift and copy 2j+1 down by it
+    shift, moved = step * np.maximum(1.0, np.abs(p)), np.empty((2 * n,) + p.shape[:-1])
+    moved[0::2], moved[1::2] = np.moveaxis(p + shift, -1, 0), np.moveaxis(p - shift, -1, 0)
+    per_group, values = max(1, ROW_BUDGET // max(p[..., 0].size, 1)), []
     for start in range(0, 2 * n, per_group):
-        # copy 2j moves component j up by its shift and copy 2j+1 down by it
-        group = range(start, min(start + per_group, 2 * n))
-        stack = np.empty((len(group),) + p.shape)
-        stack[...] = p
-        for i, copy in enumerate(group):
-            shift = step * np.maximum(1.0, np.abs(p[..., copy // 2]))
-            if copy % 2:
-                stack[i, ..., copy // 2] -= shift
-            else:
-                stack[i, ..., copy // 2] += shift
-        values = np.asarray(fn(stack), dtype=float)
-        if values.shape[:p.ndim] != stack.shape[:-1] or values.ndim > p.ndim + 1:
+        copies = np.arange(start, min(start + per_group, 2 * n))
+        group = np.empty((len(copies),) + p.shape)
+        group[...] = p
+        group[copies - start, ..., copies // 2] = moved[copies]
+        out = np.asarray(fn(group), dtype=float)
+        if out.shape[:p.ndim] != group.shape[:-1] or out.ndim > p.ndim + 1:
             raise DimensionMismatch(
-                f"fn must be row-wise: gave shape {values.shape} for points of "
-                f"shape {stack.shape}")
-        if not np.isfinite(values).all():
-            finite = np.isfinite(values.reshape(len(group), -1)).all(axis=1)
+                f"fn must be row-wise: gave shape {out.shape} for points of "
+                f"shape {group.shape}")
+        if not np.isfinite(out).all():
+            finite = np.isfinite(out.reshape(len(group), -1)).all(axis=1)
             raise NonFiniteValue("non-finite evaluation while differencing component "
-                                 f"{group[np.argmin(finite)] // 2}")
-        for i, copy in enumerate(group):
-            if copy % 2 == 0:
-                upper = stack[i, ..., copy // 2], values[i]
-                continue
-            # divide by the exact spacing of the two evaluated points, not by
-            # the nominal 2h, so rounding of p +/- h does not leak into it
-            spacing = upper[0] - stack[i, ..., copy // 2]
-            if values.ndim > p.ndim:
-                spacing = spacing[..., None]
-            columns.append((upper[1] - values[i]) / spacing)
-        # release this group's block before the next one is built (a copy
-        # whose partner is in the next group stays referenced by ``upper``)
-        del stack, values
-    return np.stack(columns, axis=-1)
+                                 f"{(start + np.argmin(finite)) // 2}")
+        values.append(out)
+    values = values[0] if len(values) == 1 else np.concatenate(values)
+    # divide by the exact spacing of the two evaluated points, not by the
+    # nominal 2h, so rounding of p +/- h does not leak into it
+    spacing = moved[0::2] - moved[1::2]
+    if values.ndim > p.ndim:
+        spacing = spacing[..., None]
+    return np.ascontiguousarray(np.moveaxis((values[0::2] - values[1::2]) / spacing, 0, -1))
 
 
 def check_rows(name: str, result, shape: tuple) -> Array:
@@ -151,12 +142,11 @@ def check_rows(name: str, result, shape: tuple) -> Array:
 
 
 def _as_one_block(name: str, n_out: int, stack: Array, evaluate) -> Array:
-    """``evaluate(block, tile)`` on the (copies, N, n) ``stack`` flattened to
-    one (copies * N, n) block, checked row-wise and shaped (copies, N, n_out);
-    ``tile(rows)`` repeats another block of N rows once per copy."""
-    block, copies = stack.reshape(-1, stack.shape[-1]), len(stack)
-    result = evaluate(block, lambda rows: rows if copies == 1 else np.tile(rows, (copies, 1)))
-    return check_rows(name, result, (len(block), n_out)).reshape(stack.shape[:-1] + (n_out,))
+    """``evaluate(block)`` on the (copies, N, n) ``stack`` flattened to one
+    (copies * N, n) block, checked row-wise and shaped (copies, N, n_out)."""
+    block = stack.reshape(-1, stack.shape[-1])
+    return check_rows(name, evaluate(block), (len(block), n_out)).reshape(
+        stack.shape[:-1] + (n_out,))
 
 
 @dataclass(frozen=True)
@@ -178,10 +168,12 @@ class DynamicalModel:
     The three Jacobians are batched and optional: ``jac_f_x_batch(states,
     inputs, theta)``, ``jac_f_theta_batch(states, inputs, theta)`` and
     ``jac_g_x_batch(states)`` map N rows to the N matrices of f by the
-    state, f by theta and g by the state.  A field not given stays ``None``:
-    :meth:`transition_jacobians` and :meth:`observation_jacobians` difference
-    the model's current ``f`` and ``g`` for it, also after
-    ``dataclasses.replace``.
+    state, f by theta and g by the state.  The two Jacobians of ``f`` come
+    together or not at all: a model given one of them alone, also by
+    ``dataclasses.replace``, raises :class:`DimensionMismatch` naming the
+    other.  A field not given stays ``None``: :meth:`transition_jacobians`
+    and :meth:`observation_jacobians` difference the model's current ``f``
+    and ``g`` for it, also after ``dataclasses.replace``.
 
     ``sparsity`` optionally attaches a :class:`~msid.structure.SparsityMask`:
     the gradient zeroes the state Jacobians outside it by one
@@ -200,16 +192,22 @@ class DynamicalModel:
     # not fields: perfbench/spans.py JACOBIAN_FIELDS still reads these names
     jac_f_x = jac_f_theta = jac_g_x = None
 
+    def __post_init__(self):
+        if (self.jac_f_x_batch is None) != (self.jac_f_theta_batch is None):
+            missing = "jac_f_x_batch" if self.jac_f_x_batch is None else "jac_f_theta_batch"
+            raise DimensionMismatch(f"{missing} is missing: the two Jacobians of f come "
+                                    "together or not at all")
+
     def transition_jacobians(self, states, inputs, theta) -> tuple[Array, Array]:
         """The Jacobians (N, n_x, n_x) and (N, n_x, n_theta) of ``f`` by the
         state and by theta at (N, n_x) states and (N, n_u) inputs.
 
-        One call of each field the model gives, shape-checked.  The missing
-        ones are differenced together: one :func:`numeric_jacobian` call over
-        the concatenated (x, theta) columns hands every perturbed copy to one
-        ``f`` call (a few above ``ROW_BUDGET`` rows), the other arguments
-        tiled.  A non-finite state or theta there raises
-        :class:`NonFiniteValue` naming it as ``x[j]`` or ``theta[j]``.
+        One call of each Jacobian field, shape-checked, if the model gives
+        them; else one :func:`numeric_jacobian` call over the concatenated
+        (x, theta) columns hands every perturbed copy to one ``f`` call (a
+        few above ``ROW_BUDGET`` rows), the inputs tiled.  A non-finite state
+        or theta there raises :class:`NonFiniteValue` naming it as ``x[j]``
+        or ``theta[j]``.
         """
         n_x, n_u, n_theta = self.dims.n_x, self.dims.n_u, self.dims.n_theta
         states, inputs = np.asarray(states, dtype=float), np.asarray(inputs, dtype=float)
@@ -217,28 +215,25 @@ class DynamicalModel:
         if states.shape != (rows, n_x) or inputs.shape != (rows, n_u):
             raise DimensionMismatch(f"states {states.shape} and inputs {inputs.shape} must "
                                     f"have shapes (N, {n_x}) and (N, {n_u})")
-        jac_x = None if self.jac_f_x_batch is None else check_rows(
-            "jac_f_x_batch", self.jac_f_x_batch(states, inputs, theta), (rows, n_x, n_x))
-        jac_theta = None if self.jac_f_theta_batch is None else check_rows(
-            "jac_f_theta_batch", self.jac_f_theta_batch(states, inputs, theta),
-            (rows, n_x, n_theta))
-        if jac_x is not None and jac_theta is not None:
-            return jac_x, jac_theta
+        if self.jac_f_x_batch is not None:
+            return (check_rows("jac_f_x_batch", self.jac_f_x_batch(states, inputs, theta),
+                               (rows, n_x, n_x)),
+                    check_rows("jac_f_theta_batch", self.jac_f_theta_batch(states, inputs, theta),
+                               (rows, n_x, n_theta)))
         theta = _vector(theta, n_theta, "theta")
         for name, values in (("x", states), ("theta", theta)):
             if not np.isfinite(values).all():
                 finite = np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
                 raise NonFiniteValue(f"{name}[{np.argmin(finite)}] is not finite")
-        point = np.concatenate([states] * (jac_x is None) + [np.broadcast_to(
-            theta, (rows, n_theta))] * (jac_theta is None), axis=1)
+        point = np.concatenate([states, np.broadcast_to(theta, (rows, n_theta))], axis=1)
 
-        def evaluate(block, tile):
-            return self.f(block[:, :n_x] if jac_x is None else tile(states), tile(inputs),
-                          block[:, -n_theta:] if jac_theta is None else theta)
+        def joint_f(stack):
+            tiled = inputs if len(stack) == 1 else np.tile(inputs, (len(stack), 1))
+            return _as_one_block("f", n_x, stack,
+                                 lambda block: self.f(block[:, :n_x], tiled, block[:, n_x:]))
 
-        jac = numeric_jacobian(lambda stack: _as_one_block("f", n_x, stack, evaluate), point)
-        return (np.ascontiguousarray(jac[..., :n_x]) if jac_x is None else jac_x,
-                np.ascontiguousarray(jac[..., -n_theta:]) if jac_theta is None else jac_theta)
+        jac = numeric_jacobian(joint_f, point)
+        return np.ascontiguousarray(jac[..., :n_x]), np.ascontiguousarray(jac[..., n_x:])
 
     def observation_jacobians(self, states) -> Array:
         """The Jacobians (N, n_z, n_x) of ``g`` at (N, n_x) states: one call of
@@ -247,8 +242,7 @@ class DynamicalModel:
         if self.jac_g_x_batch is not None:
             return check_rows("jac_g_x_batch", self.jac_g_x_batch(states),
                               (len(states), n_z, self.dims.n_x))
-        return numeric_jacobian(
-            lambda stack: _as_one_block("g", n_z, stack, lambda block, tile: g(block)), states)
+        return numeric_jacobian(lambda stack: _as_one_block("g", n_z, stack, g), states)
 
 
 @dataclass(frozen=True)
@@ -313,13 +307,11 @@ class Trajectory:
     states: Array
     predictions: Array
     parameters: Array
-    initial_state: Array
 
     def __post_init__(self):
         object.__setattr__(self, "states", _freeze(self.states))
         object.__setattr__(self, "predictions", _freeze(self.predictions))
         object.__setattr__(self, "parameters", _freeze(self.parameters))
-        object.__setattr__(self, "initial_state", _freeze(self.initial_state))
         if self.states.shape[0] != self.predictions.shape[0] + 1:
             raise DimensionMismatch(
                 f"states ({self.states.shape[0]}) must be one longer than "
@@ -366,8 +358,7 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
         step = int(np.argmin(np.isfinite(states[1:]).all(axis=1))) + 1
         raise NonFiniteState(f"state became non-finite at step {step}", step=step)
     predictions = check_rows("g", model.g(states[:horizon]), (horizon, dims.n_z))
-    return Trajectory(states=states, predictions=predictions,
-                      parameters=theta, initial_state=x0)
+    return Trajectory(states=states, predictions=predictions, parameters=theta)
 
 
 def save_dataset(path, dataset: Dataset, n_x: int) -> None:

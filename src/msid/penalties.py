@@ -13,10 +13,11 @@ and method, not one per step, and it raises :class:`DimensionMismatch`,
 naming the term, when a term returns anything but one row per state.
 State-dependent terms (energy deviation, state bounds) are charged at every
 step of the horizon.  Parameter-only terms (parameter box) receive
-``x=None`` and are charged once per cost evaluation.  Every term carries
-its own finite, nonnegative weight and exposes analytic gradients with
-respect to the state and the parameters; one of the two is identically zero
-for single-argument terms.
+``x=None``, are charged once per cost evaluation and have no ``grad_x``.
+Every term carries its own finite, nonnegative weight and exposes analytic
+gradients.  Built with bounds that are not 1-D or hold a NaN (an infinite
+bound switches its component off), or a non-finite ``alpha`` or
+``reference``, a term raises :class:`InvalidBox` naming it and the field.
 
 Exponential barriers saturate their exponent at the module constant
 ``EXP_CAP`` (700, just under the double-precision overflow boundary) so
@@ -41,6 +42,20 @@ EXP_CAP = 700.0
 
 def _clipped_exp(exponent):
     return np.exp(np.minimum(exponent, EXP_CAP))
+
+
+def _check_parameters(term, *bounds: str) -> None:
+    """Store each of the ``bounds`` fields of ``term`` as a 1-D float array
+    free of NaN, and check its ``alpha``, if it has one, positive and finite."""
+    for name in bounds:
+        value = np.asarray(getattr(term, name), dtype=float)
+        if value.ndim != 1 or np.isnan(value).any():
+            raise InvalidBox(f"penalty term {type(term).__name__}: {name} must be 1-D and "
+                             f"free of NaN, got {getattr(term, name)!r}")
+        object.__setattr__(term, name, value)
+    if not 0 < getattr(term, "alpha", 1.0) < np.inf:
+        raise InvalidBox(f"penalty term {type(term).__name__}: alpha must be positive and "
+                         f"finite, got {term.alpha}")
 
 
 def _zero_theta_rows(x, theta) -> Array:
@@ -70,6 +85,11 @@ class EnergyConservation:
     weight: float = 1.0
 
     depends_on_state: ClassVar[bool] = True
+
+    def __post_init__(self):
+        if not np.isfinite(self.reference):
+            raise InvalidBox("penalty term EnergyConservation: reference must be finite, "
+                             f"got {self.reference}")
 
     def _deviation(self, x) -> Array:
         return np.asarray(self.energy_fn(x), dtype=float) - self.reference
@@ -115,9 +135,7 @@ class _ExpBarrier:
     sign: ClassVar[float]
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
-        if not self.alpha > 0:
-            raise InvalidBox(f"alpha must be positive, got {self.alpha}")
+        _check_parameters(self, "bounds")
 
     def _exp(self, x) -> Array:
         # negation is exact, so sign -1 rounds as 2*alpha*(bounds - x) does
@@ -147,8 +165,8 @@ class LowerBarrier(_ExpBarrier):
     """Exponential barrier pushing each state component above its bound.
 
     ``h(x) = sum_i exp(2 * alpha * (bounds_i - x_i))``; a bound of -inf
-    deactivates its component.  With ``bounds = 0`` this is a soft
-    non-negativity constraint on the state.
+    deactivates its component.  With ``bounds = np.zeros(n_x)`` this is a
+    soft non-negativity constraint on the state.
     """
 
     sign = -1.0
@@ -172,16 +190,11 @@ class ParameterBox:
     depends_on_state: ClassVar[bool] = False
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != upper.shape:
-            raise InvalidBox(f"bound shapes differ: {lower.shape} vs {upper.shape}")
-        if not np.all(lower <= upper):
-            raise InvalidBox("lower bound exceeds upper bound, or a bound is NaN")
-        if not self.alpha > 0:
-            raise InvalidBox(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        _check_parameters(self, "lower", "upper")
+        if self.lower.shape != self.upper.shape:
+            raise InvalidBox(f"bound shapes differ: {self.lower.shape} vs {self.upper.shape}")
+        if not np.all(self.lower <= self.upper):
+            raise InvalidBox("lower bound exceeds upper bound")
 
     def _exps(self, theta) -> tuple:
         """The exponentials above the upper and below the lower bound."""
@@ -192,9 +205,6 @@ class ParameterBox:
     def value(self, x, theta) -> float:
         above, below = self._exps(theta)
         return float(above.sum() + below.sum())
-
-    def grad_x(self, x, theta) -> Array:
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def grad_theta(self, x, theta) -> Array:
         above, below = self._exps(theta)
@@ -217,7 +227,7 @@ class ReluUpperBound:
     depends_on_state: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
+        _check_parameters(self, "bounds")
 
     def value(self, x, theta) -> Array:
         return np.maximum(0.0, np.asarray(x, dtype=float) - self.bounds).sum(axis=-1)

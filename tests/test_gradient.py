@@ -197,8 +197,7 @@ class TestGradient:
         trajectory = rollout(model, [1.0], [0.9], dataset.inputs)
         states = trajectory.states.copy()
         states[horizon // 2 + 1] += 1e-3
-        tampered = Trajectory(states, trajectory.predictions,
-                              trajectory.parameters, trajectory.initial_state)
+        tampered = Trajectory(states, trajectory.predictions, trajectory.parameters)
         spec = LossSpec.scaled_identity(1, horizon)
         with pytest.raises(TrajectoryMismatch, match=f"step {horizon // 2 + 1}"):
             gradient(model, tampered, dataset, spec, np.array([0.9]))
@@ -210,18 +209,10 @@ class TestGradient:
         trajectory = rollout(model, [1.0], [0.9], dataset.inputs)
         states = trajectory.states.copy()
         states[step] += 1e-3
-        tampered = Trajectory(states, trajectory.predictions,
-                              trajectory.parameters, trajectory.initial_state)
+        tampered = Trajectory(states, trajectory.predictions, trajectory.parameters)
         spec = LossSpec.scaled_identity(1, 20)
         with pytest.raises(TrajectoryMismatch, match=f"step {step} does not reproduce"):
             gradient(model, tampered, dataset, spec, np.array([0.9]))
-
-    def test_spot_check_compares_the_initial_state(self, scalar_problem):
-        model, trajectory, dataset, spec, theta, _ = scalar_problem
-        tampered = Trajectory(trajectory.states, trajectory.predictions,
-                              trajectory.parameters, trajectory.initial_state + 1e-12)
-        with pytest.raises(TrajectoryMismatch, match="initial state is inconsistent"):
-            gradient(model, tampered, dataset, spec, theta)
 
     @pytest.mark.parametrize("theta", [[[2.0]], [2.0, 0.0], 2.0],
                              ids=["column", "one-more", "scalar"])

@@ -313,10 +313,10 @@ class TestOneJacobianForm:
         assert grad.shape == (2,)
         assert max_rel_gap(grad, [2.0, -4.0]) <= 1e-9
 
-    # the Jacobian fields the model gives; transition_jacobians differences
-    # the others, all of them in one numeric_jacobian call and one f call
-    @pytest.mark.parametrize("given", [(), ("jac_f_x_batch",), ("jac_f_theta_batch",)],
-                             ids=["neither", "state-given", "theta-given"])
+    # the Jacobian fields of f the model gives; without them transition_jacobians
+    # differences both in one numeric_jacobian call and one f call
+    @pytest.mark.parametrize("given", [(), ("jac_f_x_batch", "jac_f_theta_batch")],
+                             ids=["neither", "both"])
     def test_bare_model_differences_whole_blocks(self, monkeypatch, given):
         rng = np.random.default_rng(24)
         reference = random_smooth_model(rng, 3, 2, 2, 2)
@@ -344,17 +344,25 @@ class TestOneJacobianForm:
                               for x, u in pairs])
         jac_g = np.stack([reference_numeric_jacobian(g, x) for x in states])
         if given:
-            analytic = reference.transition_jacobians(states, inputs, theta)
-            jac_x, jac_theta = ((analytic[0], jac_theta) if given == ("jac_f_x_batch",)
-                                else (jac_x, analytic[1]))
-        columns = 3 * ("jac_f_x_batch" not in given) + 2 * ("jac_f_theta_batch" not in given)
+            jac_x, jac_theta = reference.transition_jacobians(states, inputs, theta)
         got_x, got_theta = model.transition_jacobians(states, inputs, theta)
-        assert differenced == [(9, columns)]
-        assert f_rows == [2 * columns * 9]
+        assert differenced == ([] if given else [(9, 5)])
+        assert f_rows == ([] if given else [2 * 5 * 9])
         assert np.array_equal(got_x, jac_x)
         assert np.array_equal(got_theta, jac_theta)
+        assert got_x.flags.c_contiguous and got_theta.flags.c_contiguous
         assert np.array_equal(model.observation_jacobians(states), jac_g)
-        assert len(differenced) == 2
+        assert differenced[-1] == (9, 3)
+
+    @pytest.mark.parametrize("given,missing", [("jac_f_x_batch", "jac_f_theta_batch"),
+                                               ("jac_f_theta_batch", "jac_f_x_batch")])
+    def test_one_jacobian_of_f_alone_is_refused(self, given, missing):
+        euler = euler_attitude_model()
+        with pytest.raises(DimensionMismatch, match=f"^{missing} is missing"):
+            DynamicalModel(dims=euler.dims, f=euler.f, g=euler.g,
+                           **{given: getattr(euler, given)})
+        with pytest.raises(DimensionMismatch, match=f"^{missing} is missing"):
+            dataclasses.replace(euler, **{missing: None})
 
     def test_replaced_map_is_differenced_afresh(self):
         # the RK4 model differences its own step; a copy with another f must
@@ -370,12 +378,10 @@ class TestOneJacobianForm:
         assert np.array_equal(jac_theta, np.zeros((4, 3, 3)))
         assert doubled.jac_g_x_batch is rk4.jac_g_x_batch
 
-    @pytest.mark.parametrize("given", [(), ("jac_f_x_batch",)], ids=["neither", "state-given"])
-    def test_non_finite_point_is_named_by_block_and_index(self, given):
+    def test_non_finite_point_is_named_by_block_and_index(self):
         euler = euler_attitude_model()
         f_calls = []
-        model = DynamicalModel(dims=euler.dims, f=lambda *args: f_calls.append(1),
-                               g=euler.g, **{name: getattr(euler, name) for name in given})
+        model = DynamicalModel(dims=euler.dims, f=lambda *args: f_calls.append(1), g=euler.g)
         states, inputs, theta = np.full((5, 3), 0.1), np.zeros((5, 3)), ATTITUDE_THETA.copy()
         states[3, 2] = np.nan
         with pytest.raises(NonFiniteValue, match=r"^x\[2\] is not finite$"):
@@ -391,38 +397,46 @@ def elementwise_map(x):
     return np.stack([np.sin(x[..., 0] * x[..., 1]), x[..., 2] ** 3 - x[..., 0]], axis=-1)
 
 
-class CountingMap:
-    """``elementwise_map``, recording the leading shape of each block it is given."""
+def cubes_map(x):
+    """A scalar row-wise map: the sum of cubes of each row."""
+    return np.sum(x * x * x, axis=-1)
 
-    def __init__(self):
-        self.blocks = []
+
+class CountingMap:
+    """``fn``, recording the leading shape of each block it is given."""
+
+    def __init__(self, fn=elementwise_map):
+        self.fn, self.blocks = fn, []
 
     def __call__(self, x):
         self.blocks.append(x.shape[:-1])
-        return elementwise_map(x)
+        return self.fn(x)
 
 
 class TestStackedDifferences:
     """numeric_jacobian evaluates every perturbed copy in one stacked call, or
     in the fewest groups of whole copies that fit its row budget."""
 
-    # (point shape, row budget, fn calls): 6 perturbed copies of 1, 7 or 8 rows
+    # (point shape, row budget, fn calls, map): 6 perturbed copies of 1, 7 or
+    # 8 rows; in "scalar-split-pair" groups of 3 copies part copies 2 and 3,
+    # the two sides of component 1
     CASES = {
-        "point": ((3,), None, 1),
-        "point-two-groups": ((3,), 4, 2),
-        "block": ((7, 3), None, 1),
-        "block-three-groups": ((7, 3), 14, 3),
-        "block-one-copy-per-group": ((7, 3), 6, 6),
-        "stack": ((2, 4, 3), None, 1),
-        "stack-two-groups": ((2, 4, 3), 24, 2),
+        "point": ((3,), None, 1, elementwise_map),
+        "point-two-groups": ((3,), 4, 2, elementwise_map),
+        "block": ((7, 3), None, 1, elementwise_map),
+        "block-three-groups": ((7, 3), 14, 3, elementwise_map),
+        "block-one-copy-per-group": ((7, 3), 6, 6, elementwise_map),
+        "stack": ((2, 4, 3), None, 1, elementwise_map),
+        "stack-two-groups": ((2, 4, 3), 24, 2, elementwise_map),
+        "scalar-split-pair": ((7, 3), 21, 2, cubes_map),
     }
 
-    @pytest.mark.parametrize("shape,budget,calls", CASES.values(), ids=CASES.keys())
-    def test_calls_per_jacobian_and_values(self, monkeypatch, shape, budget, calls):
+    @pytest.mark.parametrize("shape,budget,calls,fn", CASES.values(), ids=CASES.keys())
+    def test_calls_per_jacobian_and_values(self, monkeypatch, shape, budget, calls, fn):
         if budget is not None:
             monkeypatch.setattr(model_module, "ROW_BUDGET", budget)
         point = np.random.default_rng(27).normal(scale=5.0, size=shape)
-        counting = CountingMap()
+        counting = CountingMap(fn)
         jac = numeric_jacobian(counting, point)
         assert len(counting.blocks) == calls
         rows = int(np.prod(shape[:-1]))
@@ -430,9 +444,12 @@ class TestStackedDifferences:
         assert all(block[1:] == shape[:-1] for block in counting.blocks)
         if budget is not None:
             assert all(block[0] * rows <= max(budget, rows) for block in counting.blocks)
-        reference = np.stack([reference_numeric_jacobian(elementwise_map, row)
+        reference = np.stack([reference_numeric_jacobian(fn, row)
                               for row in point.reshape(-1, 3)])
-        assert np.array_equal(jac, reference.reshape(shape[:-1] + (2, 3)))
+        tail = (3,) if fn is cubes_map else (2, 3)
+        assert np.array_equal(jac, reference.reshape(shape[:-1] + tail))
+        # the backward loop takes ndarray.dot only on contiguous stacks
+        assert jac.flags.c_contiguous
 
     def test_first_non_finite_component_is_named(self, monkeypatch):
         # non-finite exactly where component 2 or 3 is perturbed off zero

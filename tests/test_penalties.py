@@ -151,6 +151,48 @@ class TestParameterBox:
         assert value == pytest.approx(2 * math.exp(-2.0), rel=1e-14)
 
 
+class TestTermParameters:
+    """A term refuses, when it is built, a parameter that would make the cost
+    NaN everywhere, naming itself and the field."""
+
+    @pytest.mark.parametrize("build,name,field", [
+        pytest.param(lambda: UpperBarrier(np.full(3, np.nan), alpha=1.0),
+                     "UpperBarrier", "bounds", id="upper-nan-bounds"),
+        pytest.param(lambda: LowerBarrier(np.array([0.0, np.nan]), alpha=1.0),
+                     "LowerBarrier", "bounds", id="lower-nan-bounds"),
+        pytest.param(lambda: ReluUpperBound(np.array([np.nan, 1.0])),
+                     "ReluUpperBound", "bounds", id="relu-nan-bounds"),
+        pytest.param(lambda: ParameterBox(np.zeros(2), np.array([1.0, np.nan]), alpha=1.0),
+                     "ParameterBox", "upper", id="box-nan-upper"),
+        pytest.param(lambda: UpperBarrier(0.0, alpha=1.0),
+                     "UpperBarrier", "bounds", id="scalar-bounds"),
+        pytest.param(lambda: ReluUpperBound(np.zeros((2, 3))),
+                     "ReluUpperBound", "bounds", id="2d-bounds"),
+        pytest.param(lambda: ParameterBox(0.0, 1.0, alpha=1.0),
+                     "ParameterBox", "lower", id="scalar-box"),
+        pytest.param(lambda: UpperBarrier(np.zeros(3), alpha=np.inf),
+                     "UpperBarrier", "alpha", id="upper-inf-alpha"),
+        pytest.param(lambda: LowerBarrier(np.zeros(3), alpha=np.nan),
+                     "LowerBarrier", "alpha", id="lower-nan-alpha"),
+        pytest.param(lambda: ParameterBox(np.zeros(2), np.ones(2), alpha=np.inf),
+                     "ParameterBox", "alpha", id="box-inf-alpha"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=np.nan),
+                     "EnergyConservation", "reference", id="nan-reference"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=-np.inf),
+                     "EnergyConservation", "reference", id="inf-reference"),
+    ])
+    def test_bad_parameter_is_refused_naming_term_and_field(self, build, name, field):
+        with pytest.raises(InvalidBox, match=rf"^penalty term {name}: {field} must be"):
+            build()
+
+    def test_infinite_bounds_switch_components_off(self):
+        x, theta = np.array([5.0, -5.0]), np.array([5.0, -5.0])
+        off = np.array([np.inf, np.inf])
+        for term in (UpperBarrier(off, alpha=1.0), LowerBarrier(-off, alpha=1.0),
+                     ReluUpperBound(off), ParameterBox(-off, off, alpha=1.0)):
+            assert term.value(x, theta) == 0.0
+
+
 class TestGradientConsistency:
     @pytest.mark.parametrize("builder", [
         lambda rng: EnergyConservation(
@@ -168,7 +210,9 @@ class TestGradientConsistency:
             term = builder(rng)
             x = rng.uniform(-0.9, 0.9, 3)
             theta = rng.uniform(-0.9, 0.9, 2)
-            grad_x, grad_theta = term.grad_x(x, theta), term.grad_theta(x, theta)
+            # a parameter-only term has no grad_x: its value is free of the state
+            grad_x = term.grad_x(x, theta) if term.depends_on_state else np.zeros(3)
+            grad_theta = term.grad_theta(x, theta)
             fd_x, fd_theta = fd_gradients(term, x, theta)
             for analytic, fd in ((grad_x, fd_x), (grad_theta, fd_theta)):
                 if np.max(np.abs(analytic)) < 1e-9:

@@ -23,6 +23,7 @@ def diagonal_square_model(n=3):
         f=lambda x, u, th: x * x,
         g=lambda x: x,
         jac_f_x_batch=lambda s, u, th: diagonal_rows(2.0 * s),
+        jac_f_theta_batch=lambda s, u, th: np.zeros((len(s), n, 1)),
     )
 
 
@@ -94,7 +95,8 @@ class TestMaskedJacobian:
         def model_with(jac):
             return DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
                                   g=lambda x: x,
-                                  jac_f_x_batch=lambda s, u, th: jac[None].repeat(len(s), 0))
+                                  jac_f_x_batch=lambda s, u, th: jac[None].repeat(len(s), 0),
+                                  jac_f_theta_batch=lambda s, u, th: np.zeros((len(s), 2, 1)))
 
         point = [(np.zeros(2), np.zeros(1), np.ones(1))]
         mask = SparsityMask(np.eye(2, dtype=int))
@@ -104,7 +106,8 @@ class TestMaskedJacobian:
 
     def test_one_matrix_for_a_block_is_refused(self):
         model = DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
-                               g=lambda x: x, jac_f_x_batch=lambda s, u, th: np.eye(2))
+                               g=lambda x: x, jac_f_x_batch=lambda s, u, th: np.eye(2),
+                               jac_f_theta_batch=lambda s, u, th: np.zeros((len(s), 2, 1)))
         mask = SparsityMask(np.eye(2, dtype=int))
         with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
             validate_mask(model, mask, [(np.zeros(2), np.zeros(1), np.ones(1))])
