@@ -425,6 +425,10 @@ def make_dataset(config: RunConfig, model: DynamicalModel) -> tuple[Dataset, Opt
         expected = getattr(model.dims, name)
         if value != expected:
             raise ConfigError(f"dataset.path: file has {name}={value} but the model expects {expected}")
+    # the file holds repr(dt), so a file written under model.dt reads back equal
+    if dataset.dt != config.model.dt:
+        raise ConfigError(f"dataset.path: file has dt={dataset.dt!r} but model.dt is "
+                          f"{config.model.dt!r}")
     return dataset, None
 
 

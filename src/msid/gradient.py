@@ -144,7 +144,8 @@ def prediction_error(trajectory: Trajectory, dataset: Dataset) -> Array:
 
 
 def _cost_parts(trajectory, dataset, spec, theta):
-    """Per-step losses, penalty total and the weighted errors ``e_k' Q``."""
+    """Per-step losses, penalty total and the weighted errors ``e_k' Q``; every
+    cost and gradient passes here, so it checks the sizes of Q and of the bounds."""
     horizon = trajectory.horizon
     if len(dataset) != horizon:
         raise DimensionMismatch(
@@ -153,11 +154,16 @@ def _cost_parts(trajectory, dataset, spec, theta):
         raise DimensionMismatch(
             f"loss horizon {spec.horizon} does not match trajectory horizon {horizon}")
     errors = prediction_error(trajectory, dataset)
+    n_z = errors.shape[1]
+    if spec.Q.shape != (n_z, n_z):
+        raise DimensionMismatch(f"Q must have shape ({n_z}, {n_z}), got {spec.Q.shape}")
     weighted = errors @ spec.Q
     per_step = np.einsum("ti,ti->t", weighted, errors) / horizon
     penalty_total = 0.0
     if spec.penalty is not None:
-        penalty_total = spec.penalty.total_value(trajectory.states[:horizon], theta)
+        states = trajectory.states[:horizon]
+        spec.penalty.check_sizes(states.shape[1], np.size(theta))
+        penalty_total = spec.penalty.total_value(states, theta)
     return per_step, penalty_total, weighted
 
 

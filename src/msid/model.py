@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, NonFiniteValue
-from .util import format_float
 
 if TYPE_CHECKING:
     from .structure import SparsityMask
@@ -359,6 +358,11 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
         raise NonFiniteState(f"state became non-finite at step {step}", step=step)
     predictions = check_rows("g", model.g(states[:horizon]), (horizon, dims.n_z))
     return Trajectory(states=states, predictions=predictions, parameters=theta)
+
+
+def format_float(value) -> str:
+    """Shortest decimal string that round-trips the double exactly."""
+    return repr(float(value))
 
 
 def save_dataset(path, dataset: Dataset, n_x: int) -> None:

@@ -1,19 +1,18 @@
 """ADAM and the identification loop.
 
-One epoch rolls the model out under the current candidate, evaluates the
-multi-step cost and its gradient, and takes one ADAM step on p = (theta,
-x0), with one learning rate for the theta slots and one for the x0 slots
-(they usually live on very different scales).  The loop stops when the
-epoch budget is exhausted, the cost drops below its threshold, or the
-gradient norm does (``max_epochs``, ``cost_tol``, ``grad_tol`` of
-:class:`IdentifyOptions`); the reason is recorded.  Because the cost can rise
-temporarily while the optimizer trades one parameter against another, the
-returned estimate is the iterate with the lowest recorded cost, not the
-last one; the full history is kept either way.
+:func:`identify` runs ADAM on p = (theta, x0), with one learning rate for the
+theta slots and one for the x0 slots (they usually live on very different
+scales).  Each epoch records the accepted candidate and takes one
+accept-or-retry step: a candidate the model cannot evaluate is rejected, and
+the step is retried from the accepted state at half the learning rates.
+Because the cost can rise temporarily while the optimizer trades one
+parameter against another, the returned estimate is the iterate with the
+lowest recorded cost, not the last one; the full history is kept either way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DivergedRollout, NonFiniteGradient,
+from .errors import (DimensionMismatch, DivergedRollout, InvalidBox, NonFiniteGradient,
                      NonFiniteValue, OutsideDomain)
 from .gradient import LossSpec, fd_gradient, gradient, gradient_naive
 from .model import Dataset, DynamicalModel, rollout
@@ -32,6 +31,13 @@ Array = np.ndarray
 MAX_CONSECUTIVE_REJECTIONS = 10
 
 GRADIENT_METHODS = ("adjoint", "naive", "fd")
+
+
+def _check_open(name: str, value, upper: float = math.inf) -> None:
+    """Refuse a ``value``, a number or a vector, outside the open interval (0, upper)."""
+    array = np.asarray(value)
+    if not (array.dtype.kind in "iuf" and (array > 0).all() and (array < upper).all()):
+        raise ValueError(f"{name} must lie in (0, {upper}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,13 @@ class AdamState:
     @classmethod
     def fresh(cls, n: int, lr, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> "AdamState":
-        if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
-            raise ValueError("decay rates must lie in (0, 1)")
+        _check_open("beta1", beta1, 1)
+        _check_open("beta2", beta2, 1)
         lr = np.array(lr, dtype=float)
         if lr.shape not in ((), (n,)):
             raise DimensionMismatch(f"lr must be a scalar or have shape ({n},), got {lr.shape}")
-        if not ((lr > 0).all() and np.isfinite(lr).all() and 0 < eps < math.inf):
-            raise ValueError("learning rate and eps must be finite and positive")
+        _check_open("lr", lr)
+        _check_open("eps", eps)
         return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr,
                    beta1=beta1, beta2=beta2, eps=eps)
 
@@ -106,7 +112,9 @@ class HistoryRecord:
 class IdentifyOptions:
     """Knobs of the identification loop: the fields and defaults of
     ``msid.config.OptimizerConfig``, ``box`` as a ``(lower, upper)`` pair.
-    A ``cost_tol`` or ``grad_tol`` of 0 disables its stopping condition."""
+    A ``cost_tol`` or ``grad_tol`` of 0 disables its stopping condition.
+    Each field is checked when built, by a ``ValueError`` naming it; only the
+    box length against the model's parameter count waits for :func:`identify`."""
 
     lr_theta: float = 1e-3
     lr_x0: float = 1e-4
@@ -124,10 +132,23 @@ class IdentifyOptions:
         if (isinstance(self.max_epochs, bool)
                 or not isinstance(self.max_epochs, (int, np.integer)) or self.max_epochs < 1):
             raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
-        if not (self.cost_tol >= 0 and self.grad_tol >= 0):
-            raise ValueError("thresholds must be nonnegative")
-        if not 0 < self.fd_step < np.inf:
-            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
+        for name in ("cost_tol", "grad_tol"):
+            value = getattr(self, name)
+            if not (np.asarray(value).dtype.kind in "iuf" and value >= 0):
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        for name in ("lr_theta", "lr_x0", "eps", "fd_step"):
+            _check_open(name, getattr(self, name))
+        _check_open("beta1", self.beta1, 1)
+        _check_open("beta2", self.beta2, 1)
+        if self.box is not None:
+            try:
+                lower, upper = (np.asarray(bound, dtype=float) for bound in self.box)
+                valid = lower.ndim == 1 and lower.shape == upper.shape and all(lower <= upper)
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise InvalidBox("box must be a (lower, upper) pair of equal-length 1-D bounds, "
+                                 f"free of NaN, with lower <= upper; got {self.box!r}")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
                 f"gradient_method must be one of {GRADIENT_METHODS}, "
@@ -160,39 +181,25 @@ class IdentificationRun:
     def x0_hat(self) -> Array:
         return self.best_record.x0.copy()
 
-    @property
-    def final_record(self) -> HistoryRecord:
-        return self.history[-1]
-
-
-def _evaluate(model, dataset, spec, theta, x0, method, fd_step):
-    if method == "fd":
-        return fd_gradient(model, x0, theta, dataset, spec, step=fd_step)
-    trajectory = rollout(model, x0, theta, dataset.inputs)
-    if method == "naive":
-        return gradient_naive(model, trajectory, dataset, spec, theta)
-    return gradient(model, trajectory, dataset, spec, theta)
-
 
 # a non-finite candidate is rejected or raised below, not warned
 @np.errstate(over="ignore", invalid="ignore")
 def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
              theta0, x0, options: Optional[IdentifyOptions] = None) -> IdentificationRun:
-    """Fit parameters and initial state by gradient descent on the
-    multi-step cost.
+    """Fit parameters and initial state by ADAM on the multi-step cost.
 
-    Every epoch: rollout, cost and gradient, one ADAM update of p = (theta,
-    x0) with the learning rate ``lr_theta`` on the theta slots and ``lr_x0``
-    on the x0 slots, optional projection of the theta slice onto a box,
-    stopping check (``max_epochs`` updates, ``cost_tol``, ``grad_tol``).
-    An epoch whose candidate makes the rollout or the cost non-finite, or
-    lies outside the model's domain (:class:`OutsideDomain`, e.g. a
-    nonpositive inertia), is rejected: the previous candidate and ADAM
-    state are restored, every learning rate is halved, and the update is
-    retried; after ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the
-    run aborts with :class:`DivergedRollout`.  At the initial candidate
-    there is nothing to restore: a non-finite evaluation raises
-    :class:`DivergedRollout` and an out-of-domain one re-raises its error.
+    The initial candidate p = (theta0, x0) is evaluated once: a non-finite
+    evaluation raises :class:`DivergedRollout`, and one outside the model's
+    domain (:class:`OutsideDomain`, e.g. a nonpositive inertia) re-raises its
+    error.  Each epoch then records the accepted candidate, checks the
+    stopping rules (``max_epochs`` updates, ``cost_tol``, ``grad_tol``) and
+    proposes the next candidate from the accepted p and ADAM state: one ADAM
+    update (``lr_theta`` on the theta slots, ``lr_x0`` on the x0 slots), then
+    the optional projection of theta onto ``box``.  A candidate whose
+    evaluation is non-finite or outside the domain is rejected: the learning
+    rates of the accepted state are halved and the step is proposed again.
+    After ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the run aborts
+    with :class:`DivergedRollout`.
     """
     options = options or IdentifyOptions()
     theta = np.array(theta0, dtype=float)
@@ -205,61 +212,53 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
     box = None
     if options.box is not None:
         box = tuple(np.asarray(bound, dtype=float) for bound in options.box)
-        if [bound.shape for bound in box] != [(n_theta,)] * 2:
-            raise DimensionMismatch(f"box bounds must have shape ({n_theta},), got "
-                                    f"{' and '.join(str(bound.shape) for bound in box)}")
-        project_box(theta, *box)  # validates the box ordering
+        if box[0].shape != (n_theta,):
+            raise DimensionMismatch(f"box bounds must have shape ({n_theta},), got {box[0].shape}")
+    method = {"adjoint": gradient, "naive": gradient_naive}.get(options.gradient_method)
+
+    def evaluate(p):
+        theta, x0 = p[:n_theta], p[n_theta:]
+        if method is None:
+            return fd_gradient(model, x0, theta, dataset, spec, step=options.fd_step)
+        return method(model, rollout(model, x0, theta, dataset.inputs), dataset, spec, theta)
 
     p = np.concatenate([theta, x0])
     lr = np.concatenate([np.full(n_theta, options.lr_theta), np.full(n_x, options.lr_x0)])
     adam = AdamState.fresh(p.size, lr, options.beta1, options.beta2, options.eps)
-    history = []
-    previous = None
-    rejected = 0
-    consecutive = 0
-    epoch = 0
-
-    while True:
-        try:
-            report = _evaluate(model, dataset, spec, p[:n_theta], p[n_theta:],
-                               options.gradient_method, options.fd_step)
-        except (NonFiniteValue, OutsideDomain) as exc:
-            rejected += 1
-            consecutive += 1
-            if previous is None:
-                if isinstance(exc, OutsideDomain):
-                    raise
-                raise DivergedRollout(
-                    "rollout diverged at the initial candidate", epoch=epoch)
-            if consecutive >= MAX_CONSECUTIVE_REJECTIONS:
-                raise DivergedRollout(
-                    f"{consecutive} consecutive rejected steps", epoch=epoch)
-            p, adam, grad = previous
-            adam = replace(adam, lr=adam.lr / 2.0)
+    try:
+        report = evaluate(p)
+    except NonFiniteValue:
+        raise DivergedRollout("rollout diverged at the initial candidate", epoch=0)
+    history, rejected = [], 0
+    for epoch in itertools.count():
+        grad_theta, grad_x0 = report.grad_theta, report.grad_x0
+        # block by block: the norm of p would sum in another order
+        grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+        history.append(HistoryRecord(epoch=epoch, cost=report.cost, grad_norm=grad_norm,
+                                     theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
+        if options.cost_tol > 0.0 and report.cost < options.cost_tol:
+            stop_reason = StopReason.COST_BELOW_TOL
+            break
+        if options.grad_tol > 0.0 and grad_norm < options.grad_tol:
+            stop_reason = StopReason.GRAD_BELOW_TOL
+            break
+        if epoch >= options.max_epochs:
+            stop_reason = StopReason.MAX_EPOCHS
+            break
+        grad = np.concatenate([grad_theta, grad_x0])
+        for _ in range(MAX_CONSECUTIVE_REJECTIONS):
+            candidate, proposed = adam_step(adam, grad, p)
+            if box is not None:
+                candidate[:n_theta] = project_box(candidate[:n_theta], *box)
+            try:
+                report = evaluate(candidate)
+                break
+            except (NonFiniteValue, OutsideDomain):
+                rejected += 1
+                adam = replace(adam, lr=adam.lr / 2.0)
         else:
-            consecutive = 0
-            grad_theta, grad_x0 = report.grad_theta, report.grad_x0
-            grad = np.concatenate([grad_theta, grad_x0])
-            # block by block: the norm of p would sum in another order
-            grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
-            history.append(HistoryRecord(epoch=epoch, cost=report.cost,
-                                         grad_norm=grad_norm,
-                                         theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
-            if options.cost_tol > 0.0 and report.cost < options.cost_tol:
-                stop_reason = StopReason.COST_BELOW_TOL
-                break
-            if options.grad_tol > 0.0 and grad_norm < options.grad_tol:
-                stop_reason = StopReason.GRAD_BELOW_TOL
-                break
-            if epoch >= options.max_epochs:
-                stop_reason = StopReason.MAX_EPOCHS
-                break
-            epoch += 1
-
-        # a rejected step retries the update from the restored candidate
-        previous = (p, adam, grad)
-        p, adam = adam_step(adam, grad, p)
-        if box is not None:
-            p[:n_theta] = project_box(p[:n_theta], *box)
+            raise DivergedRollout(f"{MAX_CONSECUTIVE_REJECTIONS} consecutive rejected steps",
+                                  epoch=epoch + 1)
+        p, adam = candidate, proposed
 
     return IdentificationRun(tuple(history), stop_reason, rejected_steps=rejected)

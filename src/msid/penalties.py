@@ -18,6 +18,7 @@ Every term carries its own finite, nonnegative weight and exposes analytic
 gradients.  Built with bounds that are not 1-D or hold a NaN (an infinite
 bound switches its component off), or a non-finite ``alpha`` or
 ``reference``, a term raises :class:`InvalidBox` naming it and the field.
+Bounds of the wrong length meet :meth:`PenaltySpec.check_sizes` in every cost.
 
 Exponential barriers saturate their exponent at the module constant
 ``EXP_CAP`` (700, just under the double-precision overflow boundary) so
@@ -44,10 +45,10 @@ def _clipped_exp(exponent):
     return np.exp(np.minimum(exponent, EXP_CAP))
 
 
-def _check_parameters(term, *bounds: str) -> None:
-    """Store each of the ``bounds`` fields of ``term`` as a 1-D float array
+def _check_parameters(term) -> None:
+    """Store each of the ``bound_fields`` of ``term`` as a 1-D float array
     free of NaN, and check its ``alpha``, if it has one, positive and finite."""
-    for name in bounds:
+    for name in term.bound_fields:
         value = np.asarray(getattr(term, name), dtype=float)
         if value.ndim != 1 or np.isnan(value).any():
             raise InvalidBox(f"penalty term {type(term).__name__}: {name} must be 1-D and "
@@ -132,10 +133,11 @@ class _ExpBarrier:
     weight: float = 1.0
 
     depends_on_state: ClassVar[bool] = True
+    bound_fields: ClassVar[tuple] = ("bounds",)
     sign: ClassVar[float]
 
     def __post_init__(self):
-        _check_parameters(self, "bounds")
+        _check_parameters(self)
 
     def _exp(self, x) -> Array:
         # negation is exact, so sign -1 rounds as 2*alpha*(bounds - x) does
@@ -188,9 +190,10 @@ class ParameterBox:
     weight: float = 1.0
 
     depends_on_state: ClassVar[bool] = False
+    bound_fields: ClassVar[tuple] = ("lower", "upper")
 
     def __post_init__(self):
-        _check_parameters(self, "lower", "upper")
+        _check_parameters(self)
         if self.lower.shape != self.upper.shape:
             raise InvalidBox(f"bound shapes differ: {self.lower.shape} vs {self.upper.shape}")
         if not np.all(self.lower <= self.upper):
@@ -225,9 +228,10 @@ class ReluUpperBound:
     weight: float = 1.0
 
     depends_on_state: ClassVar[bool] = True
+    bound_fields: ClassVar[tuple] = ("bounds",)
 
     def __post_init__(self):
-        _check_parameters(self, "bounds")
+        _check_parameters(self)
 
     def value(self, x, theta) -> Array:
         return np.maximum(0.0, np.asarray(x, dtype=float) - self.bounds).sum(axis=-1)
@@ -256,6 +260,15 @@ class PenaltySpec:
                 raise InvalidBox(f"penalty term {type(term).__name__}: weight must be "
                                  f"finite and nonnegative, got {term.weight}")
         object.__setattr__(self, "terms", terms)
+
+    def check_sizes(self, n_x: int, n_theta: int) -> None:
+        """Refuse ``bound_fields`` not of one bound per state component or parameter."""
+        for t in self.terms:
+            size = n_x if t.depends_on_state else n_theta
+            for name in getattr(t, "bound_fields", ()):
+                if len(getattr(t, name)) != size:
+                    raise DimensionMismatch(f"penalty term {type(t).__name__}: {name} must "
+                                            f"have length {size}, got {len(getattr(t, name))}")
 
     def _param_terms(self):
         return (t for t in self.terms if not t.depends_on_state)

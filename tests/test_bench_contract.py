@@ -83,6 +83,17 @@ counts["identify"] = {span: stats[0] - before.get(span, 0)
 counts["identify"]["records"] = run.epochs
 counts["identify"]["rejected"] = run.rejected_steps
 
+# the same fit without the penalty and with theta steps that drive an inertia
+# below zero: the first update is rejected until its learning rate is small
+spec = msid.LossSpec.scaled_identity(3, short)
+before = {span: stats[0] for span, stats in tracer.spans.items()}
+run = optimizer.identify(tracer.wrap_model(model), dataset, spec, 1.2 * theta, x0,
+                         msid.IdentifyOptions(lr_theta=5e-2, max_epochs=IDENTIFY_EPOCHS))
+counts["rejecting"] = {span: stats[0] - before.get(span, 0)
+                       for span, stats in tracer.spans.items()}
+counts["rejecting"]["records"] = run.epochs
+counts["rejecting"]["rejected"] = run.rejected_steps
+
 # one more RK4 gradient on the model as built, none of its fields wrapped
 model, (theta, x0) = models["rk4"]
 inputs = 1e-3 * rng.normal(size=(short, 3))
@@ -172,6 +183,17 @@ def test_traced_fit_makes_one_rollout_and_one_adam_step_per_epoch(span_counts):
     assert gradients == IDENTIFY_EPOCHS + 1
     assert counts["systems.euler_step"] == EULER_STEPS["euler-penalty"] * gradients
     assert counts["penalties"] == PENALTY_CALLS["euler-penalty"] * gradients
+
+
+def test_traced_fit_with_rejections_makes_one_rollout_per_evaluation(span_counts):
+    # the closed forms perfbench/run.py checks: a rejected candidate costs one
+    # more rollout and one more ADAM step, and no gradient
+    counts = span_counts["rejecting"]
+    epochs, rejected = counts["records"], counts["rejected"]
+    assert epochs == IDENTIFY_EPOCHS + 1 and rejected > 0
+    assert counts["model.rollout"] == epochs + rejected
+    assert counts["optimizer.adam_step"] == epochs - 1 + rejected
+    assert counts["gradient.gradient"] == epochs
 
 
 def test_untraced_rk4_gradient_takes_the_traced_path(span_counts):

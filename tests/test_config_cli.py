@@ -351,21 +351,23 @@ class TestMainEntryPoint:
         assert err.startswith("error: dataset.path: ")
         assert message in err
 
-    # a well-formed file of the wrong dimensions for the scalar model:
-    # (n_x, n_u, n_z, known_inputs, expected message)
+    # a well-formed file of the wrong dimensions or sampling period for the
+    # scalar model under model.dt = 0.1:
+    # (n_x, n_u, n_z, dt, known_inputs, expected message)
     WRONG_DIMENSION_FILES = {
-        "n-x": (2, 1, 1, True, "file has n_x=2 but the model expects 1"),
-        "n-u-known-inputs": (1, 2, 1, True, "file has n_u=2 but the model expects 1"),
-        "n-u-nominal-inputs": (1, 2, 1, False, "file has n_u=2 but the model expects 1"),
-        "n-z": (1, 1, 2, True, "file has n_z=2 but the model expects 1"),
+        "n-x": (2, 1, 1, 0.1, True, "file has n_x=2 but the model expects 1"),
+        "n-u-known-inputs": (1, 2, 1, 0.1, True, "file has n_u=2 but the model expects 1"),
+        "n-u-nominal-inputs": (1, 2, 1, 0.1, False, "file has n_u=2 but the model expects 1"),
+        "n-z": (1, 1, 2, 0.1, True, "file has n_z=2 but the model expects 1"),
+        "dt": (1, 1, 1, 0.05, True, "file has dt=0.05 but model.dt is 0.1"),
     }
 
-    @pytest.mark.parametrize("n_x,n_u,n_z,known_inputs,message",
+    @pytest.mark.parametrize("n_x,n_u,n_z,dt,known_inputs,message",
                              WRONG_DIMENSION_FILES.values(), ids=WRONG_DIMENSION_FILES.keys())
     def test_dataset_file_of_other_dimensions_is_input_error(
-            self, tmp_path, capsys, n_x, n_u, n_z, known_inputs, message):
+            self, tmp_path, capsys, n_x, n_u, n_z, dt, known_inputs, message):
         data = tmp_path / "dataset.csv"
-        save_dataset(data, Dataset(np.zeros((10, n_u)), np.ones((10, n_z))), n_x=n_x)
+        save_dataset(data, Dataset(np.zeros((10, n_u)), np.ones((10, n_z)), dt), n_x=n_x)
         raw = scalar_config(tmp_path)
         raw["dataset"] = {"path": str(data), "known_inputs": known_inputs}
         assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2

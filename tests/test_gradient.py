@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport,
-                  LossSpec, NoiseSpec, NonFiniteValue, PenaltySpec, SparsityMask,
-                  Trajectory, TrajectoryMismatch, UpperBarrier,
-                  cost, euler_attitude_model, fd_gradient, gamma_terms,
-                  generate_dataset, gradient, gradient_naive, prediction_error, rollout,
-                  rotational_energy, rotational_energy_term, scalar_linear_model)
+                  IdentifyOptions, LossSpec, NoiseSpec, NonFiniteValue, ParameterBox,
+                  PenaltySpec, ReluUpperBound, SparsityMask, Trajectory,
+                  TrajectoryMismatch, UpperBarrier, cost, euler_attitude_model,
+                  fd_gradient, gamma_terms, generate_dataset, gradient, gradient_naive,
+                  identify, prediction_error, rollout, rotational_energy,
+                  rotational_energy_term, scalar_linear_model)
 from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
 from msid.structure import sparse_chain_apply
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
@@ -248,6 +249,36 @@ class TestGradient:
         trajectory = rollout(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, dataset.inputs)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             method(model, trajectory, dataset, spec, ATTITUDE_THETA)
+
+
+    @pytest.mark.parametrize("spec,message", [
+        pytest.param(LossSpec(np.eye(2), 20), r"Q must have shape \(3, 3\)", id="Q"),
+        pytest.param(LossSpec.scaled_identity(3, 20, penalty=PenaltySpec((
+            UpperBarrier(np.zeros(2), alpha=1.0),))),
+            "penalty term UpperBarrier: bounds must have length 3, got 2", id="barrier"),
+        pytest.param(LossSpec.scaled_identity(3, 20, penalty=PenaltySpec((
+            ParameterBox(np.zeros(2), np.ones(2), alpha=1.0),))),
+            "penalty term ParameterBox: lower must have length 3, got 2", id="parameter-box"),
+        pytest.param(LossSpec.scaled_identity(3, 20, penalty=PenaltySpec((
+            ReluUpperBound(np.zeros(4)),))),
+            "penalty term ReluUpperBound: bounds must have length 3, got 4", id="relu"),
+    ])
+    @pytest.mark.parametrize("path", ["cost", "gradient", "gradient_naive", "fd_gradient",
+                                      "identify"])
+    def test_sizes_are_checked_against_the_model(self, spec, message, path):
+        model, dataset = attitude_dataset(seed=1, horizon=20)
+        theta, x0 = ATTITUDE_THETA, ATTITUDE_OMEGA0
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        calls = {
+            "cost": lambda: cost(trajectory, dataset, spec, theta),
+            "gradient": lambda: gradient(model, trajectory, dataset, spec, theta),
+            "gradient_naive": lambda: gradient_naive(model, trajectory, dataset, spec, theta),
+            "fd_gradient": lambda: fd_gradient(model, x0, theta, dataset, spec),
+            "identify": lambda: identify(model, dataset, spec, theta, x0,
+                                         IdentifyOptions(max_epochs=1)),
+        }
+        with pytest.raises(DimensionMismatch, match=message):
+            calls[path]()
 
 
 class TestOracleEquivalence:

@@ -1,5 +1,6 @@
 """ADAM updates and the identification loop."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msid import (AdamState, Dataset, DimensionMismatch, DivergedRollout, HistoryRecord,
-                  IdentificationRun, LossSpec, NoiseSpec, NonFiniteGradient,
-                  NonFiniteValue, NonPositiveInertia, OutsideDomain, ParameterBox,
-                  PenaltySpec, StopReason, UpperBarrier, adam_step,
-                  cost, euler_attitude_model, gradient, identify, numeric_jacobian,
-                  project_box, rollout, scalar_linear_model)
-from msid.optimizer import IdentifyOptions
-from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset,
-                      perturbed_init)
+                  IdentificationRun, InvalidBox, LossSpec, MsidError, NoiseSpec,
+                  NonFiniteGradient, NonFiniteValue, NonPositiveInertia, OutsideDomain,
+                  ParameterBox, PenaltySpec, StopReason, UpperBarrier, adam_step,
+                  cost, euler_attitude_model, fd_gradient, generate_dataset, gradient,
+                  gradient_naive, identify, numeric_jacobian, project_box, rollout,
+                  scalar_linear_model)
+from msid.optimizer import MAX_CONSECUTIVE_REJECTIONS, IdentifyOptions
+from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0, ATTITUDE_THETA,
+                      attitude_dataset, perturbed_init)
 
 
 class TestAdamStep:
@@ -326,6 +328,138 @@ class TestOneAdamState:
         assert np.any(thetas == box[0]) and np.any(thetas == box[1])
 
 
+def restore_and_retry_reference(model, dataset, spec, theta0, x0, options):
+    """The identification loop as it was written before the accept-or-retry
+    step: one loop around every evaluation, whose rejections restore the
+    previous candidate and ADAM state from a saved triple."""
+    n_theta, n_x = model.dims.n_theta, model.dims.n_x
+    theta = np.array(theta0, dtype=float)
+    x0 = np.array(x0, dtype=float)
+    box = None
+    if options.box is not None:
+        box = tuple(np.asarray(bound, dtype=float) for bound in options.box)
+        project_box(theta, *box)
+
+    def evaluate(theta, x0):
+        if options.gradient_method == "fd":
+            return fd_gradient(model, x0, theta, dataset, spec, step=options.fd_step)
+        trajectory = rollout(model, x0, theta, dataset.inputs)
+        if options.gradient_method == "naive":
+            return gradient_naive(model, trajectory, dataset, spec, theta)
+        return gradient(model, trajectory, dataset, spec, theta)
+
+    p = np.concatenate([theta, x0])
+    lr = np.concatenate([np.full(n_theta, options.lr_theta), np.full(n_x, options.lr_x0)])
+    adam = AdamState.fresh(p.size, lr, options.beta1, options.beta2, options.eps)
+    history = []
+    previous = None
+    rejected = 0
+    consecutive = 0
+    epoch = 0
+    while True:
+        try:
+            report = evaluate(p[:n_theta], p[n_theta:])
+        except (NonFiniteValue, OutsideDomain) as exc:
+            rejected += 1
+            consecutive += 1
+            if previous is None:
+                if isinstance(exc, OutsideDomain):
+                    raise
+                raise DivergedRollout(
+                    "rollout diverged at the initial candidate", epoch=epoch)
+            if consecutive >= MAX_CONSECUTIVE_REJECTIONS:
+                raise DivergedRollout(
+                    f"{consecutive} consecutive rejected steps", epoch=epoch)
+            p, adam, grad = previous
+            adam = replace(adam, lr=adam.lr / 2.0)
+        else:
+            consecutive = 0
+            grad_theta, grad_x0 = report.grad_theta, report.grad_x0
+            grad = np.concatenate([grad_theta, grad_x0])
+            grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+            history.append(HistoryRecord(epoch=epoch, cost=report.cost,
+                                         grad_norm=grad_norm,
+                                         theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
+            if options.cost_tol > 0.0 and report.cost < options.cost_tol:
+                stop_reason = StopReason.COST_BELOW_TOL
+                break
+            if options.grad_tol > 0.0 and grad_norm < options.grad_tol:
+                stop_reason = StopReason.GRAD_BELOW_TOL
+                break
+            if epoch >= options.max_epochs:
+                stop_reason = StopReason.MAX_EPOCHS
+                break
+            epoch += 1
+        previous = (p, adam, grad)
+        p, adam = adam_step(adam, grad, p)
+        if box is not None:
+            p[:n_theta] = project_box(p[:n_theta], *box)
+    return IdentificationRun(tuple(history), stop_reason, rejected_steps=rejected)
+
+
+def outcome(fit):
+    """What a fit leaves behind: its records, rejections and stop reason, or
+    the type, message and epoch of the exception it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = fit()
+    except MsidError as exc:
+        return type(exc), str(exc), getattr(exc, "epoch", None)
+    rows = [(r.epoch, r.cost, r.grad_norm, r.theta.tobytes(), r.x0.tobytes())
+            for r in run.history]
+    return rows, run.rejected_steps, run.stop_reason
+
+
+# theta0 relative to the truth, x0, options, and what the case must show:
+# its stop reason, its number of rejections or the type of its exception;
+# horizon 30, noise seed 1
+MAX = StopReason.MAX_EPOCHS
+REFERENCE_CASES = {
+    "plain": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=40), MAX),
+    "three-rejections": (1.2, ATTITUDE_OMEGA0,
+                         dict(lr_theta=5e-2, lr_x0=1e-6, max_epochs=40), 3),
+    "box": (np.array([0.045, 0.038, 0.0082]) / ATTITUDE_THETA, ATTITUDE_OMEGA0,
+            dict(lr_theta=2e-3, lr_x0=1e-6, max_epochs=40,
+                 box=(np.array([0.0405, 0.03, 0.007]), np.array([0.06, 0.0402, 0.0085]))),
+            MAX),
+    "ten-rejections": (1.0, ATTITUDE_OMEGA0, dict(lr_theta=1e9, max_epochs=30),
+                       DivergedRollout),
+    "non-finite-initial": (1.0, np.full(3, 1e200), dict(max_epochs=5), DivergedRollout),
+    "out-of-domain-initial": (np.array([1.0, -1.0, 1.0]), ATTITUDE_OMEGA0,
+                              dict(max_epochs=5), NonPositiveInertia),
+    "cost-tol": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=40, cost_tol=3e-8),
+                 StopReason.COST_BELOW_TOL),
+    "grad-tol": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=40, grad_tol=1e-4),
+                 StopReason.GRAD_BELOW_TOL),
+    "naive": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=10, gradient_method="naive"), MAX),
+    "fd": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=10, gradient_method="fd"), MAX),
+}
+
+
+class TestAcceptOrRetryStep:
+    """The epoch loop around one accept-or-retry step fits, rejects, stops
+    and raises bit for bit as the restore-and-retry loop did."""
+
+    @pytest.mark.parametrize("integrator", ["forward_euler", "rk4"])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_the_restore_and_retry_loop(self, integrator, case):
+        model = euler_attitude_model(dt=ATTITUDE_DT, integrator=integrator)
+        dataset = generate_dataset(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, 30,
+                                   NoiseSpec(seed=1, **ATTITUDE_NOISE), dt=ATTITUDE_DT)
+        spec = LossSpec.scaled_identity(3, len(dataset))
+        scale, x0, fields, shows = REFERENCE_CASES[case]
+        theta0, options = scale * ATTITUDE_THETA, IdentifyOptions(**fields)
+        expected = outcome(lambda: restore_and_retry_reference(model, dataset, spec,
+                                                                 theta0, x0, options))
+        if isinstance(shows, StopReason):
+            assert expected[2] is shows
+        elif isinstance(shows, int):
+            assert expected[1] == shows
+        else:
+            assert expected[0] is shows
+        assert outcome(lambda: identify(model, dataset, spec, theta0, x0, options)) == expected
+
+
 class TestValidation:
     def test_box_of_another_length_is_refused_by_name(self):
         model = euler_attitude_model()
@@ -333,10 +467,10 @@ class TestValidation:
         dataset = Dataset(inputs, rollout(model, ATTITUDE_OMEGA0, ATTITUDE_THETA,
                                           inputs).predictions)
         spec = LossSpec.scaled_identity(3, 10)
-        for box in (([0.0, 0.0], [1.0, 1.0]), (np.zeros(3), np.ones(2)), (0.0, 1.0)):
+        for box in (([0.0, 0.0], [1.0, 1.0]), (np.zeros(4), np.ones(4))):
+            options = IdentifyOptions(box=box)
             with pytest.raises(DimensionMismatch, match=r"box bounds must have shape \(3,\)"):
-                identify(model, dataset, spec, ATTITUDE_THETA, ATTITUDE_OMEGA0,
-                         IdentifyOptions(box=box))
+                identify(model, dataset, spec, ATTITUDE_THETA, ATTITUDE_OMEGA0, options)
 
     def test_max_epochs_at_least_one(self):
         with pytest.raises(ValueError):
@@ -348,10 +482,41 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", ["lr_theta", "lr_x0", "eps"])
     def test_non_finite_rate_fails_at_entry(self, field):
-        model, dataset, spec = scalar_fixture()
-        options = IdentifyOptions(**{field: np.nan})
-        with pytest.raises(ValueError, match="finite and positive"):
-            identify(model, dataset, spec, [1.5], [1.0], options)
+        with pytest.raises(ValueError, match=rf"{field} must lie in \(0, inf\)"):
+            IdentifyOptions(**{field: np.nan})
+
+    @pytest.mark.parametrize("fields,error,message", [
+        pytest.param(dict(lr_theta=-1.0), ValueError, r"lr_theta must lie in \(0, inf\)",
+                     id="negative-lr-theta"),
+        pytest.param(dict(lr_x0=0.0), ValueError, "lr_x0 must lie in",
+                     id="zero-lr-x0"),
+        pytest.param(dict(cost_tol=None), ValueError, "cost_tol must be nonnegative",
+                     id="none-cost-tol"),
+        pytest.param(dict(lr_theta="0.1"), ValueError, "lr_theta must lie in",
+                     id="string-lr-theta"),
+        pytest.param(dict(eps=np.inf), ValueError, "eps must lie in",
+                     id="infinite-eps"),
+        pytest.param(dict(beta1=2.0), ValueError, r"beta1 must lie in \(0, 1\)", id="beta1"),
+        pytest.param(dict(beta1=np.nan), ValueError, "beta1", id="nan-beta1"),
+        pytest.param(dict(beta2=0.0), ValueError, "beta2", id="zero-beta2"),
+        pytest.param(dict(beta2=1.0), ValueError, "beta2", id="unit-beta2"),
+        pytest.param(dict(box=(1, 2, 3)), InvalidBox, "box must be a", id="box-triple"),
+        pytest.param(dict(box=1.0), InvalidBox, "box must be a", id="box-number"),
+        pytest.param(dict(box=(0.0, 1.0)), InvalidBox, "1-D", id="box-scalars"),
+        pytest.param(dict(box=(np.zeros(3), np.ones(2))), InvalidBox, "equal-length",
+                     id="box-unequal"),
+        pytest.param(dict(box=([0.0, np.nan], [1.0, 1.0])), InvalidBox, "free of NaN",
+                     id="box-nan"),
+        pytest.param(dict(box=([0.0, 2.0], [1.0, 1.0])), InvalidBox, "lower <= upper",
+                     id="box-order"),
+    ])
+    def test_options_are_checked_when_built(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            IdentifyOptions(**fields)
+
+    def test_adam_state_names_the_decay_rate(self):
+        with pytest.raises(ValueError, match="beta2 must lie in"):
+            AdamState.fresh(3, lr=0.01, beta2=1.5)
 
     @pytest.mark.parametrize("build,message", [
         pytest.param(lambda: euler_attitude_model(dt=np.nan), "dt must be positive",
