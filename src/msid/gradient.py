@@ -13,16 +13,12 @@ out trajectory.
 
 :func:`gradient` evaluates the exact gradient in a single backward pass:
 an adjoint row vector starts at the last step and is pulled back one state
-transition at a time, so the whole computation costs O(T) Jacobian-chain
-applications.  The loop steps through row views made once, forming each
-dense step as one ``ndarray.dot`` of a row by a Jacobian, bit for bit the
-``np.matmul`` product.  Above SCAN_MIN_HORIZON steps, with at most
-SCAN_MAX_STATES states, the same recurrence runs as a chunked two-level
-scan: O(T n_x^3) work in sqrt(T)/2 numpy steps plus the same recurrence over
-the 2 sqrt(T) chunks, instead of O(T n_x^2) work in T Python steps, equal up
-to rounding.
-A masked model takes the same loop or scan on its masked Jacobians, which
-are dense stacks with exact zeros outside the mask.  :func:`gradient_naive`
+transition at a time, O(T) Jacobian-chain applications.  Each transition is
+an affine map of the row [adjoint, parameter gradient so far, 1], so the
+pass is the product of T step matrices, formed pairwise in about log2(T)
+batched numpy calls (a wide or overflowing pass loops step by step
+instead).  A masked model takes the same path on its masked Jacobians,
+dense stacks with exact zeros outside the mask.  :func:`gradient_naive`
 expands the same quantity as an explicit double sum over step pairs with
 O(T^2) matrix chains and exists as a cross-check and benchmark baseline.
 :func:`fd_gradient` differentiates the cost by central differences
@@ -56,14 +52,11 @@ PSD_TOL = 1e-12
 # rounding (say of A @ D @ A.T) and symmetrized away instead of refused.
 SYMMETRY_TOL = 1e-12
 
-# The backward pass runs as a chunked scan above this horizon and up to this
-# many states, and as the step-by-step loop otherwise.  On a random 3-state
-# chain the row-view loop and the scan break even at T = 55 (54-56 us against
-# 56-59 at T = 50, 68-71 against 60-63 at T = 64; fastest of 150 calls, three
-# sweeps, 2-core x86 VM, Python 3.11, numpy 2.4).  Lowering the threshold
-# would move the rounding of T = 55..64 to save a few us, so it stays 64.
-SCAN_MIN_HORIZON = 64
-SCAN_MAX_STATES = 10
+# The backward pass multiplies affine step matrices pairwise up to this n_x
+# + n_theta, and loops above it.  Product/loop time on random chains (fastest
+# of 5 rounds, 2-core x86 VM, numpy 2.4): at 16, 0.6-0.85 at T = 50-3200 and
+# 0.94-1.04 at T = 10; at 18, 0.9-1.1 at T = 50 and 1.2 at T = 10.
+REDUCTION_MAX_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -112,8 +105,8 @@ class GradientReport:
 
     ``penalty_total`` is the weighted penalty contribution, so
     ``cost == per_step_loss.sum() + penalty_total``.  ``chain_applications``
-    counts backward Jacobian-chain products (T-1 for the adjoint pass, 0 for
-    the finite-difference path).
+    counts the Jacobian-chain products the adjoint pass formed: T-1, twice
+    that where the loop takes over from an overflowing product; 0 otherwise.
     """
 
     cost: float
@@ -232,53 +225,49 @@ def _transition_jacobians(model, trajectory, dataset, theta):
     return jac_x, jac_theta
 
 
-def _backward_adjoints(big_gamma, jac_x, product):
-    """Adjoints ``a[k] = big_gamma[k] + a[k+1] @ jac_x[k]``, ``a[T-1] =
-    big_gamma[T-1]``: row k is the cost gradient by x[k].
-
-    ``jac_x`` is the (T-1, n_x, n_x) stack, masked or not, and ``product``
-    forms each ``rows @ jac`` by it (``np.matmul`` contract).  The loop
-    steps through row views of the adjoints and of ``jac_x``, made once.  It
-    forms a dense product of a row by a C- or F-ordered matrix with
-    ``ndarray.dot``, which gives the bits of ``np.matmul`` without its
-    gufunc dispatch; other strides keep ``np.matmul``, and a masked model
-    makes one ``product`` call per step.  The scan (T > SCAN_MIN_HORIZON,
-    n_x <= SCAN_MAX_STATES; a two-level prefix scan, Blelloch 1990) takes
-    chunks of B ~ sqrt(T)/2 steps.  B ``product`` steps pull an
-    (n_x+1, n_x) block per chunk back: the transfer products to the chunk's
-    end over the adjoints from a zero incoming adjoint.  The chunk heads
-    follow this recurrence too, solved by a recursive call on ``np.matmul``
-    (transfer products are dense); one batched product adds them in.  A
-    level whose transfer products overflow falls back to the loop
-    (:func:`gradient` runs this under ``np.errstate``: it warns nothing).
+def _reduced_row(big_gamma, jac_x, jac_theta, product):
+    """The last row ``[a[0], sum_k a[k+1] @ jac_theta[k], 1]`` of ``A[T-1] @
+    ... @ A[0]``, ``A[k] = [[jac_x[k], jac_theta[k], 0], [0, I, 0],
+    [big_gamma[k], 0, 1]]`` (zero Jacobians at k = T-1), and the number of
+    products formed.  The stack is multiplied down pairwise (Blelloch 1990),
+    later steps on the left: one ``product`` per level, after folding an odd
+    level's last matrix into its neighbour, into the stack and a half-size
+    spare in turn.  One allocation holds both: with two, the heap shrank and
+    refaulted after every call (577 against 0 minor faults per call, T=3200).
     """
     horizon, n_x = big_gamma.shape
-    if horizon > SCAN_MIN_HORIZON and n_x <= SCAN_MAX_STATES:
-        size = max(6, round(horizon ** 0.5 / 2))
-        chunks, pad = -(-horizon // size), -horizon % size
-        # zero seeds and Jacobians pad the horizon to whole chunks
-        local = np.concatenate([big_gamma, np.zeros((pad, n_x))]).reshape(chunks, size, n_x)
-        jac = np.concatenate([jac_x, np.zeros((pad + 1, n_x, n_x))])
-        jac = jac.reshape(chunks, size, n_x, n_x)
-        transfer = np.empty((chunks, size, n_x, n_x))
-        block = np.eye(n_x + 1, n_x)  # the identity over a zero adjoint row
-        for j in range(size - 1, -1, -1):
-            block = product(block, jac[:, j])
-            block[:, n_x] += local[:, j]
-            local[:, j] = block[:, n_x]
-            transfer[:, j] = block[:, :n_x]
-        if np.all(np.isfinite(transfer)):
-            heads = _backward_adjoints(local[:, 0], transfer[:-1, 0], np.matmul)
-            local[:-1] += (heads[1:, None, None, :] @ transfer[:-1])[..., 0, :]
-            return local.reshape(-1, n_x)[:horizon]
+    size = n_x + jac_theta.shape[2] + 1
+    buffer = np.zeros((horizon + horizon // 2, size, size))
+    steps, spare = buffer[:horizon], buffer[horizon:]
+    steps[:-1, :n_x, :n_x] = jac_x
+    steps[:-1, :n_x, n_x:-1] = jac_theta
+    steps.reshape(horizon, -1)[:, n_x * (size + 1)::size + 1] = 1.0
+    steps[:, -1, :n_x] = big_gamma
+    count, products = horizon, 0
+    while count > 1:
+        if count % 2:
+            count -= 1
+            product(steps[count], steps[count - 1], out=steps[count - 1])
+            products += 1
+        count //= 2
+        product(steps[1:2 * count:2], steps[:2 * count:2], out=spare[:count])
+        products += count
+        steps, spare = spare, steps
+    return steps[0, -1], products
+
+
+def _backward_adjoints(big_gamma, jac_x, product):
+    """Adjoints ``a[k] = big_gamma[k] + a[k+1] @ jac_x[k]``, ``a[T-1] =
+    big_gamma[T-1]`` (the cost gradient by x[k]), one step at a time over row
+    views made once.  ``product`` forms each ``row @ jac`` (``np.matmul``
+    contract); a dense row by a C- or F-ordered matrix takes ``ndarray.dot``,
+    the bits of ``np.matmul`` without its gufunc dispatch."""
     adjoints = big_gamma.copy()
     rows, jacs = list(adjoints), list(jac_x)
     head = jac_x[:1].flags
     if product is np.matmul and (head.c_contiguous or head.f_contiguous):
-        # both hand a row times a C- or F-ordered matrix to BLAS and round
-        # alike; ndarray.dot skips the gufunc dispatch
         product = np.ndarray.dot
-    for k in range(horizon - 1, 0, -1):
+    for k in range(len(rows) - 1, 0, -1):
         rows[k - 1] += product(rows[k], jacs[k - 1])
     return adjoints
 
@@ -317,11 +306,12 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
              spec: LossSpec, theta) -> GradientReport:
     """Exact cost gradient via one backward adjoint pass, O(T) chain products.
 
-    Above SCAN_MIN_HORIZON steps, with at most SCAN_MAX_STATES states, the
-    pass runs as a chunked scan of O(T n_x^3) work (:func:`_backward_adjoints`),
-    on a masked model as on a dense one; ``chain_applications`` is T-1 either
-    way.  A masked model's products by its Jacobians take ``np.matmul`` under
-    the name the benchmark traces, :func:`~msid.structure.sparse_chain_apply`.
+    Up to REDUCTION_MAX_SIZE states and parameters together, the pass is
+    the pairwise product of the affine step matrices (:func:`_reduced_row`);
+    wider, or where that product overflows, it is the step-by-step loop
+    (:func:`_backward_adjoints`), its parameter terms summed in backward
+    order.  A masked model's products take ``np.matmul`` under the name the
+    benchmark traces, :func:`~msid.structure.sparse_chain_apply`.
 
     The trajectory must have been produced by :func:`~msid.model.rollout`
     under ``theta`` from its first stored state; a spot check re-evaluates
@@ -331,13 +321,20 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta = _analytic_parts(
         model, trajectory, dataset, spec, theta)
     product = np.matmul if model.sparsity is None else sparse_chain_apply
-    # the products may overflow; the report's finiteness check reports that
+    n_x, products = big_gamma.shape[1], 0
+    # an overflowing product falls back to the loop; _report refuses the rest
     with np.errstate(over="ignore", invalid="ignore"):
+        if n_x + grad_theta.size <= REDUCTION_MAX_SIZE:
+            row, products = _reduced_row(big_gamma, jac_x, jac_theta, product)
+            if all(map(math.isfinite, row.tolist())):
+                return _report(per_step, penalty_total, grad_theta + row[n_x:-1],
+                               row[:n_x].copy(), products)
         adjoints = _backward_adjoints(big_gamma, jac_x, product)
         # the transition terms, summed in backward-pass order (not pairwise)
-        products = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
-        grad_theta = np.concatenate([grad_theta[None], products]).cumsum(axis=0)[-1]
-    return _report(per_step, penalty_total, grad_theta, adjoints[0], trajectory.horizon - 1)
+        terms = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
+        grad_theta = np.concatenate([grad_theta[None], terms]).cumsum(axis=0)[-1]
+    return _report(per_step, penalty_total, grad_theta, adjoints[0],
+                   products + len(big_gamma) - 1)
 
 
 def gradient_naive(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,

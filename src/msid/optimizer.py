@@ -111,7 +111,8 @@ class HistoryRecord:
 @dataclass(frozen=True)
 class IdentifyOptions:
     """Knobs of the identification loop: the fields and defaults of
-    ``msid.config.OptimizerConfig``, ``box`` as a ``(lower, upper)`` pair.
+    ``msid.config.OptimizerConfig``, ``box`` as a ``(lower, upper)`` pair
+    (kept as tuples of floats, so that options compare and hash).
     A ``cost_tol`` or ``grad_tol`` of 0 disables its stopping condition.
     Each field is checked when built, by a ``ValueError`` naming it; only the
     box length against the model's parameter count waits for :func:`identify`."""
@@ -149,6 +150,7 @@ class IdentifyOptions:
             if not valid:
                 raise InvalidBox("box must be a (lower, upper) pair of equal-length 1-D bounds, "
                                  f"free of NaN, with lower <= upper; got {self.box!r}")
+            object.__setattr__(self, "box", (tuple(lower.tolist()), tuple(upper.tolist())))
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
                 f"gradient_method must be one of {GRADIENT_METHODS}, "

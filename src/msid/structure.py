@@ -111,10 +111,10 @@ def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
                 f"(> {STRUCTURAL_ZERO_TOL:.0e}); the mask is wrong")
 
 
-def sparse_chain_apply(rows, jac) -> Array:
-    """``np.matmul(rows, jac)`` for a row (n,) or row blocks (..., m, n) and
-    a Jacobian (n, n) or stack (..., n, n), raising :class:`DimensionMismatch`,
-    with both shapes, where ``np.matmul`` would raise ``ValueError``.
+def sparse_chain_apply(rows, jac, out=None) -> Array:
+    """``np.matmul(rows, jac, out=out)`` for rows (n,) or (..., m, n) and a
+    Jacobian (n, n) or stack (..., n, n), raising :class:`DimensionMismatch`,
+    with the shapes, where ``np.matmul`` would raise ``ValueError``.
 
     The backward pass of a masked model takes its products from here.  It is
     a plain product since masked Jacobians are dense stacks; the name stays
@@ -124,7 +124,7 @@ def sparse_chain_apply(rows, jac) -> Array:
     shape = np.shape(jac)
     if len(shape) >= 2 and shape[-1] == shape[-2]:
         try:
-            return np.matmul(rows, jac)
+            return np.matmul(rows, jac, out=out)
         except ValueError:
             pass
     raise DimensionMismatch(

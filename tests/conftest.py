@@ -197,3 +197,37 @@ def reference_adjoint_loop(model, trajectory, dataset, spec, theta):
             np.add.at(pulled, cols, adjoint[rows] * vals[k - 1])
         adjoint = big_gamma[k - 1] + pulled
     return grad_theta, adjoint
+
+
+def reference_pairwise_product(model, trajectory, dataset, spec, theta):
+    """The gradient as the pairwise product of the affine step matrices,
+    one plain ``@`` per product: step k is ``[[Jx[k], Jtheta[k], 0], [0, I,
+    0], [big_gamma[k], 0, 1]]`` (the last with zero Jacobians); each level
+    folds an odd last matrix into its neighbour, then multiplies the pairs,
+    later steps on the left.  The last row of the one matrix left holds
+    ``grad_x0`` and the transition part of ``grad_theta``."""
+    horizon = trajectory.horizon
+    weighted = prediction_error(trajectory, dataset) @ spec.Q
+    gamma, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
+    states, inputs = trajectory.states[:horizon - 1], dataset.inputs[:horizon - 1]
+    jac_x, jac_theta = model.transition_jacobians(states, inputs, theta)
+    if model.sparsity is not None:
+        jac_x = masked_jac_f_x(jac_x, model.sparsity)
+    n_x, n_theta = model.dims.n_x, model.dims.n_theta
+    steps = []
+    for k in range(horizon):
+        step = np.eye(n_x + n_theta + 1)
+        step[:n_x, :n_x] = jac_x[k] if k < horizon - 1 else 0.0
+        step[:n_x, n_x:-1] = jac_theta[k] if k < horizon - 1 else 0.0
+        step[-1, :n_x] = big_gamma[k]
+        steps.append(step)
+    while len(steps) > 1:
+        if len(steps) % 2:
+            last = steps.pop()
+            steps[-1] = last @ steps[-1]
+        steps = [steps[j + 1] @ steps[j] for j in range(0, len(steps), 2)]
+    row = steps[0][-1]
+    grad_theta = gamma.sum(axis=0)
+    if spec.penalty is not None:
+        grad_theta = grad_theta + spec.penalty.param_grad(theta)
+    return grad_theta + row[n_x:-1], row[:n_x]

@@ -18,10 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 HORIZON = 12
-# the masked-energy horizon, above SCAN_MIN_HORIZON: the backward pass runs
-# as a chunked scan in chunks of max(6, round(sqrt(T) / 2)) = 10 steps
+# the masked-energy horizon
 SCAN_HORIZON = 400
-SCAN_CHUNK = 10
 
 # ADAM updates of the traced fit: each follows one rollout and one gradient,
 # and one more rollout and gradient score the last update
@@ -118,19 +116,25 @@ def span_counts():
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def reduction_calls(horizon):
+    """Batched product calls of the pairwise product of T step matrices:
+    one per level (T halves, rounding down, until one matrix is left) and
+    one per fold of an odd level's last matrix (every set bit of T but the
+    highest).  The calls form T-1 products in all."""
+    return horizon.bit_length() - 1 + bin(horizon).count("1") - 1
+
+
 # (masked_jac_f_x calls, sparse_chain_apply calls, numeric_jacobian calls,
 #  Jacobian-field calls) for one gradient.  The gradient calls each batched
 # field the model gives, once; the masked path masks the stack of state
-# Jacobians, once for the whole trajectory, and makes its products through
-# sparse_chain_apply (np.matmul under the traced name): one per transition
-# on the step-by-step loop, or one per step of a chunk on the scan (the
-# transfer products with the adjoint row under them, one call for all
-# chunks), the chunk carries taking np.matmul.  The RK4 model gives only
-# jac_g_x_batch and differences both Jacobians of f in one call.
+# Jacobians, once for the whole trajectory, and makes every product of its
+# step matrices through sparse_chain_apply (np.matmul under the traced
+# name).  The RK4 model gives only jac_g_x_batch and differences both
+# Jacobians of f in one call.
 EXPECTED = {
     "euler": (0, 0, 0, 3),
-    "euler-sparse": (1, HORIZON - 1, 0, 3),
-    "euler-sparse-scan": (1, SCAN_CHUNK, 0, 3),
+    "euler-sparse": (1, reduction_calls(HORIZON), 0, 3),
+    "euler-sparse-scan": (1, reduction_calls(SCAN_HORIZON), 0, 3),
     "rk4": (0, 0, 1, 1),
     "scalar": (0, 0, 0, 3),
     "euler-penalty": (0, 0, 0, 3),

@@ -16,10 +16,11 @@ from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport
                   fd_gradient, gamma_terms, generate_dataset, gradient, gradient_naive,
                   identify, prediction_error, rollout, rotational_energy,
                   rotational_energy_term, scalar_linear_model)
-from msid.gradient import SCAN_MAX_STATES, SCAN_MIN_HORIZON
-from msid.structure import sparse_chain_apply
+from msid.gradient import REDUCTION_MAX_SIZE
+from msid.structure import masked_jac_f_x, sparse_chain_apply
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
-                      random_instance, reference_adjoint_loop, report_gap)
+                      random_instance, reference_adjoint_loop, reference_pairwise_product,
+                      report_gap)
 
 # the module itself: the package exports its function ``gradient`` under its name
 gradient_module = importlib.import_module("msid.gradient")
@@ -494,13 +495,48 @@ JACOBIAN_LAYOUTS = {
 
 
 class TestBackwardPass:
-    @given(horizon=st.integers(2, SCAN_MIN_HORIZON), n_x=st.integers(1, SCAN_MAX_STATES + 2),
+    @given(horizon=st.integers(2, 300), n_x=st.integers(1, 5), n_theta=st.integers(1, 5),
+           layout=st.sampled_from(sorted(JACOBIAN_LAYOUTS)), masked=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_reduction_matches_the_long_double_recurrence(
+            self, horizon, n_x, n_theta, layout, masked, seed):
+        rng = np.random.default_rng(seed)
+        big_gamma = rng.normal(size=(horizon, n_x))
+        jac_x = rng.normal(size=(horizon - 1, n_x, n_x)) / n_x ** 0.5
+        jac_theta = rng.normal(size=(horizon - 1, n_x, n_theta))
+        if masked:
+            pattern = rng.integers(0, 2, size=(n_x, n_x)) | np.eye(n_x, dtype=int)
+            jac_x = masked_jac_f_x(jac_x, SparsityMask(pattern))
+        jac_x = JACOBIAN_LAYOUTS[layout](jac_x)
+        seeds = big_gamma.copy()
+        product = sparse_chain_apply if masked else np.matmul
+        row, products = gradient_module._reduced_row(big_gamma, jac_x, jac_theta, product)
+        assert products == horizon - 1 and np.array_equal(big_gamma, seeds)
+        # the same values in the other layouts, through either product, give
+        # the same bytes: the reduction copies the Jacobians into one stack
+        for copy in (np.ascontiguousarray(jac_x),
+                     np.ascontiguousarray(jac_x.transpose(0, 2, 1)).transpose(0, 2, 1),
+                     np.repeat(jac_x, 2, axis=-1)[..., ::2]):
+            for other in (np.matmul, sparse_chain_apply):
+                again, _ = gradient_module._reduced_row(big_gamma, copy, jac_theta, other)
+                assert again.tobytes() == row.tobytes()
+        adjoint = big_gamma[-1].astype(np.longdouble)
+        theta_terms = np.zeros(n_theta, dtype=np.longdouble)
+        for k in range(horizon - 2, -1, -1):
+            theta_terms += adjoint @ jac_theta[k].astype(np.longdouble)
+            adjoint = big_gamma[k] + adjoint @ jac_x[k].astype(np.longdouble)
+        assert row[-1] == 1.0
+        assert max_rel_gap(row[:n_x], adjoint) <= 1e-12
+        assert max_rel_gap(row[n_x:-1], theta_terms) <= 1e-12
+
+    @given(horizon=st.integers(2, 64), n_x=st.integers(1, 12),
            layout=st.sampled_from(sorted(JACOBIAN_LAYOUTS)), masked=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_loop_equals_plain_matmul_loop(self, horizon, n_x, layout, masked, seed):
-        # up to SCAN_MIN_HORIZON steps the pass is the step-by-step loop on row
-        # views; it must give the bits of adjoint @ jac, one step at a time
+        # the fallback loop steps through row views; it must give the bits
+        # of adjoint @ jac, one step at a time
         rng = np.random.default_rng(seed)
         big_gamma = rng.normal(size=(horizon, n_x))
         seeds = big_gamma.copy()
@@ -516,33 +552,41 @@ class TestBackwardPass:
     @pytest.mark.parametrize("seed,penalty_kind",
                              [(11, None), (12, "energy"), (13, "upper"), (14, "box")])
     def test_dense_path_equals_step_by_step_loop(self, seed, penalty_kind):
+        # bit for bit the same pairwise product written out plainly, and
+        # within rounding of the step-by-step loop
         model, dataset, spec, theta, x0 = random_instance(seed, penalty_kind=penalty_kind)
         trajectory = rollout(model, x0, theta, dataset.inputs)
         report = gradient(model, trajectory, dataset, spec, theta)
-        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        grad_theta, grad_x0 = reference_pairwise_product(model, trajectory, dataset, spec, theta)
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
+        grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+        assert max_rel_gap(report.grad_theta, grad_theta) <= 1e-12
+        assert max_rel_gap(report.grad_x0, grad_x0) <= 1e-12
 
     @pytest.mark.parametrize("with_sparsity", [False, True])
     @pytest.mark.parametrize("penalty", [False, True])
     def test_attitude_paths_equal_step_by_step_loop(self, with_sparsity, penalty):
         model = euler_attitude_model(dt=0.1, with_sparsity=with_sparsity)
-        # up to SCAN_MIN_HORIZON steps both paths run the loop, bit for bit
-        for horizon in (50, SCAN_MIN_HORIZON):
+        # an even horizon and one whose levels fold odd counts (63 = 0b111111)
+        for horizon in (50, 63):
             dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
             trajectory = rollout(model, x0, theta, dataset.inputs)
             report = gradient(model, trajectory, dataset, spec, theta)
-            grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+            grad_theta, grad_x0 = reference_pairwise_product(
+                model, trajectory, dataset, spec, theta)
             assert np.array_equal(report.grad_theta, grad_theta)
             assert np.array_equal(report.grad_x0, grad_x0)
+            grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
+            assert max_rel_gap(report.grad_theta, grad_theta) <= 1e-12
+            assert max_rel_gap(report.grad_x0, grad_x0) <= 1e-12
 
     @pytest.mark.parametrize("penalty", [False, True])
     def test_masked_attitude_three_way_anchor(self, penalty):
         dense_model = euler_attitude_model(dt=0.1)
         masked_model = euler_attitude_model(dt=0.1, with_sparsity=True)
-        # T=50 runs the loop, T=65 and T=3200 the chunked scan; the O(T^2)
-        # double sum is left out at T=3200
-        for horizon in (50, SCAN_MIN_HORIZON + 1, 3200):
+        # the O(T^2) double sum is left out at T=3200
+        for horizon in (50, 65, 3200):
             dataset, spec, theta, x0 = masked_attitude_problem(penalty, horizon)
             trajectory = rollout(masked_model, x0, theta, dataset.inputs)
             masked = gradient(masked_model, trajectory, dataset, spec, theta)
@@ -556,14 +600,15 @@ class TestBackwardPass:
             assert masked.chain_applications == len(dataset) - 1
 
 
-class TestChunkedScan:
-    """Above SCAN_MIN_HORIZON, with at most SCAN_MAX_STATES dense states, the
-    backward recurrence runs as a chunked scan: equal to the loop to rounding."""
+class TestPairwiseReduction:
+    """With at most REDUCTION_MAX_SIZE states and parameters together, the
+    backward pass is the pairwise product of the affine step matrices: equal
+    to the step-by-step loop to rounding."""
 
-    @pytest.mark.parametrize("horizon", [SCAN_MIN_HORIZON + 1, 3200])
+    @pytest.mark.parametrize("horizon", [65, 3200])
     @pytest.mark.parametrize("penalty_kind", [None, "energy", "upper"])
     @pytest.mark.parametrize("n_x", [1, 2, 4])
-    def test_scan_equals_step_by_step_loop(self, n_x, penalty_kind, horizon):
+    def test_reduction_equals_step_by_step_loop(self, n_x, penalty_kind, horizon):
         model, dataset, spec, theta, x0 = random_instance(
             40 + n_x, penalty_kind=penalty_kind, n_x=n_x, horizon=horizon)
         trajectory = rollout(model, x0, theta, dataset.inputs)
@@ -578,8 +623,8 @@ class TestChunkedScan:
                         reason="needs a long double wider than a double")
     def test_as_accurate_as_the_loop_on_an_expanding_chain(self):
         # the Jacobian chain of this instance grows by about 1e21 over the
-        # horizon, and the scan and the loop differ by 1.3e-12; each is within
-        # 1e-12 of the recurrence evaluated in long double
+        # horizon; the pairwise product and the loop are each within 1e-12
+        # of the recurrence evaluated in long double
         horizon = 3200
         model, dataset, spec, theta, x0 = random_instance(
             24, penalty_kind="energy", n_x=4, horizon=horizon)
@@ -596,26 +641,25 @@ class TestChunkedScan:
         assert max_rel_gap(report.grad_x0, exact[0]) <= 1e-12
         assert max_rel_gap(loop_x0, exact[0]) <= 1e-12
 
-    def test_large_state_stays_on_the_loop(self):
+    def test_wide_pass_stays_on_the_loop(self):
         model, dataset, spec, theta, x0 = random_instance(
-            31, penalty_kind="energy", n_x=SCAN_MAX_STATES + 1, horizon=SCAN_MIN_HORIZON + 1)
+            31, penalty_kind="energy", n_x=REDUCTION_MAX_SIZE, horizon=65)
+        assert model.dims.n_x + model.dims.n_theta > REDUCTION_MAX_SIZE
         trajectory = rollout(model, x0, theta, dataset.inputs)
         report = gradient(model, trajectory, dataset, spec, theta)
         grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
         assert np.array_equal(report.grad_theta, grad_theta)
         assert np.array_equal(report.grad_x0, grad_x0)
+        assert report.chain_applications == 64
 
     # x[k+1] = theta x[k] from x0 = 0: every state and every adjoint but the
-    # first is zero.  At theta = 1e200 the chunk products overflow, so the
-    # scan falls back at once.  At theta = 1e5 and T = 3200 the products over
-    # a chunk of 28 steps (1e140) stay finite, while the scan over the 115
-    # chunk heads overflows on its chunks of 6 and falls back to the loop
-    # there; a scan that went on would add 0 * inf = NaN.
-    @pytest.mark.parametrize("horizon,theta,levels", [
-        (SCAN_MIN_HORIZON + 1, 1e200, [SCAN_MIN_HORIZON + 1]),
-        (3200, 1e5, [3200, 115])], ids=["chunk-products", "carry-products"])
-    def test_overflowing_transfer_products_fall_back_to_the_loop(
-            self, monkeypatch, horizon, theta, levels):
+    # first is zero.  At theta = 1e200 over 65 steps and at theta = 1e5 over
+    # 3200, the product of the step matrices overflows and its last row
+    # holds 0 * inf = NaN, so the pass falls back to the loop once.  The
+    # report counts the products of both.
+    @pytest.mark.parametrize("horizon,theta", [(65, 1e200), (3200, 1e5)],
+                             ids=["chunk-products", "carry-products"])
+    def test_overflowing_products_fall_back_to_the_loop(self, monkeypatch, horizon, theta):
         model = scalar_linear_model()
         observations = np.zeros((horizon, 1))
         observations[0] = 1.0
@@ -633,7 +677,8 @@ class TestChunkedScan:
         for model in (model, with_full_mask(model)):
             horizons.clear()
             report = gradient(model, trajectory, dataset, spec, theta)
-            assert horizons == levels
+            assert horizons == [horizon]
+            assert report.chain_applications == 2 * (horizon - 1)
             grad_theta, grad_x0 = reference_adjoint_loop(model, trajectory, dataset, spec, theta)
             assert np.array_equal(report.grad_theta, grad_theta)
             assert np.array_equal(report.grad_x0, grad_x0)

@@ -472,6 +472,15 @@ class TestValidation:
             with pytest.raises(DimensionMismatch, match=r"box bounds must have shape \(3,\)"):
                 identify(model, dataset, spec, ATTITUDE_THETA, ATTITUDE_OMEGA0, options)
 
+    def test_options_with_array_bounds_compare_and_hash(self):
+        # the bounds are kept as tuples of floats, however they were given
+        arrays = IdentifyOptions(box=(np.zeros(3), np.ones(3)))
+        lists = IdentifyOptions(box=([0, 0, 0], [1.0, 1.0, 1.0]))
+        assert arrays == lists
+        assert arrays != IdentifyOptions(box=(np.zeros(3), np.full(3, 2.0)))
+        assert hash(arrays) == hash(lists)
+        assert arrays.box == ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
     def test_max_epochs_at_least_one(self):
         with pytest.raises(ValueError):
             IdentifyOptions(max_epochs=0)

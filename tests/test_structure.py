@@ -9,7 +9,6 @@ from msid import (DimensionMismatch, DynamicalModel, LossSpec, MaskViolation,
                   ModelDims, SparsityMask, euler_attitude_model,
                   euler_sparsity_mask, gradient, masked_jac_f_x, rollout,
                   sparse_chain_apply, validate_mask)
-from msid.gradient import SCAN_MIN_HORIZON
 from msid.structure import entry_evaluations
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, diagonal_rows, max_rel_gap,
                       reference_adjoint_loop)
@@ -239,6 +238,10 @@ class TestSparseChainApply:
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
         assert np.all(result[..., 2] == 0.0)
+        # into a given array, as the backward pass writes each level
+        out = np.empty_like(expected)
+        assert sparse_chain_apply(block, stack, out=out) is out
+        assert np.array_equal(out, expected)
 
 
 class TestMaskedGradientEquivalence:
@@ -247,8 +250,8 @@ class TestMaskedGradientEquivalence:
         dense_model = euler_attitude_model()
         masked_model = euler_attitude_model(with_sparsity=True)
         theta = ATTITUDE_THETA * 1.07
-        # the loop, and the chunked scan from its shortest horizon up
-        for horizon in (30, SCAN_MIN_HORIZON + 1, 400, 3200):
+        # short and long horizons, odd and even levels of the pairwise product
+        for horizon in (30, 65, 400, 3200):
             inputs = np.full((horizon, 3), 1e-5)
             trajectory = rollout(dense_model, ATTITUDE_OMEGA0, theta, inputs)
             dataset = Dataset(inputs, trajectory.predictions + 1e-4, 0.1)
@@ -294,8 +297,7 @@ class TestMaskedGradientEquivalence:
         masked_model = dataclasses.replace(dense_model, sparsity=mask)
 
         from msid import Dataset
-        # the step-by-step loop, and the chunked scan past SCAN_MIN_HORIZON
-        for horizon in (12, SCAN_MIN_HORIZON + 1):
+        for horizon in (12, 65):
             rng = np.random.default_rng(3)
             inputs = np.zeros((horizon, 1))
             theta = rng.normal(size=n)
@@ -339,7 +341,7 @@ class TestMaskedGradientEquivalence:
         masked = model_with(with_nan, SparsityMask(np.eye(n, dtype=int)))
         rng = np.random.default_rng(7)
         theta, x0 = rng.uniform(0.5, 1.5, size=n), rng.normal(size=n)
-        for horizon in (12, SCAN_MIN_HORIZON + 1):
+        for horizon in (12, 65):
             inputs = np.zeros((horizon, 1))
             trajectory = rollout(clean, x0, theta, inputs)
             dataset = Dataset(inputs, trajectory.predictions + 0.01, 1.0)
