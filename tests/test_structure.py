@@ -224,6 +224,19 @@ class TestSparseChainApply:
             sparse_chain_apply(np.ones(row_shape), np.ones(jac_shape))
         assert str(row_shape) in str(caught.value)
         assert str(jac_shape) in str(caught.value)
+        # a fitting out= does not change whom the message blames
+        with pytest.raises(DimensionMismatch, match="do not chain"):
+            sparse_chain_apply(np.ones(row_shape), np.ones(jac_shape), out=np.empty(3))
+
+    @pytest.mark.parametrize("row_shape,jac_shape,out_shape", [
+        ((2, 3, 3), (2, 3, 3), (2, 3, 4)), ((3,), (3, 3), (4,)), ((3,), (5, 3, 3), (3,)),
+        ((4, 3), (3, 3), (3, 4))])
+    def test_an_out_of_the_wrong_shape_is_named(self, row_shape, jac_shape, out_shape):
+        # the rows and the Jacobian chain; only out is at fault
+        with pytest.raises(DimensionMismatch) as caught:
+            sparse_chain_apply(np.ones(row_shape), np.ones(jac_shape), out=np.empty(out_shape))
+        assert str(caught.value).startswith(f"out of shape {out_shape}")
+        assert "do not chain" not in str(caught.value)
 
     @pytest.mark.parametrize("row_shape,vals_lead", [
         ((5, 4), ()), ((7, 1, 4), (7,)), ((2, 3, 4), (3, 1)), ((4,), (6,)), ((4, 4), (6,))])

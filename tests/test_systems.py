@@ -50,15 +50,22 @@ class TestEulerStep:
         assert coupling == pytest.approx(4.7e-10, rel=0.01)
 
     def test_bit_identical_to_numpy_array_arithmetic(self):
-        # reference: the same formulas evaluated on numpy float64 scalars
+        # reference: the folded formulas evaluated on numpy float64 scalars,
+        # the inertia divided out into the torque terms and the coupling
+        def folded(w, terms, coupling):
+            return np.array([terms[0] - coupling[0] * (w[1] * w[2]),
+                             terms[1] - coupling[1] * (w[2] * w[0]),
+                             terms[2] - coupling[2] * (w[0] * w[1])])
+
         def rates(w, m, i):
-            return np.array([(m[0] - (i[2] - i[1]) * w[1] * w[2]) / i[0],
-                             (m[1] - (i[0] - i[2]) * w[2] * w[0]) / i[1],
-                             (m[2] - (i[1] - i[0]) * w[0] * w[1]) / i[2]])
+            return folded(w, m / i, [(i[2] - i[1]) / i[0], (i[0] - i[2]) / i[1],
+                                     (i[1] - i[0]) / i[2]])
 
         def reference(w, m, i, dt, integrator):
             if integrator == "forward_euler":
-                return w + dt * rates(w, m, i)
+                return w + folded(w, m * (dt / i), [dt * (i[2] - i[1]) / i[0],
+                                                    dt * (i[0] - i[2]) / i[1],
+                                                    dt * (i[1] - i[0]) / i[2]])
             k1 = rates(w, m, i)
             k2 = rates(w + 0.5 * dt * k1, m, i)
             k3 = rates(w + 0.5 * dt * k2, m, i)
@@ -294,6 +301,80 @@ class TestAttitudeTrajectory:
             assert excinfo.value.step == step
 
 
+def signed_decades(low, high):
+    """0.0, and floats of either sign whose magnitudes span 10**low to 10**high."""
+    return st.one_of(st.just(0.0), st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                                             st.floats(low, high), st.sampled_from([-1.0, 1.0])))
+
+
+def triples(elements):
+    return st.lists(elements, min_size=3, max_size=3).map(np.array)
+
+
+# omega, torque, inertia and dt over several decades; the inertia in each
+# pattern of equal components
+FOLDED_STEP_CASES = dict(
+    omega0=triples(signed_decades(-6, 1)),
+    torques=st.integers(1, 12).flatmap(lambda horizon: st.lists(
+        triples(signed_decades(-7, 0)), min_size=horizon, max_size=horizon).map(np.array)),
+    inertia=st.tuples(triples(st.floats(-3, 1).map(lambda exponent: 10.0 ** exponent)),
+                      st.sampled_from(PATTERNS)).map(lambda drawn: drawn[0][list(drawn[1])]),
+    dt=st.floats(-3, 0).map(lambda exponent: 10.0 ** exponent))
+
+
+class TestFoldedStep:
+    """Every evaluation of the step takes one folded form, and the
+    forward-Euler Jacobians are the derivatives of that step."""
+
+    @given(**FOLDED_STEP_CASES)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @pytest.mark.parametrize("integrator", INTEGRATORS)
+    def test_rollout_point_and_block_steps_agree(self, integrator, omega0, torques, inertia,
+                                                 dt):
+        states = attitude_trajectory(omega0, torques, inertia, dt, integrator)
+        # a rollout that overflows must still agree, non-finite rows included
+        with np.errstate(all="ignore"):
+            block = euler_step(states[:-1], torques, inertia, dt, integrator)
+        assert np.array_equal(block, states[1:], equal_nan=True)
+        for k, (omega, torque) in enumerate(zip(states[:-1], torques)):
+            assert np.array_equal(euler_step(omega, torque, inertia, dt, integrator),
+                                  states[k + 1], equal_nan=True)
+
+    @given(**FOLDED_STEP_CASES)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_euler_jacobians_converge_at_second_order(self, omega0, torques, inertia, dt):
+        # central differences of f at steps h and h/2: by the state f is
+        # quadratic, so only rounding remains; by the inertia, scaled to
+        # relative steps, the truncation error is about h^2 times the entry,
+        # falls by four when h halves and leaves h^4/4 after Richardson
+        # extrapolation.  The floor bounds the rounding by the largest term
+        # f adds up (at most half of it in 1,500 random cases).
+        model = euler_attitude_model(dt=dt)
+        states = attitude_trajectory(omega0, torques, inertia, dt)
+        horizon = len(torques)
+        for k in sorted({0, horizon // 2, horizon - 1}):
+            omega, torque = states[k], torques[k]
+            if not np.abs(omega).max() <= 1e50:
+                continue
+            jac_x, jac_theta = model.transition_jacobians(omega[None], torque[None], inertia)
+            products = np.roll(omega, -1) * np.roll(omega, -2)
+            size = (np.abs(omega).max() + np.abs(model.f(omega, torque, inertia)).max()
+                    + np.abs(torque * dt / inertia).max()
+                    + np.abs(dt * inertia.max() / inertia * products).max())
+            floor = 8 * np.finfo(float).eps * size / 5e-4
+            for fn, point, exact in (
+                    (lambda w: model.f(w, torque, inertia), omega, jac_x[0]),
+                    (lambda v: model.f(omega, torque, inertia * v), np.ones(3),
+                     jac_theta[0] * inertia)):
+                coarse, fine = (numeric_jacobian(fn, point, step=h) for h in (1e-3, 5e-4))
+                extrapolated = (4 * fine - coarse) / 3
+                errors = [np.abs(jac - exact).max() for jac in (coarse, fine, extrapolated)]
+                scale = np.abs(exact).max()
+                assert errors[1] <= 2 * 5e-4 ** 2 * scale + floor
+                assert errors[1] <= 0.3 * errors[0] + floor
+                assert errors[2] <= 1e-3 ** 4 * scale + floor
+
+
 class TestEulerJacobians:
     def test_identity_at_rest(self):
         model = euler_attitude_model(dt=0.1)
@@ -331,22 +412,23 @@ class TestEulerJacobians:
 
 
 def reference_euler_jacobians(omega, torque, inertia, dt):
-    """The per-point attitude formulas the batched form replaced."""
+    """The folded attitude formulas per point, on numpy float64 scalars:
+    ``c_i = dt * (I_l - I_j) / I_i``, ``s_i = dt / I_i`` and
+    ``P_i = w_j * w_l`` for (i, j, l) = (x, y, z), (y, z, x), (z, x, y)."""
     wx, wy, wz = omega[0], omega[1], omega[2]
     ix, iy, iz = inertia[0], inertia[1], inertia[2]
+    cx, cy, cz = dt * (iz - iy) / ix, dt * (ix - iz) / iy, dt * (iy - ix) / iz
+    sx, sy, sz = dt / ix, dt / iy, dt / iz
+    px, py, pz = wy * wz, wz * wx, wx * wy
     jac_x = np.array([
-        [1.0, -dt * (iz - iy) * wz / ix, -dt * (iz - iy) * wy / ix],
-        [-dt * (ix - iz) * wz / iy, 1.0, -dt * (ix - iz) * wx / iy],
-        [-dt * (iy - ix) * wy / iz, -dt * (iy - ix) * wx / iz, 1.0],
+        [1.0, -cx * wz, -cx * wy],
+        [-cy * wz, 1.0, -cy * wx],
+        [-cz * wy, -cz * wx, 1.0],
     ])
     jac_theta = np.array([
-        [-dt * (torque[0] - (iz - iy) * wy * wz) / ix ** 2,
-         dt * wy * wz / ix, -dt * wy * wz / ix],
-        [-dt * wz * wx / iy,
-         -dt * (torque[1] - (ix - iz) * wz * wx) / iy ** 2,
-         dt * wz * wx / iy],
-        [dt * wx * wy / iz, -dt * wx * wy / iz,
-         -dt * (torque[2] - (iy - ix) * wx * wy) / iz ** 2],
+        [(cx * px - torque[0] * sx) / ix, sx * px, -sx * px],
+        [-sy * py, (cy * py - torque[1] * sy) / iy, sy * py],
+        [sz * pz, -sz * pz, (cz * pz - torque[2] * sz) / iz],
     ])
     return jac_x, jac_theta
 
