@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -133,8 +134,9 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
     row 0 is ``omega0`` and row k+1 equals ``euler_step`` of row k under
     ``torques[k]`` bit for bit.  The inertia is checked and divided out once,
     the torque terms of every step in one numpy pass.  The steps run on
-    Python floats, read from those terms and written into the states one at
-    a time, so the Python objects held do not grow with T.  Each integrator
+    Python floats read from those terms; step k stores its components at
+    index k of three strided memoryviews of the states, so no index is
+    computed and the Python objects held do not grow with T.  Each integrator
     writes ``_advance`` and ``_rates`` out in order: no call per step."""
     inertia = _check_inertia(inertia)
     torques = np.ascontiguousarray(torques, dtype=float)
@@ -150,17 +152,16 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
     states[0] = omega0
     wx, wy, wz = states[0].tolist()
     out = memoryview(states.reshape(-1))
+    xs, ys, zs = out[3::3], out[4::3], out[5::3]
     values = iter(memoryview(terms.reshape(-1)))
-    j = 3
     if euler:
-        for tx, ty, tz in zip(values, values, values):
+        for k, tx, ty, tz in zip(count(), values, values, values):
             wx, wy, wz = (wx + (tx - cx * (wy * wz)), wy + (ty - cy * (wz * wx)),
                           wz + (tz - cz * (wx * wy)))
-            out[j], out[j + 1], out[j + 2] = wx, wy, wz
-            j += 3
+            xs[k], ys[k], zs[k] = wx, wy, wz
         return states
     half, sixth = 0.5 * dt, dt / 6.0
-    for tx, ty, tz in zip(values, values, values):
+    for k, tx, ty, tz in zip(count(), values, values, values):
         ax, ay, az = tx - cx * (wy * wz), ty - cy * (wz * wx), tz - cz * (wx * wy)
         px, py, pz = wx + half * ax, wy + half * ay, wz + half * az
         bx, by, bz = tx - cx * (py * pz), ty - cy * (pz * px), tz - cz * (px * py)
@@ -171,8 +172,7 @@ def attitude_trajectory(omega0, torques, inertia, dt: float,
         wx, wy, wz = (wx + sixth * (ax + 2.0 * bx + 2.0 * qx + dx),
                       wy + sixth * (ay + 2.0 * by + 2.0 * qy + dy),
                       wz + sixth * (az + 2.0 * bz + 2.0 * qz + dz))
-        out[j], out[j + 1], out[j + 2] = wx, wy, wz
-        j += 3
+        xs[k], ys[k], zs[k] = wx, wy, wz
     return states
 
 
@@ -181,31 +181,32 @@ _CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, l): each axis, then the nex
 
 def _euler_jac_x_batch(states, inputs, inertia, dt):
     """Forward-Euler state Jacobians, one per row of ``states``: 1 on the
-    diagonal, ``-c_i * w_l`` by w_j and ``-c_i * w_j`` by w_l.  Both
-    Jacobians are (T, 3, 3) views of a (3, 3, T) block, written by rows."""
+    diagonal, ``-c_i * w_l`` by w_j and ``-c_i * w_j`` by w_l, each computed
+    into its row of a (3, 3, T) block, returned as (T, 3, 3) views."""
     c = _coupling(_check_inertia(inertia).tolist(), dt)
     w = states.T
     jac = np.empty((3, 3, states.shape[0]))
     for i, j, l in _CYCLE:
         jac[i, i] = 1.0
-        jac[i, j] = -c[i] * w[l]
-        jac[i, l] = -c[i] * w[j]
+        np.multiply(-c[i], w[l], out=jac[i, j])
+        np.multiply(-c[i], w[j], out=jac[i, l])
     return jac.transpose(2, 0, 1)
 
 
 def _euler_jac_theta_batch(states, inputs, inertia, dt):
     """Forward-Euler parameter Jacobians, one per row: with ``s = dt / I``
     and ``P_i = w_j * w_l``, ``(c_i * P_i - u_i * s_i) / I_i`` by I_i,
-    ``s_i * P_i`` by I_j and ``-s_i * P_i`` by I_l."""
+    ``s_i * P_i`` by I_j and ``-s_i * P_i`` by I_l (``P_i`` formed there)."""
     inertia = _check_inertia(inertia)
     moments, c, s = inertia.tolist(), _coupling(inertia.tolist(), dt), (dt / inertia).tolist()
     w, u = states.T, inputs.T
     jac = np.empty((3, 3, states.shape[0]))
     for i, j, l in _CYCLE:
-        p = w[j] * w[l]
-        jac[i, i] = (c[i] * p - u[i] * s[i]) / moments[i]
-        jac[i, j] = s[i] * p
-        jac[i, l] = -s[i] * p
+        p = np.multiply(w[j], w[l], out=jac[i, l])
+        np.multiply(s[i], p, out=jac[i, j])
+        d = np.multiply(c[i], p, out=jac[i, i])
+        np.divide(np.subtract(d, u[i] * s[i], out=d), moments[i], out=d)
+        p *= -s[i]
     return jac.transpose(2, 0, 1)
 
 
@@ -289,8 +290,15 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.torque_std >= 0 and self.obs_std >= 0):
-            raise ValueError("standard deviations must be nonnegative")
+        for name, low in (("torque_mean", -np.inf), ("torque_std", 0.0), ("obs_std", 0.0)):
+            value = getattr(self, name)
+            if not (np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
+                    and np.isfinite(value) and value >= low):
+                bound = "" if low < 0 else " and nonnegative"
+                raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def generate_dataset(model: DynamicalModel, x0_true, theta_true, horizon: int,
@@ -301,8 +309,8 @@ def generate_dataset(model: DynamicalModel, x0_true, theta_true, horizon: int,
     both are consumed step-by-step in order, so generating a longer horizon
     with the same seed reproduces the shorter dataset as its prefix.
     """
-    if horizon < 2:
-        raise DimensionMismatch(f"horizon must be >= 2, got {horizon}")
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 2:
+        raise DimensionMismatch(f"horizon must be an integer >= 2, got {horizon!r}")
     seed_seq = np.random.SeedSequence(noise.seed)
     input_stream, obs_stream = seed_seq.spawn(2)
     rng_inputs = np.random.default_rng(input_stream)
@@ -315,6 +323,14 @@ def generate_dataset(model: DynamicalModel, x0_true, theta_true, horizon: int,
     return Dataset(inputs, observations, dt)
 
 
+def _check_omega(omega) -> Array:
+    """``omega`` as a float array; DimensionMismatch unless its last axis is 3."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape[-1:] != (3,):
+        raise DimensionMismatch(f"omega must have shape (..., 3), got {omega.shape}")
+    return omega
+
+
 def rotational_energy(omega, inertia):
     """Kinetic energy of the spinning body, (1/2) * sum_i I_i * w_i^2.
 
@@ -322,7 +338,7 @@ def rotational_energy(omega, inertia):
     one energy per row, shape (...).
     """
     inertia = _check_inertia(inertia)
-    omega = np.asarray(omega, dtype=float)
+    omega = _check_omega(omega)
     # one (1, 3) @ (3,) product per row: numpy evaluates each with the same
     # dot routine as ``inertia @ (omega * omega)``, so a block's energies equal
     # its rows' bit for bit (an einsum or a (T, 3) @ (3,) product rounds
@@ -333,8 +349,7 @@ def rotational_energy(omega, inertia):
 def rotational_energy_gradient(omega, inertia) -> Array:
     """Gradient of the rotational energy w.r.t. the angular velocity: I*w,
     one row per state."""
-    inertia = _check_inertia(inertia)
-    return inertia * np.asarray(omega, dtype=float)
+    return _check_inertia(inertia) * _check_omega(omega)
 
 
 def rotational_energy_term(inertia, reference: float, weight: float = 1.0) -> EnergyConservation:

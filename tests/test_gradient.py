@@ -111,6 +111,14 @@ class TestCost:
         with pytest.raises(DimensionMismatch):
             LossSpec(np.array([[1.0, 0.5], [0.4, 1.0]]), 2)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: LossSpec(np.zeros((0, 0)), 5), id="zeros"),
+        pytest.param(lambda: LossSpec.scaled_identity(0, 5), id="scaled-identity"),
+    ])
+    def test_an_empty_q_is_refused(self, build):
+        with pytest.raises(DimensionMismatch, match=r"Q must be square and non-empty"):
+            build()
+
 
 class TestGammaTerms:
     def test_zero_error_all_zero(self):

@@ -538,6 +538,21 @@ class TestValidation:
                      "step must be positive and finite", id="fd-step-inf"),
         pytest.param(lambda: NoiseSpec(torque_std=np.nan), "nonnegative", id="torque-std"),
         pytest.param(lambda: NoiseSpec(obs_std=np.nan), "nonnegative", id="obs-std"),
+        pytest.param(lambda: NoiseSpec(torque_std=np.inf), "torque_std must be finite",
+                     id="torque-std-inf"),
+        pytest.param(lambda: NoiseSpec(obs_std=np.inf), "obs_std must be finite",
+                     id="obs-std-inf"),
+        pytest.param(lambda: NoiseSpec(torque_mean=np.nan), "torque_mean must be finite",
+                     id="torque-mean-nan"),
+        pytest.param(lambda: NoiseSpec(torque_mean=-np.inf), "torque_mean must be finite",
+                     id="torque-mean-inf"),
+        pytest.param(lambda: NoiseSpec(torque_mean="0"), "torque_mean must be finite",
+                     id="torque-mean-str"),
+        pytest.param(lambda: NoiseSpec(seed=-1), "seed must be an integer >= 0",
+                     id="negative-seed"),
+        pytest.param(lambda: NoiseSpec(seed=1.5), "seed must be an integer", id="float-seed"),
+        pytest.param(lambda: NoiseSpec(seed=None), "seed must be an integer", id="none-seed"),
+        pytest.param(lambda: NoiseSpec(seed=True), "seed must be an integer", id="bool-seed"),
         pytest.param(lambda: IdentifyOptions(max_epochs=np.nan), "max_epochs",
                      id="max-epochs"),
         pytest.param(lambda: IdentifyOptions(max_epochs=np.inf), "integer",

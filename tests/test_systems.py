@@ -199,7 +199,7 @@ class TestAttitudeTrajectory:
     """The attitude model's one-call rollout equals the step-by-step one."""
 
     @pytest.mark.parametrize("integrator", INTEGRATORS)
-    @pytest.mark.parametrize("horizon", [1, 511, 512, 513, 1200])
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 511, 512, 513, 1200])
     def test_equals_a_loop_of_euler_steps(self, integrator, horizon):
         rng = np.random.default_rng(horizon)
         torques = rng.normal(scale=1e-3, size=(horizon, 3))
@@ -586,6 +586,21 @@ class TestGenerateDataset:
         assert np.array_equal(long.inputs[:50], short.inputs)
         assert np.array_equal(long.observations[:50], short.observations)
 
+    @pytest.mark.parametrize("horizon", [2.5, 4.0, np.float64(4.0), True, "4", None])
+    def test_a_horizon_that_is_not_an_integer_is_named(self, horizon):
+        model = euler_attitude_model(dt=ATTITUDE_DT)
+        with pytest.raises(DimensionMismatch, match="horizon must be an integer >= 2"):
+            generate_dataset(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, horizon, NoiseSpec())
+
+    def test_numpy_integers_are_integers(self):
+        model = euler_attitude_model(dt=ATTITUDE_DT)
+        numpy_ints = generate_dataset(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, np.int64(6),
+                                      NoiseSpec(seed=np.int64(9), **ATTITUDE_NOISE),
+                                      dt=ATTITUDE_DT)
+        plain = generate_dataset(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, 6,
+                                 NoiseSpec(seed=9, **ATTITUDE_NOISE), dt=ATTITUDE_DT)
+        assert np.array_equal(numpy_ints.observations, plain.observations)
+
     def test_observation_noise_statistics(self):
         # 10^4+ residual samples match the configured noise level within 5%
         model = euler_attitude_model(dt=ATTITUDE_DT)
@@ -629,6 +644,15 @@ class TestRotationalEnergy:
         omega = np.array([0.2, -0.1, 0.4])
         grad = rotational_energy_gradient(omega, ATTITUDE_THETA)
         assert np.array_equal(grad, ATTITUDE_THETA * omega)
+
+    @pytest.mark.parametrize("omega", [np.zeros(2), np.zeros(4), np.zeros(1), np.zeros((5, 2)),
+                                       np.zeros((3, 1)), 1.0])
+    @pytest.mark.parametrize("function", [rotational_energy, rotational_energy_gradient])
+    def test_an_omega_without_three_components_is_named(self, function, omega):
+        # np.zeros(1) and (3, 1) would broadcast against the inertia silently
+        shape = str(np.shape(omega)).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(DimensionMismatch, match=rf"omega must have shape .*{shape}"):
+            function(omega, ATTITUDE_THETA)
 
     def test_torque_free_drift_is_tiny(self):
         model = euler_attitude_model(dt=ATTITUDE_DT)
