@@ -17,13 +17,13 @@ transition at a time, O(T) Jacobian-chain applications.  Each transition is
 an affine map of the row [adjoint, parameter gradient so far, 1], so the
 pass is the product of T step matrices, formed pairwise in about log2(T)
 batched numpy calls (a wide or overflowing pass loops step by step
-instead).  A masked model takes the same path on its masked Jacobians,
-dense stacks with exact zeros outside the mask.  :func:`gradient_naive`
-expands the same quantity as an explicit double sum over step pairs with
-O(T^2) matrix chains and exists as a cross-check and benchmark baseline.
-:func:`fd_gradient` differentiates the cost by central differences
-(re-rolling the trajectory per perturbation) and is the independent oracle
-for both.
+instead), on the Jacobians copied once into C order: the bits do not
+depend on their layout.  A masked model's are dense, zero outside the
+mask.  :func:`gradient_naive` expands the same quantity as an explicit
+double sum over step pairs with O(T^2) matrix chains and exists as a
+cross-check and benchmark baseline.  :func:`fd_gradient` differentiates
+the cost by central differences (re-rolling the trajectory per
+perturbation) and is the independent oracle for both.
 
 One convention worth stating: the backward pass includes the step-0 terms,
 i.e. the direct effect of the initial state on the first prediction
@@ -96,6 +96,8 @@ class LossSpec:
     @classmethod
     def scaled_identity(cls, n_z: int, horizon: int, scale: float = 1.0,
                         penalty: Optional[PenaltySpec] = None) -> "LossSpec":
+        if isinstance(n_z, bool) or not isinstance(n_z, (int, np.integer)) or n_z < 0:
+            raise DimensionMismatch(f"n_z must be an integer >= 0, got {n_z!r}")
         return cls(scale * np.eye(n_z), horizon, penalty)
 
 
@@ -258,19 +260,15 @@ def _reduced_row(big_gamma, jac_x, jac_theta, product):
     return steps[0, -1], products
 
 
-def _backward_adjoints(big_gamma, jac_x, product):
+def _backward_adjoints(big_gamma, jac_x):
     """Adjoints ``a[k] = big_gamma[k] + a[k+1] @ jac_x[k]``, ``a[T-1] =
     big_gamma[T-1]`` (the cost gradient by x[k]), one step at a time over row
-    views made once.  ``product`` forms each ``row @ jac`` (``np.matmul``
-    contract); a dense row by a C- or F-ordered matrix takes ``ndarray.dot``,
-    the bits of ``np.matmul`` without its gufunc dispatch."""
+    views made once, each ``row.dot(jac)`` on one C-ordered copy of ``jac_x``
+    (free if in C order): ``row @ jac`` without its gufunc dispatch."""
     adjoints = big_gamma.copy()
-    rows, jacs = list(adjoints), list(jac_x)
-    head = jac_x[:1].flags
-    if product is np.matmul and (head.c_contiguous or head.f_contiguous):
-        product = np.ndarray.dot
+    rows, jacs = list(adjoints), list(np.ascontiguousarray(jac_x))
     for k in range(len(rows) - 1, 0, -1):
-        rows[k - 1] += product(rows[k], jacs[k - 1])
+        rows[k - 1] += rows[k].dot(jacs[k - 1])
     return adjoints
 
 
@@ -313,9 +311,9 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
     Up to REDUCTION_MAX_SIZE states and parameters together, the pass is
     the pairwise product of the affine step matrices (:func:`_reduced_row`);
     wider, or where that product overflows, it is the step-by-step loop
-    (:func:`_backward_adjoints`), its parameter terms summed in backward
-    order.  A masked model's products take ``np.matmul`` under the name the
-    benchmark traces, :func:`~msid.structure.sparse_chain_apply`.
+    (:func:`_backward_adjoints`); both copy the Jacobians into C order.  A
+    masked model's pairwise products are the benchmark-traced ``np.matmul``
+    of :func:`~msid.structure.sparse_chain_apply`.
 
     The trajectory must have been produced by :func:`~msid.model.rollout`
     under ``theta`` from its first stored state; a spot check re-evaluates
@@ -333,9 +331,9 @@ def gradient(model: DynamicalModel, trajectory: Trajectory, dataset: Dataset,
             if all(map(math.isfinite, row.tolist())):
                 return _report(per_step, penalty_total, grad_theta + row[n_x:-1],
                                row[:n_x].copy(), products)
-        adjoints = _backward_adjoints(big_gamma, jac_x, product)
+        adjoints = _backward_adjoints(big_gamma, jac_x)
         # the transition terms, summed in backward-pass order (not pairwise)
-        terms = np.matmul(adjoints[1:, None, :], jac_theta)[::-1, 0]
+        terms = np.matmul(adjoints[1:, None, :], np.ascontiguousarray(jac_theta))[::-1, 0]
         grad_theta = np.concatenate([grad_theta[None], terms]).cumsum(axis=0)[-1]
     return _report(per_step, penalty_total, grad_theta, adjoints[0],
                    products + len(big_gamma) - 1)

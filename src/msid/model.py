@@ -78,8 +78,8 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     ``point`` is one point of shape (n,) or a block of points of shape
     (..., n); ``fn`` must be row-wise over its leading axes: it maps a block
     of shape (k, ...) + (n,) to one result per row, of shape (k, ...) + (m,)
-    or, for a scalar map, (k, ...).  The Jacobian has shape (..., m, n), or
-    (..., n) for a scalar map.  The perturbation of component j is
+    or, for a scalar map, (k, ...).  The Jacobian, a view in no set order,
+    has shape (..., m, n), or (..., n) for a scalar map.  Component j moves by
     ``step * max(1, |point[..., j]|)`` so that badly scaled inputs keep a
     sensible relative step, and each quotient is divided by the exact
     spacing of its two points.  All 2n perturbed copies of ``point`` are
@@ -91,7 +91,7 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     row per stacked point, and :class:`NonFiniteValue` naming the first
     component whose perturbed evaluations are non-finite.
     """
-    if not 0 < step < np.inf:
+    if not (np.asarray(step).dtype.kind in "iuf" and 0 < step < np.inf):
         raise ValueError(f"step must be positive and finite, got {step}")
     p = np.asarray(point, dtype=float)
     if p.ndim == 0 or p.shape[-1] == 0:
@@ -126,7 +126,7 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     spacing = moved[0::2] - moved[1::2]
     if values.ndim > p.ndim:
         spacing = spacing[..., None]
-    return np.ascontiguousarray(np.moveaxis((values[0::2] - values[1::2]) / spacing, 0, -1))
+    return np.moveaxis((values[0::2] - values[1::2]) / spacing, 0, -1)
 
 
 def check_rows(name: str, result, shape: tuple) -> Array:
@@ -202,11 +202,11 @@ class DynamicalModel:
         state and by theta at (N, n_x) states and (N, n_u) inputs.
 
         One call of each Jacobian field, shape-checked, if the model gives
-        them; else one :func:`numeric_jacobian` call over the concatenated
-        (x, theta) columns hands every perturbed copy to one ``f`` call (a
-        few above ``ROW_BUDGET`` rows), the inputs tiled.  A non-finite state
-        or theta there raises :class:`NonFiniteValue` naming it as ``x[j]``
-        or ``theta[j]``.
+        them; else two views of one :func:`numeric_jacobian` call over the
+        concatenated (x, theta) columns, which hands every perturbed copy
+        to one ``f`` call (a few above ``ROW_BUDGET`` rows), the inputs
+        tiled.  A non-finite state or theta there raises
+        :class:`NonFiniteValue` naming it as ``x[j]`` or ``theta[j]``.
         """
         n_x, n_u, n_theta = self.dims.n_x, self.dims.n_u, self.dims.n_theta
         states, inputs = np.asarray(states, dtype=float), np.asarray(inputs, dtype=float)
@@ -232,7 +232,7 @@ class DynamicalModel:
                                  lambda block: self.f(block[:, :n_x], tiled, block[:, n_x:]))
 
         jac = numeric_jacobian(joint_f, point)
-        return np.ascontiguousarray(jac[..., :n_x]), np.ascontiguousarray(jac[..., n_x:])
+        return jac[..., :n_x], jac[..., n_x:]
 
     def observation_jacobians(self, states) -> Array:
         """The Jacobians (N, n_z, n_x) of ``g`` at (N, n_x) states: one call of
@@ -269,7 +269,7 @@ class Dataset:
                 f"({observations.shape[0]} rows) must have equal length")
         if inputs.shape[0] < 2:
             raise DimensionMismatch(f"need at least 2 samples, got {inputs.shape[0]}")
-        if not 0 < self.dt < np.inf:
+        if not (np.asarray(self.dt).dtype.kind in "iuf" and 0 < self.dt < np.inf):
             raise DimensionMismatch(f"dt must be positive and finite, got {self.dt}")
         for name, values in (("inputs", inputs), ("observations", observations)):
             bad = np.argwhere(~np.isfinite(values))
@@ -286,7 +286,7 @@ class Dataset:
 
     def prefix(self, horizon: int) -> "Dataset":
         """First ``horizon`` samples as a new dataset."""
-        if not 2 <= horizon <= len(self):
+        if not (isinstance(horizon, (int, np.integer)) and 2 <= horizon <= len(self)):
             raise DimensionMismatch(
                 f"prefix horizon must be in [2, {len(self)}], got {horizon}")
         return Dataset(self.inputs[:horizon].copy(),

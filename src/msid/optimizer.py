@@ -59,6 +59,8 @@ class AdamState:
     @classmethod
     def fresh(cls, n: int, lr, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> "AdamState":
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {n!r}")
         _check_open("beta1", beta1, 1)
         _check_open("beta2", beta2, 1)
         lr = np.array(lr, dtype=float)

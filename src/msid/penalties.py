@@ -54,7 +54,8 @@ def _check_parameters(term) -> None:
             raise InvalidBox(f"penalty term {type(term).__name__}: {name} must be 1-D and "
                              f"free of NaN, got {getattr(term, name)!r}")
         object.__setattr__(term, name, value)
-    if not 0 < getattr(term, "alpha", 1.0) < np.inf:
+    alpha = getattr(term, "alpha", 1.0)
+    if not (np.asarray(alpha).dtype.kind in "iuf" and 0 < alpha < np.inf):
         raise InvalidBox(f"penalty term {type(term).__name__}: alpha must be positive and "
                          f"finite, got {term.alpha}")
 
@@ -88,7 +89,8 @@ class EnergyConservation:
     depends_on_state: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not np.isfinite(self.reference):
+        if not (np.asarray(self.reference).dtype.kind in "iuf"
+                and np.isfinite(self.reference)):
             raise InvalidBox("penalty term EnergyConservation: reference must be finite, "
                              f"got {self.reference}")
 
@@ -256,7 +258,7 @@ class PenaltySpec:
     def __post_init__(self):
         terms = tuple(self.terms)
         for term in terms:
-            if not 0 <= term.weight < np.inf:
+            if not (np.asarray(term.weight).dtype.kind in "iuf" and 0 <= term.weight < np.inf):
                 raise InvalidBox(f"penalty term {type(term).__name__}: weight must be "
                                  f"finite and nonnegative, got {term.weight}")
         object.__setattr__(self, "terms", terms)
@@ -318,11 +320,16 @@ def project_box(theta, lower, upper) -> Array:
 
     Idempotent and the identity on feasible points.  Raises
     :class:`InvalidBox` when any lower bound exceeds its upper bound or
-    either is NaN.
+    either is NaN, and :class:`DimensionMismatch` when a bound does not
+    broadcast to the parameters' shape.
     """
     theta = np.asarray(theta, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), theta.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), theta.shape)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    try:
+        lower, upper = np.broadcast_to(lower, theta.shape), np.broadcast_to(upper, theta.shape)
+    except ValueError:
+        raise DimensionMismatch(f"bounds of shapes {lower.shape} and {upper.shape} do not "
+                                f"fit parameters of shape {theta.shape}") from None
     if not np.all(lower <= upper):
         raise InvalidBox("lower bound exceeds upper bound, or a bound is NaN")
     return np.clip(theta, lower, upper)

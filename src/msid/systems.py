@@ -234,7 +234,7 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     both from one stacked ``f`` call.  Either rolls out through
     :func:`attitude_trajectory`.
     """
-    if not 0 < dt < np.inf:
+    if not (np.asarray(dt).dtype.kind in "iuf" and 0 < dt < np.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from msid import (Dataset, LossSpec, NoiseSpec, ParameterBox, PenaltySpec,
-                  UpperBarrier, euler_attitude_model, euler_sparsity_mask, fd_gradient, generate_dataset, gradient,
-                  gradient_naive, identify, masked_jac_f_x, rollout)
+                  UpperBarrier, euler_attitude_model, fd_gradient, generate_dataset, gradient,
+                  gradient_naive, identify, rollout)
 from msid.optimizer import IdentifyOptions
 from msid.structure import entry_evaluations
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0,
@@ -221,17 +221,26 @@ def test_criterion_8_complexity():
     chain_ok = counts[2] == counts[4] == 19
 
     model = euler_attitude_model(dt=ATTITUDE_DT)
-    mask = euler_sparsity_mask()
-    entry_evaluations.reset()
-    masked_jac_f_x(model.transition_jacobians(ATTITUDE_OMEGA0[None], np.zeros((1, 3)),
-                                              ATTITUDE_THETA)[0], mask)
-    masked_ok = entry_evaluations.count == mask.n_nz
-
     noise = NoiseSpec(seed=5, **ATTITUDE_NOISE)
     dataset = generate_dataset(model, ATTITUDE_OMEGA0, ATTITUDE_THETA, 400,
                                noise, dt=ATTITUDE_DT)
-    spec = LossSpec.scaled_identity(3, 400)
     theta = ATTITUDE_THETA * 1.05
+
+    # one masked gradient at T=20 keeps n_nz entries of each of the T-1
+    # transition Jacobians; the mask is full, so its bytes are the dense ones
+    masked_model = euler_attitude_model(dt=ATTITUDE_DT, with_sparsity=True)
+    mask, short = masked_model.sparsity, dataset.prefix(20)
+    short_trajectory = rollout(model, ATTITUDE_OMEGA0, theta, short.inputs)
+    short_spec = LossSpec.scaled_identity(3, 20)
+    dense = gradient(model, short_trajectory, short, short_spec, theta)
+    entry_evaluations.reset()
+    masked = gradient(masked_model, short_trajectory, short, short_spec, theta)
+    kept = entry_evaluations.count
+    masked_ok = (kept == mask.n_nz * 19 and mask.n_nz == 9
+                 and masked.grad_theta.tobytes() == dense.grad_theta.tobytes()
+                 and masked.grad_x0.tobytes() == dense.grad_x0.tobytes())
+
+    spec = LossSpec.scaled_identity(3, 400)
     trajectory = rollout(model, ATTITUDE_OMEGA0, theta, dataset.inputs)
     start = time.perf_counter()
     gradient(model, trajectory, dataset, spec, theta)
@@ -242,6 +251,6 @@ def test_criterion_8_complexity():
     ratio = naive_time / adjoint_time
     report(8, chain_ok and masked_ok and ratio > 5.0,
            f"chain applications {counts} (= T-1 = 19 for both parameter "
-           f"counts); masked entries {entry_evaluations.count} = n_nz "
-           f"{mask.n_nz}; naive/adjoint wall-time ratio at T=400: {ratio:.0f}x "
+           f"counts); masked entries at T=20 {kept} = n_nz {mask.n_nz} x 19, "
+           f"gradient bytes equal to the dense model's; naive/adjoint wall-time ratio at T=400: {ratio:.0f}x "
            f"(> 5x)")

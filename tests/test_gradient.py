@@ -19,8 +19,8 @@ from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport
 from msid.gradient import REDUCTION_MAX_SIZE
 from msid.structure import masked_jac_f_x, sparse_chain_apply
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, attitude_dataset, max_rel_gap,
-                      random_instance, reference_adjoint_loop, reference_pairwise_product,
-                      report_gap)
+                      random_instance, random_smooth_model, reference_adjoint_loop,
+                      reference_pairwise_product, report_gap)
 
 # the module itself: the package exports its function ``gradient`` under its name
 gradient_module = importlib.import_module("msid.gradient")
@@ -118,6 +118,14 @@ class TestCost:
     def test_an_empty_q_is_refused(self, build):
         with pytest.raises(DimensionMismatch, match=r"Q must be square and non-empty"):
             build()
+
+    @pytest.mark.parametrize("n_z", [-1, 1.5, 2.0, True, "2", None])
+    def test_scaled_identity_refuses_a_size_that_is_no_integer_at_least_zero(self, n_z):
+        with pytest.raises(DimensionMismatch, match=r"n_z must be an integer >= 0, got"):
+            LossSpec.scaled_identity(n_z, 5)
+
+    def test_scaled_identity_takes_a_numpy_integer_size(self):
+        assert np.array_equal(LossSpec.scaled_identity(np.int64(2), 5, 3.0).Q, 3.0 * np.eye(2))
 
 
 class TestGammaTerms:
@@ -539,23 +547,54 @@ class TestBackwardPass:
         assert max_rel_gap(row[n_x:-1], theta_terms) <= 1e-12
 
     @given(horizon=st.integers(2, 64), n_x=st.integers(1, 12),
-           layout=st.sampled_from(sorted(JACOBIAN_LAYOUTS)), masked=st.booleans(),
+           layout=st.sampled_from(sorted(JACOBIAN_LAYOUTS)),
            seed=st.integers(0, 2**32 - 1))
     @settings(derandomize=True, max_examples=200, deadline=None)
-    def test_loop_equals_plain_matmul_loop(self, horizon, n_x, layout, masked, seed):
-        # the fallback loop steps through row views; it must give the bits
-        # of adjoint @ jac, one step at a time
+    def test_loop_equals_plain_matmul_loop(self, horizon, n_x, layout, seed):
+        # the fallback loop steps through row views; in every layout it must
+        # give the bits of adjoint @ jac on the C-ordered stack, one step at
+        # a time, so its bits do not depend on the layout
         rng = np.random.default_rng(seed)
         big_gamma = rng.normal(size=(horizon, n_x))
         seeds = big_gamma.copy()
         jac_x = JACOBIAN_LAYOUTS[layout](rng.normal(size=(horizon - 1, n_x, n_x)))
+        contiguous = np.ascontiguousarray(jac_x)
         expected = big_gamma.copy()
         for k in range(horizon - 1, 0, -1):
-            expected[k - 1] += expected[k] @ jac_x[k - 1]
-        product = sparse_chain_apply if masked else np.matmul
-        adjoints = gradient_module._backward_adjoints(big_gamma, jac_x, product)
+            expected[k - 1] += expected[k] @ contiguous[k - 1]
+        adjoints = gradient_module._backward_adjoints(big_gamma, jac_x)
         assert np.array_equal(adjoints, expected)
         assert np.array_equal(big_gamma, seeds)
+
+    @pytest.mark.parametrize("n_x", [3, 9], ids=["product", "loop"])
+    def test_reports_do_not_depend_on_the_jacobian_layout(self, n_x):
+        # a model whose Jacobians come in each layout gives the bytes of the
+        # same values in C order, on the pairwise product (n_x + n_theta = 6)
+        # and on the step-by-step loop (18 > REDUCTION_MAX_SIZE)
+        assert (2 * n_x > REDUCTION_MAX_SIZE) == (n_x == 9)
+        rng = np.random.default_rng(2700 + n_x)
+        base = random_smooth_model(rng, n_x, 1, 2, n_x)
+        horizon = 40
+        theta, x0 = rng.uniform(-0.5, 0.5, n_x), rng.uniform(-0.5, 0.5, n_x)
+        inputs = 0.3 * rng.normal(size=(horizon, 1))
+        trajectory = rollout(base, x0, theta, inputs)
+        dataset = Dataset(inputs, trajectory.predictions + 0.02 * rng.normal(size=(horizon, 2)))
+        spec = LossSpec.scaled_identity(2, horizon)
+
+        def handing_over(layout):
+            return dataclasses.replace(
+                base, jac_f_x_batch=lambda *args: layout(base.jac_f_x_batch(*args)),
+                jac_f_theta_batch=lambda *args: layout(base.jac_f_theta_batch(*args)))
+
+        for name, layout in JACOBIAN_LAYOUTS.items():
+            given_model = handing_over(layout)
+            contiguous_model = handing_over(lambda jac: np.ascontiguousarray(layout(jac)))
+            given = gradient(given_model, trajectory, dataset, spec, theta)
+            contiguous = gradient(contiguous_model, trajectory, dataset, spec, theta)
+            assert given.grad_theta.tobytes() == contiguous.grad_theta.tobytes(), name
+            assert given.grad_x0.tobytes() == contiguous.grad_x0.tobytes(), name
+            assert given.cost == contiguous.cost
+            assert given.chain_applications == contiguous.chain_applications == horizon - 1
 
     @pytest.mark.parametrize("seed,penalty_kind",
                              [(11, None), (12, "energy"), (13, "upper"), (14, "box")])
@@ -677,9 +716,9 @@ class TestPairwiseReduction:
         trajectory = rollout(model, [0.0], theta, dataset.inputs)
         backward_adjoints, horizons = gradient_module._backward_adjoints, []
 
-        def recorded(big_gamma, jac_x, product):
+        def recorded(big_gamma, jac_x):
             horizons.append(len(big_gamma))
-            return backward_adjoints(big_gamma, jac_x, product)
+            return backward_adjoints(big_gamma, jac_x)
 
         monkeypatch.setattr(gradient_module, "_backward_adjoints", recorded)
         for model in (model, with_full_mask(model)):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (AdamState, Dataset, DimensionMismatch, DivergedRollout, HistoryRecord,
-                  IdentificationRun, InvalidBox, LossSpec, MsidError, NoiseSpec,
+from msid import (AdamState, Dataset, DimensionMismatch, DivergedRollout, EnergyConservation,
+                  HistoryRecord, IdentificationRun, InvalidBox, LossSpec, LowerBarrier,
+                  MsidError, NoiseSpec,
                   NonFiniteGradient, NonFiniteValue, NonPositiveInertia, OutsideDomain,
                   ParameterBox, PenaltySpec, StopReason, UpperBarrier, adam_step,
                   cost, euler_attitude_model, fd_gradient, generate_dataset, gradient,
@@ -527,6 +528,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="beta2 must lie in"):
             AdamState.fresh(3, lr=0.01, beta2=1.5)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, 3.0, True, np.True_, "3", None])
+    def test_adam_state_refuses_a_size_that_is_no_integer_at_least_zero(self, n):
+        with pytest.raises(ValueError, match=r"n must be an integer >= 0, got"):
+            AdamState.fresh(n, 0.1)
+
+    def test_adam_state_takes_numpy_integer_sizes(self):
+        for n in (np.int64(3), np.int32(0)):
+            state = AdamState.fresh(n, 0.1)
+            assert state.m.shape == state.v.shape == (int(n),)
+
     @pytest.mark.parametrize("build,message", [
         pytest.param(lambda: euler_attitude_model(dt=np.nan), "dt must be positive",
                      id="attitude-dt"),
@@ -586,6 +597,26 @@ class TestValidation:
         pytest.param(lambda: LossSpec(np.array([[1.0, np.nan], [0.0, 1.0]]), 5),
                      "Q must be finite", id="nan-Q"),
         pytest.param(lambda: LossSpec(np.eye(2), 2.5), "integer", id="float-horizon"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), dt="a"),
+                     "dt must be positive and finite", id="dataset-dt-str"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), dt=True),
+                     "dt must be positive and finite", id="dataset-dt-bool"),
+        pytest.param(lambda: numeric_jacobian(lambda x: x, np.ones(2), step="x"),
+                     "step must be positive and finite", id="fd-step-str"),
+        pytest.param(lambda: euler_attitude_model(dt="x"), "dt must be positive and finite",
+                     id="attitude-dt-str"),
+        pytest.param(lambda: euler_attitude_model(dt=True), "dt must be positive and finite",
+                     id="attitude-dt-bool"),
+        pytest.param(lambda: UpperBarrier(np.ones(2), alpha="x"),
+                     "alpha must be positive and finite", id="upper-alpha-str"),
+        pytest.param(lambda: LowerBarrier(np.ones(2), alpha="x"),
+                     "alpha must be positive and finite", id="lower-alpha-str"),
+        pytest.param(lambda: ParameterBox([0.0, 0.0], [1.0, 1.0], alpha="x"),
+                     "alpha must be positive and finite", id="box-alpha-str"),
+        pytest.param(lambda: PenaltySpec((UpperBarrier(np.ones(2), 1.0, weight="x"),)),
+                     "weight must be finite and nonnegative", id="penalty-weight-str"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference="a"),
+                     "reference must be finite", id="energy-reference-str"),
     ])
     def test_nan_and_non_integer_arguments_are_refused(self, build, message):
         with pytest.raises(ValueError, match=message):

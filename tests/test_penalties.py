@@ -386,6 +386,13 @@ class TestProjection:
         with pytest.raises(InvalidBox):
             project_box(np.array([0.0]), np.array([1.0]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("lower,upper", [(np.zeros(2), np.ones(2)), (0.0, np.ones(2)),
+                                             (np.zeros((2, 3)), 1.0)])
+    def test_bounds_of_another_shape_are_named(self, lower, upper):
+        with pytest.raises(DimensionMismatch, match=r"bounds of shapes .* do not fit "
+                                                    r"parameters of shape \(3,\)"):
+            project_box(np.ones(3), lower, upper)
+
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_idempotent_and_feasible(self, values):
