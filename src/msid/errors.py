@@ -48,10 +48,6 @@ class InvalidBox(MsidError, ValueError):
     """A box constraint has a lower bound above its upper bound."""
 
 
-class MaskViolation(MsidError, ValueError):
-    """A structurally-zero Jacobian entry is numerically nonzero."""
-
-
 class DivergedRollout(MsidError, RuntimeError):
     """Identification aborted after repeated rollout divergence.
 

@@ -40,6 +40,12 @@ FD_STEP = 1e-6
 ROW_BUDGET = 4096
 
 
+def _is_number(value) -> bool:
+    """True for one real number: a 0-D value of integer or float dtype, so
+    not an array, a bool or a string."""
+    return np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
+
+
 def _vector(value, n: Optional[int], name: str) -> Array:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 1:
@@ -91,7 +97,7 @@ def numeric_jacobian(fn: Callable[[Array], Array], point, step: float = FD_STEP)
     row per stacked point, and :class:`NonFiniteValue` naming the first
     component whose perturbed evaluations are non-finite.
     """
-    if not (np.asarray(step).dtype.kind in "iuf" and 0 < step < np.inf):
+    if not (_is_number(step) and 0 < step < np.inf):
         raise ValueError(f"step must be positive and finite, got {step}")
     p = np.asarray(point, dtype=float)
     if p.ndim == 0 or p.shape[-1] == 0:
@@ -269,7 +275,7 @@ class Dataset:
                 f"({observations.shape[0]} rows) must have equal length")
         if inputs.shape[0] < 2:
             raise DimensionMismatch(f"need at least 2 samples, got {inputs.shape[0]}")
-        if not (np.asarray(self.dt).dtype.kind in "iuf" and 0 < self.dt < np.inf):
+        if not (_is_number(self.dt) and 0 < self.dt < np.inf):
             raise DimensionMismatch(f"dt must be positive and finite, got {self.dt}")
         for name, values in (("inputs", inputs), ("observations", observations)):
             bad = np.argwhere(~np.isfinite(values))
@@ -370,7 +376,11 @@ def save_dataset(path, dataset: Dataset, n_x: int) -> None:
     Layout: one metadata comment line ``# dt=<dt> n_x=<..> n_u=<..> n_z=<..>``,
     a header row ``k,u_1..u_{n_u},z_1..z_{n_z}``, then one row per step.
     Values carry full double precision with a locale-independent decimal point.
+    An ``n_x`` that is not an integer >= 1 raises :class:`DimensionMismatch`
+    before the file is opened.
     """
+    if isinstance(n_x, bool) or not isinstance(n_x, (int, np.integer)) or n_x < 1:
+        raise DimensionMismatch(f"n_x must be an integer >= 1, got {n_x!r}")
     n_u = dataset.inputs.shape[1]
     n_z = dataset.observations.shape[1]
     with open(path, "w", newline="") as handle:

@@ -22,15 +22,15 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DivergedRollout, InvalidBox, NonFiniteGradient,
                      NonFiniteValue, OutsideDomain)
-from .gradient import LossSpec, fd_gradient, gradient, gradient_naive
-from .model import Dataset, DynamicalModel, rollout
+from .gradient import LossSpec, fd_gradient, gradient
+from .model import Dataset, DynamicalModel, _is_number, rollout
 from .penalties import project_box
 
 Array = np.ndarray
 
 MAX_CONSECUTIVE_REJECTIONS = 10
 
-GRADIENT_METHODS = ("adjoint", "naive", "fd")
+GRADIENT_METHODS = ("adjoint", "fd")
 
 
 def _check_open(name: str, value, upper: float = math.inf) -> None:
@@ -137,12 +137,14 @@ class IdentifyOptions:
             raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
         for name in ("cost_tol", "grad_tol"):
             value = getattr(self, name)
-            if not (np.asarray(value).dtype.kind in "iuf" and value >= 0):
+            if not (_is_number(value) and value >= 0):
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
-        for name in ("lr_theta", "lr_x0", "eps", "fd_step"):
-            _check_open(name, getattr(self, name))
-        _check_open("beta1", self.beta1, 1)
-        _check_open("beta2", self.beta2, 1)
+        for name, upper in (("lr_theta", math.inf), ("lr_x0", math.inf), ("eps", math.inf),
+                            ("fd_step", math.inf), ("beta1", 1), ("beta2", 1)):
+            value = getattr(self, name)
+            if not (_is_number(value) and 0 < value < upper):
+                raise ValueError(f"{name} must lie in (0, {upper}) and be a single number, "
+                                 f"got {value!r}")
         if self.box is not None:
             try:
                 lower, upper = (np.asarray(bound, dtype=float) for bound in self.box)
@@ -218,13 +220,12 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
         box = tuple(np.asarray(bound, dtype=float) for bound in options.box)
         if box[0].shape != (n_theta,):
             raise DimensionMismatch(f"box bounds must have shape ({n_theta},), got {box[0].shape}")
-    method = {"adjoint": gradient, "naive": gradient_naive}.get(options.gradient_method)
 
     def evaluate(p):
         theta, x0 = p[:n_theta], p[n_theta:]
-        if method is None:
+        if options.gradient_method == "fd":
             return fd_gradient(model, x0, theta, dataset, spec, step=options.fd_step)
-        return method(model, rollout(model, x0, theta, dataset.inputs), dataset, spec, theta)
+        return gradient(model, rollout(model, x0, theta, dataset.inputs), dataset, spec, theta)
 
     p = np.concatenate([theta, x0])
     lr = np.concatenate([np.full(n_theta, options.lr_theta), np.full(n_x, options.lr_x0)])

@@ -16,8 +16,9 @@ step of the horizon.  Parameter-only terms (parameter box) receive
 ``x=None``, are charged once per cost evaluation and have no ``grad_x``.
 Every term carries its own finite, nonnegative weight and exposes analytic
 gradients.  Built with bounds that are not 1-D or hold a NaN (an infinite
-bound switches its component off), or a non-finite ``alpha`` or
-``reference``, a term raises :class:`InvalidBox` naming it and the field.
+bound switches its component off), a non-finite ``alpha`` or ``reference``,
+or an ``energy_grad`` that is not callable, a term raises
+:class:`InvalidBox` naming it and the field.
 Bounds of the wrong length meet :meth:`PenaltySpec.check_sizes` in every cost.
 
 Exponential barriers saturate their exponent at the module constant
@@ -29,12 +30,12 @@ finite gradient that still points back toward feasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox
-from .model import check_rows, numeric_jacobian
+from .model import _is_number, check_rows
 
 Array = np.ndarray
 
@@ -55,7 +56,7 @@ def _check_parameters(term) -> None:
                              f"free of NaN, got {getattr(term, name)!r}")
         object.__setattr__(term, name, value)
     alpha = getattr(term, "alpha", 1.0)
-    if not (np.asarray(alpha).dtype.kind in "iuf" and 0 < alpha < np.inf):
+    if not (_is_number(alpha) and 0 < alpha < np.inf):
         raise InvalidBox(f"penalty term {type(term).__name__}: alpha must be positive and "
                          f"finite, got {term.alpha}")
 
@@ -71,55 +72,43 @@ class EnergyConservation:
 
     ``h(x) = (energy_fn(x) - reference)**2``.  ``energy_fn`` must be a fixed
     map of the state alone, applied row by row: it maps a block of states of
-    shape (..., n_x) to energies of shape (...), over any leading axes.
-    ``energy_grad``, if given, maps the same block to gradients of shape
-    (..., n_x); if omitted, the gradient is approximated by central
-    differences of the whole block (:func:`~msid.model.numeric_jacobian`),
-    which evaluate ``energy_fn`` once on every perturbed copy of the block,
-    stacked on a new leading axis.  There the shape of the energies is
-    checked on the block and on the stack, and a map that gives another
-    shape raises :class:`~msid.errors.DimensionMismatch` naming ``energy_fn``.
+    shape (..., n_x) to energies of shape (...), over any leading axes, and
+    ``energy_grad`` maps the same block to gradients of shape (..., n_x).
+    Energies of another shape raise :class:`~msid.errors.DimensionMismatch`
+    naming ``energy_fn``.
     """
 
     energy_fn: Callable[[Array], Array]
     reference: float
-    energy_grad: Optional[Callable[[Array], Array]] = None
+    energy_grad: Callable[[Array], Array]
     weight: float = 1.0
 
     depends_on_state: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not (np.asarray(self.reference).dtype.kind in "iuf"
-                and np.isfinite(self.reference)):
+        if not (_is_number(self.reference) and np.isfinite(self.reference)):
             raise InvalidBox("penalty term EnergyConservation: reference must be finite, "
                              f"got {self.reference}")
+        if not callable(self.energy_grad):
+            raise InvalidBox("penalty term EnergyConservation: energy_grad must be callable, "
+                             f"got {self.energy_grad!r}")
 
-    def _deviation(self, x) -> Array:
-        return np.asarray(self.energy_fn(x), dtype=float) - self.reference
-
-    def value(self, x, theta) -> Array:
-        deviation = self._deviation(x)
-        return deviation * deviation
-
-    def _energies(self, x) -> Array:
-        """``energy_fn(x)``, checked to give one energy per state of ``x``."""
+    def _deviation(self, x: Array) -> Array:
+        """``energy_fn(x) - reference``, checked to give one energy per state of ``x``."""
         energies = np.asarray(self.energy_fn(x), dtype=float)
         if energies.shape != x.shape[:-1]:
             raise DimensionMismatch(f"energy_fn must map states of shape {x.shape} to shape "
                                     f"{x.shape[:-1]}, got {energies.shape}")
-        return energies
+        return energies - self.reference
+
+    def value(self, x, theta) -> Array:
+        deviation = self._deviation(np.asarray(x, dtype=float))
+        return deviation * deviation
 
     def grad_x(self, x, theta) -> Array:
         x = np.asarray(x, dtype=float)
-        if self.energy_grad is not None:
-            deviation = self._deviation(x)
-            grad = np.asarray(self.energy_grad(x), dtype=float)
-        else:
-            # the stacked copies are checked too: a map that reduces every
-            # axis gives one state the right shape, but not a block of them
-            deviation = self._energies(x) - self.reference
-            grad = numeric_jacobian(self._energies, x)
-        return (2.0 * deviation)[..., None] * grad
+        deviation = self._deviation(x)
+        return (2.0 * deviation)[..., None] * np.asarray(self.energy_grad(x), dtype=float)
 
     grad_theta = staticmethod(_zero_theta_rows)
 
@@ -258,7 +247,7 @@ class PenaltySpec:
     def __post_init__(self):
         terms = tuple(self.terms)
         for term in terms:
-            if not (np.asarray(term.weight).dtype.kind in "iuf" and 0 <= term.weight < np.inf):
+            if not (_is_number(term.weight) and 0 <= term.weight < np.inf):
                 raise InvalidBox(f"penalty term {type(term).__name__}: weight must be "
                                  f"finite and nonnegative, got {term.weight}")
         object.__setattr__(self, "terms", terms)

@@ -4,27 +4,20 @@ Physical dynamics usually couple each state to only a few others.  A
 :class:`SparsityMask` records which entries of the state Jacobian are
 structurally nonzero; a masked model's state Jacobians keep those entries
 and hold exact zeros elsewhere, and run through the same dense backward
-pass as any other model.  :func:`validate_mask` checks a mask against the
-dense Jacobian.  A module-level counter tracks how many masked entries were
-kept, which makes the work bound testable.
+pass as any other model.  A module-level counter tracks how many masked
+entries were kept, which makes the work bound testable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaskViolation
-
-if TYPE_CHECKING:
-    from .model import DynamicalModel
+from .errors import DimensionMismatch
 
 Array = np.ndarray
-
-STRUCTURAL_ZERO_TOL = 1e-10
 
 
 class EvalCounter:
@@ -86,29 +79,6 @@ def masked_jac_f_x(jac_x, mask: SparsityMask) -> Array:
     mask.check_fits(np.shape(jac_x)[-1])
     entry_evaluations.add(mask.n_nz * math.prod(np.shape(jac_x)[:-2]))
     return np.where(mask.state_mask, jac_x, 0.0)
-
-
-def validate_mask(model: "DynamicalModel", mask: SparsityMask, points) -> None:
-    """Check the mask against the dense state Jacobian at each (x, u, theta)
-    point, each one ``model.transition_jacobians`` call on a block of one row.
-
-    Raises :class:`MaskViolation` on the first structurally-zero entry whose
-    dense value exceeds ``STRUCTURAL_ZERO_TOL`` in magnitude or is not finite,
-    and :class:`DimensionMismatch` if the mask does not fit the model.
-    """
-    mask.check_fits(model.dims.n_x)
-    for x, u, theta in points:
-        dense = model.transition_jacobians(
-            np.asarray(x, dtype=float)[None], np.asarray(u, dtype=float)[None], theta)[0][0]
-        # selected, not multiplied: a non-finite entry inside the mask is no
-        # violation, and one outside it (NaN included) is
-        outside = np.where(mask.state_mask, 0.0, np.abs(dense))
-        worst = float(np.max(outside))
-        if not worst <= STRUCTURAL_ZERO_TOL:
-            i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
-            raise MaskViolation(
-                f"masked-out entry ({i},{j}) has magnitude {worst:.3e} "
-                f"(> {STRUCTURAL_ZERO_TOL:.0e}); the mask is wrong")
 
 
 def sparse_chain_apply(rows, jac, out=None) -> Array:

@@ -21,7 +21,7 @@ from itertools import count
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveInertia
-from .model import Dataset, DynamicalModel, ModelDims, rollout
+from .model import Dataset, DynamicalModel, ModelDims, _is_number, rollout
 from .penalties import EnergyConservation
 from .structure import SparsityMask
 
@@ -234,7 +234,7 @@ def euler_attitude_model(dt: float = 0.1, integrator: str = FORWARD_EULER,
     both from one stacked ``f`` call.  Either rolls out through
     :func:`attitude_trajectory`.
     """
-    if not (np.asarray(dt).dtype.kind in "iuf" and 0 < dt < np.inf):
+    if not (_is_number(dt) and 0 < dt < np.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
@@ -292,8 +292,7 @@ class NoiseSpec:
     def __post_init__(self):
         for name, low in (("torque_mean", -np.inf), ("torque_std", 0.0), ("obs_std", 0.0)):
             value = getattr(self, name)
-            if not (np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
-                    and np.isfinite(value) and value >= low):
+            if not (_is_number(value) and np.isfinite(value) and value >= low):
                 bound = "" if low < 0 else " and nonnegative"
                 raise ValueError(f"{name} must be finite{bound}, got {value!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
@@ -362,6 +361,6 @@ def rotational_energy_term(inertia, reference: float, weight: float = 1.0) -> En
     inertia = _check_inertia(inertia).copy()
     return EnergyConservation(
         energy_fn=lambda omega: rotational_energy(omega, inertia),
-        reference=float(reference),
+        reference=reference,
         energy_grad=lambda omega: rotational_energy_gradient(omega, inertia),
         weight=weight)

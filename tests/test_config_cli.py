@@ -135,7 +135,7 @@ class TestRunConfig:
         section = {"lr_theta": 2e-3, "lr_x0": 3e-6, "beta1": 0.8, "beta2": 0.99,
                    "eps": 1e-7, "max_epochs": 7, "cost_tol": 1e-9, "grad_tol": 1e-10,
                    "box": {"lower": [0.5], "upper": [1.5]},
-                   "gradient_method": "naive", "fd_step": 1e-5}
+                   "gradient_method": "fd", "fd_step": 1e-5}
         raw["optimizer"] = section
         options = build_options(RunConfig.from_dict(raw))
         box = section.pop("box")
@@ -323,6 +323,12 @@ class TestMainEntryPoint:
         raw["optimizer"]["max_epochs"] = 0
         path = self.write_config(tmp_path, raw)
         assert main(["identify", "--config", str(path)]) == 2
+
+    def test_naive_gradient_method_exit_two(self, tmp_path, capsys):
+        raw = scalar_config(tmp_path)
+        raw["optimizer"]["gradient_method"] = "naive"
+        assert main(["identify", "--config", str(self.write_config(tmp_path, raw))]) == 2
+        assert "optimizer.gradient_method" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["identify", "--config", str(tmp_path / "nope.json")]) == 2

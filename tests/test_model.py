@@ -251,6 +251,19 @@ class TestDataset:
         assert np.array_equal(loaded.inputs, dataset.inputs)
         assert np.array_equal(loaded.observations, dataset.observations)
 
+    @pytest.mark.parametrize("n_x", ["a", 2.5, 3.0, 0, -1, True, None])
+    def test_save_refuses_an_n_x_that_is_no_integer_at_least_one(self, tmp_path, n_x):
+        # load_dataset could not read the metadata line such an n_x would write
+        path = tmp_path / "data.csv"
+        with pytest.raises(DimensionMismatch, match=r"n_x must be an integer >= 1, got"):
+            save_dataset(path, Dataset(np.zeros((2, 1)), np.zeros((2, 1))), n_x=n_x)
+        assert not path.exists()
+
+    def test_save_takes_a_numpy_integer_n_x(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(path, Dataset(np.zeros((2, 1)), np.zeros((2, 1))), n_x=np.int64(3))
+        assert load_dataset(path)[1] == 3
+
 
 def reference_numeric_jacobian(fn, point, step=1e-6):
     """The per-point central-difference loop the block form replaced."""

@@ -14,8 +14,8 @@ from msid import (AdamState, Dataset, DimensionMismatch, DivergedRollout, Energy
                   NonFiniteGradient, NonFiniteValue, NonPositiveInertia, OutsideDomain,
                   ParameterBox, PenaltySpec, StopReason, UpperBarrier, adam_step,
                   cost, euler_attitude_model, fd_gradient, generate_dataset, gradient,
-                  gradient_naive, identify, numeric_jacobian, project_box, rollout,
-                  scalar_linear_model)
+                  identify, numeric_jacobian, project_box, rollout,
+                  rotational_energy_term, scalar_linear_model)
 from msid.optimizer import MAX_CONSECUTIVE_REJECTIONS, IdentifyOptions
 from conftest import (ATTITUDE_DT, ATTITUDE_NOISE, ATTITUDE_OMEGA0, ATTITUDE_THETA,
                       attitude_dataset, perturbed_init)
@@ -239,17 +239,6 @@ class TestIdentify:
             identify(model, dataset, spec, [0.04, -0.04, 0.008], ATTITUDE_OMEGA0,
                      IdentifyOptions(max_epochs=5))
 
-    def test_naive_gradient_method_matches_adjoint(self):
-        # same loop driven by the double-sum gradient lands at the same
-        # estimate (up to summation-order rounding)
-        model, dataset, spec = scalar_fixture()
-        runs = {}
-        for method in ("adjoint", "naive"):
-            options = IdentifyOptions(gradient_method=method, max_epochs=30)
-            runs[method] = identify(model, dataset, spec, [1.6], [1.0], options)
-        assert abs(runs["adjoint"].theta_hat[0]
-                   - runs["naive"].theta_hat[0]) <= 1e-9
-
     def test_grad_norm_is_concatenated_euclidean(self):
         model, dataset, spec = scalar_fixture()
         options = IdentifyOptions(max_epochs=1)
@@ -345,8 +334,6 @@ def restore_and_retry_reference(model, dataset, spec, theta0, x0, options):
         if options.gradient_method == "fd":
             return fd_gradient(model, x0, theta, dataset, spec, step=options.fd_step)
         trajectory = rollout(model, x0, theta, dataset.inputs)
-        if options.gradient_method == "naive":
-            return gradient_naive(model, trajectory, dataset, spec, theta)
         return gradient(model, trajectory, dataset, spec, theta)
 
     p = np.concatenate([theta, x0])
@@ -432,7 +419,6 @@ REFERENCE_CASES = {
                  StopReason.COST_BELOW_TOL),
     "grad-tol": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=40, grad_tol=1e-4),
                  StopReason.GRAD_BELOW_TOL),
-    "naive": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=10, gradient_method="naive"), MAX),
     "fd": (1.05, ATTITUDE_OMEGA0, dict(max_epochs=10, gradient_method="fd"), MAX),
 }
 
@@ -489,6 +475,18 @@ class TestValidation:
     def test_unknown_gradient_method(self):
         with pytest.raises(ValueError):
             IdentifyOptions(gradient_method="newton")
+
+    def test_naive_is_no_gradient_method(self):
+        # the double sum is an oracle of the tests and of gradcheck, not a method to fit with
+        with pytest.raises(ValueError,
+                           match=r"gradient_method must be one of \('adjoint', 'fd'\)"):
+            IdentifyOptions(gradient_method="naive")
+
+    @pytest.mark.parametrize("field", ["lr_theta", "lr_x0", "eps", "fd_step", "beta1", "beta2"])
+    def test_array_for_a_scalar_field_is_refused(self, field):
+        # AdamState takes one rate per component; the options take one number
+        with pytest.raises(ValueError, match=rf"{field} must lie in .* single number"):
+            IdentifyOptions(**{field: np.array([0.5, 0.5])})
 
     @pytest.mark.parametrize("field", ["lr_theta", "lr_x0", "eps"])
     def test_non_finite_rate_fails_at_entry(self, field):
@@ -615,8 +613,35 @@ class TestValidation:
                      "alpha must be positive and finite", id="box-alpha-str"),
         pytest.param(lambda: PenaltySpec((UpperBarrier(np.ones(2), 1.0, weight="x"),)),
                      "weight must be finite and nonnegative", id="penalty-weight-str"),
-        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference="a"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference="a",
+                                                energy_grad=np.ones_like),
                      "reference must be finite", id="energy-reference-str"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), dt=np.array([0.1, 0.2])),
+                     "dt must be positive and finite", id="dataset-dt-array"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), dt=np.array([0.1])),
+                     "dt must be positive and finite", id="dataset-dt-one-element-array"),
+        pytest.param(lambda: numeric_jacobian(lambda x: x, np.ones(2), step=np.full(2, 1e-6)),
+                     "step must be positive and finite", id="fd-step-array"),
+        pytest.param(lambda: euler_attitude_model(dt=np.array([0.1, 0.2])),
+                     "dt must be positive and finite", id="attitude-dt-array"),
+        pytest.param(lambda: UpperBarrier(np.ones(2), alpha=np.ones(2)),
+                     "alpha must be positive and finite", id="upper-alpha-array"),
+        pytest.param(lambda: LowerBarrier(np.ones(2), alpha=np.ones(2)),
+                     "alpha must be positive and finite", id="lower-alpha-array"),
+        pytest.param(lambda: ParameterBox([0.0, 0.0], [1.0, 1.0], alpha=np.ones(2)),
+                     "alpha must be positive and finite", id="box-alpha-array"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1),
+                                                reference=np.array([1.0, 2.0]),
+                                                energy_grad=np.ones_like),
+                     "reference must be finite", id="energy-reference-array"),
+        pytest.param(lambda: PenaltySpec((UpperBarrier(np.ones(2), 1.0, weight=np.ones(2)),)),
+                     "weight must be finite and nonnegative", id="penalty-weight-array"),
+        pytest.param(lambda: IdentifyOptions(cost_tol=np.array([0.1, 0.2])),
+                     "cost_tol must be nonnegative", id="cost-tol-array"),
+        pytest.param(lambda: IdentifyOptions(grad_tol=np.array([0.1, 0.2])),
+                     "grad_tol must be nonnegative", id="grad-tol-array"),
+        pytest.param(lambda: rotational_energy_term(ATTITUDE_THETA, reference="a"),
+                     "reference must be finite", id="rotational-energy-reference-str"),
     ])
     def test_nan_and_non_integer_arguments_are_refused(self, build, message):
         with pytest.raises(ValueError, match=message):

@@ -44,28 +44,13 @@ class TestEnergyConservation:
         x = np.array([2.0, 0.0, 0.0])  # energy 2.0, deviation 1.5
         assert term.value(x, THETA) == pytest.approx(2.25, abs=1e-14)
 
-    def test_numeric_energy_grad_fallback(self):
-        term = EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
-                                  reference=0.1)
-        x = np.array([0.4, -0.3])
-        grad_x = term.grad_x(x, THETA)
-        expected = 2.0 * (0.5 * float(x @ x) - 0.1) * x
-        assert max_rel_gap(grad_x, expected) <= 1e-6
-
     def test_numeric_fallback_names_an_energy_fn_that_is_not_row_wise(self):
-        # the error names the map at fault, not numeric_jacobian's anonymous "fn"
-        term = EnergyConservation(energy_fn=lambda x: np.sum(x * x), reference=0.0)
+        # the error names the map at fault
+        term = EnergyConservation(energy_fn=lambda x: np.sum(x * x), reference=0.0,
+                                  energy_grad=lambda x: 2.0 * x)
         with pytest.raises(DimensionMismatch,
                            match=r"energy_fn .*\(5, 3\) .*\(5,\), got \(\)"):
             term.grad_x(np.ones((5, 3)), np.ones(3))
-
-    def test_numeric_fallback_names_energy_fn_on_one_state(self):
-        # one state of shape (3,) gets the right energy shape (); the fault
-        # shows on the (6, 3) stack of perturbed copies
-        term = EnergyConservation(energy_fn=lambda x: np.sum(x * x), reference=0.0)
-        with pytest.raises(DimensionMismatch,
-                           match=r"energy_fn .*\(6, 3\) .*\(6,\), got \(\)"):
-            term.grad_x(np.ones(3), None)
 
 
 class TestBarriers:
@@ -176,10 +161,18 @@ class TestTermParameters:
                      "LowerBarrier", "alpha", id="lower-nan-alpha"),
         pytest.param(lambda: ParameterBox(np.zeros(2), np.ones(2), alpha=np.inf),
                      "ParameterBox", "alpha", id="box-inf-alpha"),
-        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=np.nan),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=np.nan,
+                                                energy_grad=np.ones_like),
                      "EnergyConservation", "reference", id="nan-reference"),
-        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=-np.inf),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=-np.inf,
+                                                energy_grad=np.ones_like),
                      "EnergyConservation", "reference", id="inf-reference"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=0.0,
+                                                energy_grad=None),
+                     "EnergyConservation", "energy_grad", id="none-energy-grad"),
+        pytest.param(lambda: EnergyConservation(lambda x: x.sum(axis=-1), reference=0.0,
+                                                energy_grad=np.ones(3)),
+                     "EnergyConservation", "energy_grad", id="array-energy-grad"),
     ])
     def test_bad_parameter_is_refused_naming_term_and_field(self, build, name, field):
         with pytest.raises(InvalidBox, match=rf"^penalty term {name}: {field} must be"):
@@ -223,7 +216,8 @@ class TestGradientConsistency:
     def test_nonnegativity_everywhere(self):
         rng = np.random.default_rng(7)
         terms = [
-            EnergyConservation(energy_fn=lambda x: float(x @ x), reference=0.3),
+            EnergyConservation(energy_fn=lambda x: float(x @ x), reference=0.3,
+                               energy_grad=lambda x: 2.0 * x),
             UpperBarrier(bounds=np.zeros(3), alpha=1.0),
             LowerBarrier(bounds=np.zeros(3), alpha=1.0),
             ParameterBox(lower=-np.ones(2), upper=np.ones(2), alpha=1.0),
@@ -258,7 +252,7 @@ class TestPenaltySpec:
         lambda w: UpperBarrier(bounds=np.zeros(3), alpha=1.0, weight=w),
         lambda w: ParameterBox(lower=-np.ones(2), upper=np.ones(2), alpha=1.0, weight=w),
         lambda w: EnergyConservation(energy_fn=lambda x: x.sum(axis=-1), reference=0.0,
-                                     weight=w),
+                                     energy_grad=np.ones_like, weight=w),
     ], ids=["UpperBarrier", "ParameterBox", "EnergyConservation"])
     def test_rejects_a_non_finite_weight_naming_the_term(self, term, weight):
         # an infinite weight times a term's zero rows would be NaN
@@ -323,8 +317,6 @@ class TestPenaltySpec:
         (EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
                             reference=0.4, energy_grad=lambda x: 1.0 * x,
                             weight=0.7), 0.0),
-        (EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
-                            reference=0.4, weight=0.7), 1e-12),
         (UpperBarrier(bounds=np.array([0.5, np.inf, -0.2]), alpha=1.3, weight=0.3), 0.0),
         (LowerBarrier(bounds=np.array([-0.5, 0.1, -np.inf]), alpha=0.9, weight=2.0), 0.0),
         (ReluUpperBound(bounds=np.array([0.2, -0.1, 0.0]), weight=1.5), 0.0),

@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from msid import (DimensionMismatch, DynamicalModel, LossSpec, MaskViolation,
-                  ModelDims, SparsityMask, euler_attitude_model,
-                  euler_sparsity_mask, gradient, masked_jac_f_x, rollout,
-                  sparse_chain_apply, validate_mask)
+from msid import (DimensionMismatch, DynamicalModel, LossSpec, ModelDims,
+                  SparsityMask, euler_attitude_model, euler_sparsity_mask, gradient,
+                  masked_jac_f_x, rollout, sparse_chain_apply)
 from msid.structure import entry_evaluations
 from conftest import (ATTITUDE_OMEGA0, ATTITUDE_THETA, diagonal_rows, max_rel_gap,
                       reference_adjoint_loop)
@@ -79,43 +78,14 @@ class TestMaskedJacobian:
         masked = masked_jac_f_x(state_jacobians(model, x[None], u[None], theta), mask)
         assert np.array_equal(masked, model.jac_f_x_batch(x[None], u[None], theta))
 
-    def test_wrong_mask_detected(self):
-        model = euler_attitude_model()
-        bad = SparsityMask(np.eye(3, dtype=int))
-        state = np.array([0.3, -0.2, 0.4])
-        with pytest.raises(MaskViolation):
-            validate_mask(model, bad, [(state, np.zeros(3), ATTITUDE_THETA)])
-        validate_mask(model, euler_sparsity_mask(),
-                      [(state, np.zeros(3), ATTITUDE_THETA)])
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_entry_judged_by_position(self, value):
-        # at a masked-out entry it violates the mask; inside the mask it does not
-        def model_with(jac):
-            return DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
-                                  g=lambda x: x,
-                                  jac_f_x_batch=lambda s, u, th: jac[None].repeat(len(s), 0),
-                                  jac_f_theta_batch=lambda s, u, th: np.zeros((len(s), 2, 1)))
-
-        point = [(np.zeros(2), np.zeros(1), np.ones(1))]
-        mask = SparsityMask(np.eye(2, dtype=int))
-        with pytest.raises(MaskViolation):
-            validate_mask(model_with(np.array([[1.0, value], [0.0, 1.0]])), mask, point)
-        validate_mask(model_with(np.array([[value, 0.0], [0.0, 1.0]])), mask, point)
-
     def test_one_matrix_for_a_block_is_refused(self):
         model = DynamicalModel(dims=ModelDims(2, 1, 2, 1), f=lambda x, u, th: x,
                                g=lambda x: x, jac_f_x_batch=lambda s, u, th: np.eye(2),
                                jac_f_theta_batch=lambda s, u, th: np.zeros((len(s), 2, 1)))
-        mask = SparsityMask(np.eye(2, dtype=int))
-        with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
-            validate_mask(model, mask, [(np.zeros(2), np.zeros(1), np.ones(1))])
         with pytest.raises(DimensionMismatch, match="jac_f_x_batch must be row-wise"):
             model.transition_jacobians(np.zeros((4, 2)), np.zeros((4, 1)), np.ones(1))
 
     @pytest.mark.parametrize("check", [
-        pytest.param(lambda model, mask: validate_mask(
-            model, mask, [(ATTITUDE_OMEGA0, np.zeros(3), ATTITUDE_THETA)]), id="validate_mask"),
         pytest.param(lambda model, mask: masked_jac_f_x(state_jacobians(
             model, ATTITUDE_OMEGA0[None], np.zeros((1, 3)), ATTITUDE_THETA), mask),
             id="masked_jac_f_x"),
