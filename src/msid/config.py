@@ -452,7 +452,7 @@ def identification_inputs(config: RunConfig, dataset: Dataset,
     else:
         nominal = np.zeros(model.dims.n_u)
     inputs = np.tile(nominal, (len(dataset), 1))
-    return Dataset(inputs, dataset.observations.copy(), dataset.dt)
+    return Dataset(inputs, dataset.observations, dataset.dt)
 
 
 def build_penalty_spec(config: RunConfig, model: DynamicalModel,

@@ -39,8 +39,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, TrajectoryMismatch
-from .model import Dataset, DynamicalModel, Trajectory, check_rows, numeric_jacobian, rollout
+from .errors import DimensionMismatch, InvalidBox, NonFiniteValue, TrajectoryMismatch
+from .model import (Dataset, DynamicalModel, Trajectory, _freeze, _is_count, check_rows,
+                    numeric_jacobian, rollout)
 from .penalties import PenaltySpec
 from .structure import masked_jac_f_x, sparse_chain_apply
 
@@ -63,11 +64,11 @@ REDUCTION_MAX_SIZE = 16
 class LossSpec:
     """Weighting and horizon of the multi-step cost.
 
-    ``Q`` is a symmetric positive-semidefinite observation-error weight; a
-    ``Q`` asymmetric only by rounding (at most ``SYMMETRY_TOL`` relative to
-    its largest entry) is replaced by its symmetric part.  ``horizon`` is
-    the number of scored steps (>= 2), ``penalty`` an optional
-    :class:`~msid.penalties.PenaltySpec`.
+    ``Q`` is a real symmetric positive-semidefinite observation-error
+    weight, of which a read-only copy is kept; a ``Q`` asymmetric only by
+    rounding (at most ``SYMMETRY_TOL`` relative to its largest entry) is
+    replaced by its symmetric part.  ``horizon`` is the number of scored
+    steps (>= 2), ``penalty`` None or a :class:`~msid.penalties.PenaltySpec`.
     """
 
     Q: Array
@@ -75,7 +76,9 @@ class LossSpec:
     penalty: Optional[PenaltySpec] = None
 
     def __post_init__(self):
-        q = np.asarray(self.Q, dtype=float)
+        if np.asarray(self.Q).dtype.kind not in "biuf":
+            raise DimensionMismatch(f"Q must be a real matrix, got {self.Q!r}")
+        q = np.array(self.Q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
             raise DimensionMismatch(f"Q must be square and non-empty, got shape {q.shape}")
         if not np.isfinite(q).all():
@@ -88,15 +91,16 @@ class LossSpec:
             q = (q + q.T) / 2.0
         if float(np.min(np.linalg.eigvalsh(q))) < -PSD_TOL:
             raise DimensionMismatch("Q must be positive semidefinite")
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 2:
+        if not _is_count(self.horizon, 2):
             raise DimensionMismatch(f"horizon must be an integer >= 2, got {self.horizon!r}")
-        q.setflags(write=False)
-        object.__setattr__(self, "Q", q)
+        if not (self.penalty is None or isinstance(self.penalty, PenaltySpec)):
+            raise InvalidBox(f"penalty must be a PenaltySpec or None, got {self.penalty!r}")
+        object.__setattr__(self, "Q", _freeze(q))
 
     @classmethod
     def scaled_identity(cls, n_z: int, horizon: int, scale: float = 1.0,
                         penalty: Optional[PenaltySpec] = None) -> "LossSpec":
-        if isinstance(n_z, bool) or not isinstance(n_z, (int, np.integer)) or n_z < 0:
+        if not _is_count(n_z, 0):
             raise DimensionMismatch(f"n_z must be an integer >= 0, got {n_z!r}")
         return cls(scale * np.eye(n_z), horizon, penalty)
 

@@ -46,6 +46,11 @@ def _is_number(value) -> bool:
     return np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
 
 
+def _is_count(value, low: int) -> bool:
+    """True for a Python or numpy integer >= ``low``, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
 def _vector(value, n: Optional[int], name: str) -> Array:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 1:
@@ -73,8 +78,7 @@ class ModelDims:
     def __post_init__(self):
         for name in ("n_x", "n_u", "n_z", "n_theta"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value < 1):
+            if not _is_count(value, 1):
                 raise DimensionMismatch(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -208,11 +212,13 @@ class DynamicalModel:
         state and by theta at (N, n_x) states and (N, n_u) inputs.
 
         One call of each Jacobian field, shape-checked, if the model gives
-        them; else two views of one :func:`numeric_jacobian` call over the
-        concatenated (x, theta) columns, which hands every perturbed copy
-        to one ``f`` call (a few above ``ROW_BUDGET`` rows), the inputs
-        tiled.  A non-finite state or theta there raises
-        :class:`NonFiniteValue` naming it as ``x[j]`` or ``theta[j]``.
+        them; else two views of one (N, n_x, n_x + n_theta) block from one
+        :func:`numeric_jacobian` call over the (x, theta) columns, which
+        hands every perturbed copy to one ``f`` call (a few above
+        ``ROW_BUDGET`` rows), the inputs tiled.  Either view keeps the whole
+        block alive; copy one to keep it alone.  A non-finite state or theta
+        there raises :class:`NonFiniteValue` naming it as ``x[j]`` or
+        ``theta[j]``.
         """
         n_x, n_u, n_theta = self.dims.n_x, self.dims.n_u, self.dims.n_theta
         states, inputs = np.asarray(states, dtype=float), np.asarray(inputs, dtype=float)
@@ -256,7 +262,7 @@ class Dataset:
 
     ``inputs`` has shape (T, n_u) and ``observations`` (T, n_z) with T >= 2.
     Every value must be finite.  ``dt`` is metadata only; nothing in the
-    package integrates over it.  Instances are immutable.
+    package integrates over it.  Instances are immutable copies.
     """
 
     inputs: Array
@@ -264,8 +270,8 @@ class Dataset:
     dt: float = 1.0
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        observations = np.asarray(self.observations, dtype=float)
+        inputs = np.array(self.inputs, dtype=float)
+        observations = np.array(self.observations, dtype=float)
         if inputs.ndim != 2 or observations.ndim != 2:
             raise DimensionMismatch(
                 f"inputs and observations must be 2-D, got {inputs.shape} and {observations.shape}")
@@ -292,11 +298,10 @@ class Dataset:
 
     def prefix(self, horizon: int) -> "Dataset":
         """First ``horizon`` samples as a new dataset."""
-        if not (isinstance(horizon, (int, np.integer)) and 2 <= horizon <= len(self)):
+        if not (_is_count(horizon, 2) and horizon <= len(self)):
             raise DimensionMismatch(
                 f"prefix horizon must be in [2, {len(self)}], got {horizon}")
-        return Dataset(self.inputs[:horizon].copy(),
-                       self.observations[:horizon].copy(), self.dt)
+        return Dataset(self.inputs[:horizon], self.observations[:horizon], self.dt)
 
 
 @dataclass(frozen=True)
@@ -362,7 +367,7 @@ def rollout(model: DynamicalModel, x0, theta, inputs) -> Trajectory:
         step = int(np.argmin(np.isfinite(states[1:]).all(axis=1))) + 1
         raise NonFiniteState(f"state became non-finite at step {step}", step=step)
     predictions = check_rows("g", model.g(states[:horizon]), (horizon, dims.n_z))
-    return Trajectory(states=states, predictions=predictions, parameters=theta)
+    return Trajectory(states=states, predictions=predictions, parameters=theta.copy())
 
 
 def format_float(value) -> str:
@@ -379,7 +384,7 @@ def save_dataset(path, dataset: Dataset, n_x: int) -> None:
     An ``n_x`` that is not an integer >= 1 raises :class:`DimensionMismatch`
     before the file is opened.
     """
-    if isinstance(n_x, bool) or not isinstance(n_x, (int, np.integer)) or n_x < 1:
+    if not _is_count(n_x, 1):
         raise DimensionMismatch(f"n_x must be an integer >= 1, got {n_x!r}")
     n_u = dataset.inputs.shape[1]
     n_z = dataset.observations.shape[1]

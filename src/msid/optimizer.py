@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DivergedRollout, InvalidBox, NonFiniteGradient,
                      NonFiniteValue, OutsideDomain)
 from .gradient import LossSpec, fd_gradient, gradient
-from .model import Dataset, DynamicalModel, _is_number, rollout
+from .model import Dataset, DynamicalModel, _is_count, _is_number, rollout
 from .penalties import project_box
 
 Array = np.ndarray
@@ -59,7 +59,7 @@ class AdamState:
     @classmethod
     def fresh(cls, n: int, lr, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> "AdamState":
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_count(n, 0):
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
         _check_open("beta1", beta1, 1)
         _check_open("beta2", beta2, 1)
@@ -132,8 +132,7 @@ class IdentifyOptions:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        if (isinstance(self.max_epochs, bool)
-                or not isinstance(self.max_epochs, (int, np.integer)) or self.max_epochs < 1):
+        if not _is_count(self.max_epochs, 1):
             raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
         for name in ("cost_tol", "grad_tol"):
             value = getattr(self, name)

@@ -1,25 +1,24 @@
 """Differentiable penalties that encode physical knowledge in the cost.
 
-Terms work row by row.  A state-dependent term receives a block ``x`` of
-states of shape (..., n_x) (a single state is a block of one) and returns
-one result per row:
-
-* ``value(x, theta)`` has shape (...);
-* ``grad_x(x, theta)`` has shape (..., n_x);
-* ``grad_theta(x, theta)`` has shape (..., n_theta).
+A term is the derivatives it defines: a ``value``, a ``weight``, and
+``grad_x`` and ``grad_theta`` where it has them; a derivative it lacks
+counts as zero.  A term with ``grad_x`` is a state term, charged at every
+step of the horizon, with bounds sized n_x.  It works row by row on a block
+``x`` of states of shape (..., n_x) (a single state is a block of one):
+``value`` has shape (...), ``grad_x`` (..., n_x) and ``grad_theta``, needed
+only if the value depends on the parameters, (..., n_theta).  A term
+without ``grad_x`` is a parameter term: it receives ``x=None``, is charged
+once per cost evaluation, has bounds sized n_theta and needs ``grad_theta``.
 
 So :class:`PenaltySpec` charges a whole trajectory with one call per term
 and method, not one per step, and it raises :class:`DimensionMismatch`,
 naming the term, when a term returns anything but one row per state.
-State-dependent terms (energy deviation, state bounds) are charged at every
-step of the horizon.  Parameter-only terms (parameter box) receive
-``x=None``, are charged once per cost evaluation and have no ``grad_x``.
-Every term carries its own finite, nonnegative weight and exposes analytic
-gradients.  Built with bounds that are not 1-D or hold a NaN (an infinite
-bound switches its component off), a non-finite ``alpha`` or ``reference``,
-or an ``energy_grad`` that is not callable, a term raises
-:class:`InvalidBox` naming it and the field.
-Bounds of the wrong length meet :meth:`PenaltySpec.check_sizes` in every cost.
+Every term carries its own finite, nonnegative weight.  Built with bounds
+that are not 1-D or hold a NaN (an infinite bound switches its component
+off), a non-finite ``alpha`` or ``reference``, or an ``energy_grad`` that
+is not callable, a term raises :class:`InvalidBox` naming it and the field;
+it keeps a read-only copy of its bounds.  Bounds of the wrong length meet
+:meth:`PenaltySpec.check_sizes` in every cost.
 
 Exponential barriers saturate their exponent at the module constant
 ``EXP_CAP`` (700, just under the double-precision overflow boundary) so
@@ -30,12 +29,12 @@ finite gradient that still points back toward feasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBox
-from .model import _is_number, check_rows
+from .model import _freeze, _is_number, check_rows
 
 Array = np.ndarray
 
@@ -47,43 +46,36 @@ def _clipped_exp(exponent):
 
 
 def _check_parameters(term) -> None:
-    """Store each of the ``bound_fields`` of ``term`` as a 1-D float array
-    free of NaN, and check its ``alpha``, if it has one, positive and finite."""
+    """Store each of the ``bound_fields`` of ``term`` as a read-only 1-D float
+    copy free of NaN, and check its ``alpha``, if it has one, positive and finite."""
     for name in term.bound_fields:
-        value = np.asarray(getattr(term, name), dtype=float)
+        value = np.array(getattr(term, name), dtype=float)
         if value.ndim != 1 or np.isnan(value).any():
             raise InvalidBox(f"penalty term {type(term).__name__}: {name} must be 1-D and "
                              f"free of NaN, got {getattr(term, name)!r}")
-        object.__setattr__(term, name, value)
+        object.__setattr__(term, name, _freeze(value))
     alpha = getattr(term, "alpha", 1.0)
     if not (_is_number(alpha) and 0 < alpha < np.inf):
         raise InvalidBox(f"penalty term {type(term).__name__}: alpha must be positive and "
                          f"finite, got {term.alpha}")
 
 
-def _zero_theta_rows(x, theta) -> Array:
-    # the grad_theta of a term free of the parameters; PenaltySpec skips it
-    return np.zeros(np.shape(x)[:-1] + np.shape(theta))
-
-
 @dataclass(frozen=True)
 class EnergyConservation:
     """Quadratic deviation of a scalar energy function from a reference value.
 
-    ``h(x) = (energy_fn(x) - reference)**2``.  ``energy_fn`` must be a fixed
-    map of the state alone, applied row by row: it maps a block of states of
-    shape (..., n_x) to energies of shape (...), over any leading axes, and
-    ``energy_grad`` maps the same block to gradients of shape (..., n_x).
-    Energies of another shape raise :class:`~msid.errors.DimensionMismatch`
-    naming ``energy_fn``.
+    ``h(x) = (energy_fn(x) - reference)**2``, free of the parameters, so it
+    has no ``grad_theta``.  ``energy_fn`` must be a fixed map of the state
+    alone, applied row by row: it maps a block of states of shape (..., n_x)
+    to energies of shape (...), over any leading axes, and ``energy_grad``
+    the same block to gradients of shape (..., n_x).  A map giving another
+    shape raises :class:`~msid.errors.DimensionMismatch` naming it.
     """
 
     energy_fn: Callable[[Array], Array]
     reference: float
     energy_grad: Callable[[Array], Array]
     weight: float = 1.0
-
-    depends_on_state: ClassVar[bool] = True
 
     def __post_init__(self):
         if not (_is_number(self.reference) and np.isfinite(self.reference)):
@@ -107,10 +99,11 @@ class EnergyConservation:
 
     def grad_x(self, x, theta) -> Array:
         x = np.asarray(x, dtype=float)
-        deviation = self._deviation(x)
-        return (2.0 * deviation)[..., None] * np.asarray(self.energy_grad(x), dtype=float)
-
-    grad_theta = staticmethod(_zero_theta_rows)
+        deviation, grad = self._deviation(x), np.asarray(self.energy_grad(x), dtype=float)
+        if grad.shape != x.shape:
+            raise DimensionMismatch(f"energy_grad must map states of shape {x.shape} to the "
+                                    f"same shape, got {grad.shape}")
+        return (2.0 * deviation)[..., None] * grad
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,6 @@ class _ExpBarrier:
     alpha: float
     weight: float = 1.0
 
-    depends_on_state: ClassVar[bool] = True
     bound_fields: ClassVar[tuple] = ("bounds",)
     sign: ClassVar[float]
 
@@ -140,8 +132,6 @@ class _ExpBarrier:
 
     def grad_x(self, x, theta) -> Array:
         return 2.0 * self.alpha * self.sign * self._exp(x)
-
-    grad_theta = staticmethod(_zero_theta_rows)
 
 
 class UpperBarrier(_ExpBarrier):
@@ -180,7 +170,6 @@ class ParameterBox:
     alpha: float
     weight: float = 1.0
 
-    depends_on_state: ClassVar[bool] = False
     bound_fields: ClassVar[tuple] = ("lower", "upper")
 
     def __post_init__(self):
@@ -218,7 +207,6 @@ class ReluUpperBound:
     bounds: Array
     weight: float = 1.0
 
-    depends_on_state: ClassVar[bool] = True
     bound_fields: ClassVar[tuple] = ("bounds",)
 
     def __post_init__(self):
@@ -230,48 +218,53 @@ class ReluUpperBound:
     def grad_x(self, x, theta) -> Array:
         return (np.asarray(x, dtype=float) > self.bounds).astype(float)
 
-    grad_theta = staticmethod(_zero_theta_rows)
-
 
 @dataclass(frozen=True)
 class PenaltySpec:
     """An ordered collection of penalty terms with per-term weights.
 
     The ``step_*`` methods take a block of states of shape (..., n_x) and
-    return the weighted sum over the state-dependent terms, one row per
-    state.
+    return the weighted sum over the state terms that define the method, one
+    row per state.  :class:`InvalidBox` refuses ``terms`` that is not an
+    iterable and, naming the term, a ``value`` or a parameter term's
+    ``grad_theta`` that is not callable, or a weight not finite and nonnegative.
     """
 
     terms: tuple
 
     def __post_init__(self):
+        if not isinstance(self.terms, Iterable):
+            raise InvalidBox(f"penalty terms must be an iterable, got {self.terms!r}")
         terms = tuple(self.terms)
         for term in terms:
-            if not (_is_number(term.weight) and 0 <= term.weight < np.inf):
-                raise InvalidBox(f"penalty term {type(term).__name__}: weight must be "
-                                 f"finite and nonnegative, got {term.weight}")
+            name, weight = type(term).__name__, getattr(term, "weight", None)
+            for method in ("value",) if hasattr(term, "grad_x") else ("value", "grad_theta"):
+                if not callable(getattr(term, method, None)):
+                    raise InvalidBox(f"penalty term {name}: {method} must be callable")
+            if not (_is_number(weight) and 0 <= weight < np.inf):
+                raise InvalidBox(f"penalty term {name}: weight must be "
+                                 f"finite and nonnegative, got {weight}")
         object.__setattr__(self, "terms", terms)
 
     def check_sizes(self, n_x: int, n_theta: int) -> None:
         """Refuse ``bound_fields`` not of one bound per state component or parameter."""
         for t in self.terms:
-            size = n_x if t.depends_on_state else n_theta
+            size = n_x if hasattr(t, "grad_x") else n_theta
             for name in getattr(t, "bound_fields", ()):
                 if len(getattr(t, name)) != size:
                     raise DimensionMismatch(f"penalty term {type(t).__name__}: {name} must "
                                             f"have length {size}, got {len(getattr(t, name))}")
 
     def _param_terms(self):
-        return (t for t in self.terms if not t.depends_on_state)
+        return (t for t in self.terms if not hasattr(t, "grad_x"))
 
     def _row_sum(self, method: str, x, theta, tail: tuple) -> Array:
-        """Weighted sum of ``method`` over the state-dependent terms, each
-        checked to give one row of shape ``tail`` per state row of ``x``; a
-        ``_zero_theta_rows`` method would add its finite weight times zeros."""
+        """Weighted sum of ``method`` over the state terms that define it, each
+        checked to give one row of shape ``tail`` per state row of ``x``."""
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape[:-1] + tail)
         for t in self.terms:
-            if t.depends_on_state and getattr(type(t), method, None) is not _zero_theta_rows:
+            if hasattr(t, "grad_x") and hasattr(t, method):
                 total += t.weight * check_rows(f"penalty term {type(t).__name__}.{method}",
                                                getattr(t, method)(x, theta), total.shape)
         return total

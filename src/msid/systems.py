@@ -21,7 +21,7 @@ from itertools import count
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveInertia
-from .model import Dataset, DynamicalModel, ModelDims, _is_number, rollout
+from .model import Dataset, DynamicalModel, ModelDims, _is_count, _is_number, rollout
 from .penalties import EnergyConservation
 from .structure import SparsityMask
 
@@ -295,8 +295,7 @@ class NoiseSpec:
             if not (_is_number(value) and np.isfinite(value) and value >= low):
                 bound = "" if low < 0 else " and nonnegative"
                 raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if not _is_count(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
@@ -308,7 +307,7 @@ def generate_dataset(model: DynamicalModel, x0_true, theta_true, horizon: int,
     both are consumed step-by-step in order, so generating a longer horizon
     with the same seed reproduces the shorter dataset as its prefix.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 2:
+    if not _is_count(horizon, 2):
         raise DimensionMismatch(f"horizon must be an integer >= 2, got {horizon!r}")
     seed_seq = np.random.SeedSequence(noise.seed)
     input_stream, obs_stream = seed_seq.spawn(2)

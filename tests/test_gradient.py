@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msid import (Dataset, DimensionMismatch, EnergyConservation, GradientReport,
-                  IdentifyOptions, LossSpec, NoiseSpec, NonFiniteValue, ParameterBox,
+                  IdentifyOptions, InvalidBox, LossSpec, NoiseSpec, NonFiniteValue, ParameterBox,
                   PenaltySpec, ReluUpperBound, SparsityMask, Trajectory,
                   TrajectoryMismatch, UpperBarrier, cost, euler_attitude_model,
                   fd_gradient, gamma_terms, generate_dataset, gradient, gradient_naive,
@@ -104,6 +104,22 @@ class TestCost:
         spec = LossSpec(q, 2)
         assert np.array_equal(spec.Q, spec.Q.T)
         assert np.max(np.abs(spec.Q - q)) <= 1e-12 * np.max(np.abs(q))
+
+    def test_q_is_a_read_only_copy(self):
+        q = np.eye(2)
+        spec = LossSpec(q, 5)
+        q[0, 0] = 7.0  # the caller's Q stays writeable
+        assert np.array_equal(spec.Q, np.eye(2)) and not spec.Q.flags.writeable
+
+    @pytest.mark.parametrize("q", [(1.0 + 1.0j) * np.eye(2), "abc", [["1"]]],
+                             ids=["complex", "string", "strings"])
+    def test_q_that_is_no_real_matrix_is_refused(self, q):
+        with pytest.raises(DimensionMismatch, match=r"^Q must be a real matrix"):
+            LossSpec(q, 5)
+
+    def test_penalty_that_is_no_penalty_spec_is_refused(self):
+        with pytest.raises(InvalidBox, match=r"^penalty must be a PenaltySpec or None, got 'x'"):
+            LossSpec(np.eye(3), 5, penalty="x")
 
     def test_q_must_be_psd(self):
         with pytest.raises(DimensionMismatch):

@@ -28,6 +28,12 @@ class TestRollout:
         assert np.array_equal(traj.states, np.tile([1.0, 2.0], (4, 1)))
         assert np.array_equal(traj.predictions, np.tile([1.0, 2.0], (3, 1)))
 
+    def test_parameters_are_a_copy_of_theta(self):
+        theta = np.array([2.0])
+        traj = rollout(scalar_linear_model(), [1.0], theta, np.zeros((3, 1)))
+        theta[0] = 3.0  # the caller's theta stays writeable
+        assert np.array_equal(traj.parameters, [2.0])
+
     def test_scalar_geometric_sequence(self):
         model = scalar_linear_model()
         traj = rollout(model, [1.0], [2.0], np.zeros((3, 1)))
@@ -224,6 +230,13 @@ class TestDataset:
         dataset = Dataset(np.zeros((3, 1)), np.ones((3, 1)))
         with pytest.raises(ValueError):
             dataset.inputs[0, 0] = 1.0
+
+    def test_arrays_are_copies_and_the_callers_stay_writeable(self):
+        inputs, observations = np.zeros((3, 1)), np.ones((3, 1))
+        dataset = Dataset(inputs, observations)
+        inputs[0, 0], observations[0, 0] = 5.0, 5.0
+        assert np.array_equal(dataset.inputs, np.zeros((3, 1)))
+        assert np.array_equal(dataset.observations, np.ones((3, 1)))
 
     def test_prefix(self):
         dataset = Dataset(np.arange(8.0).reshape(4, 2), np.ones((4, 1)), dt=0.5)

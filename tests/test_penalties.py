@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (DimensionMismatch, EnergyConservation, InvalidBox,
+from msid import (DimensionMismatch, EnergyConservation, InvalidBox, LossSpec,
                   LowerBarrier, ParameterBox, PenaltySpec, ReluUpperBound,
-                  UpperBarrier, project_box)
-from conftest import max_rel_gap
+                  UpperBarrier, fd_gradient, gradient, project_box, rollout)
+from conftest import max_rel_gap, random_instance, report_gap
 
 THETA = np.array([0.2, -0.4])
 
@@ -35,9 +35,9 @@ class TestEnergyConservation:
         term = self.term()
         x = np.array([1.0, 0.0, 0.0])  # energy exactly 0.5
         assert term.value(x, THETA) == 0.0
-        grad_x, grad_theta = term.grad_x(x, THETA), term.grad_theta(x, THETA)
-        assert np.array_equal(grad_x, np.zeros(3))
-        assert np.array_equal(grad_theta, np.zeros(2))
+        assert np.array_equal(term.grad_x(x, THETA), np.zeros(3))
+        # free of the parameters: no grad_theta, which counts as zero
+        assert not hasattr(term, "grad_theta")
 
     def test_quadratic_growth(self):
         term = self.term()
@@ -51,6 +51,16 @@ class TestEnergyConservation:
         with pytest.raises(DimensionMismatch,
                            match=r"energy_fn .*\(5, 3\) .*\(5,\), got \(\)"):
             term.grad_x(np.ones((5, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("energy_grad, got", [
+        pytest.param(lambda x: x[0], r"\(3,\)", id="first-row"),
+        pytest.param(lambda x: x.sum(axis=-1), r"\(4,\)", id="row-sums"),
+    ])
+    def test_gradient_of_another_shape_is_refused_naming_energy_grad(self, energy_grad, got):
+        term = EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                                  reference=0.5, energy_grad=energy_grad)
+        with pytest.raises(DimensionMismatch, match=rf"energy_grad .*\(4, 3\) .*got {got}"):
+            term.grad_x(np.arange(12.0).reshape(4, 3), THETA)
 
 
 class TestBarriers:
@@ -185,6 +195,22 @@ class TestTermParameters:
                      ReluUpperBound(off), ParameterBox(-off, off, alpha=1.0)):
             assert term.value(x, theta) == 0.0
 
+    @pytest.mark.parametrize("build, fields", [
+        pytest.param(lambda lo, up: UpperBarrier(lo, alpha=1.0), ("bounds",), id="upper"),
+        pytest.param(lambda lo, up: LowerBarrier(lo, alpha=1.0), ("bounds",), id="lower"),
+        pytest.param(lambda lo, up: ReluUpperBound(lo), ("bounds",), id="relu"),
+        pytest.param(lambda lo, up: ParameterBox(lo, up, alpha=1.0), ("lower", "upper"),
+                     id="box"),
+    ])
+    def test_bounds_are_kept_as_read_only_copies(self, build, fields):
+        lower, upper = np.zeros(3), np.ones(3)
+        term = build(lower, upper)
+        # the caller's arrays stay writeable, and writing them reaches no term
+        lower[:], upper[:] = 5.0, -5.0
+        for name, given in zip(fields, (np.zeros(3), np.ones(3))):
+            assert np.array_equal(getattr(term, name), given)
+            assert not getattr(term, name).flags.writeable
+
 
 class TestGradientConsistency:
     @pytest.mark.parametrize("builder", [
@@ -203,9 +229,11 @@ class TestGradientConsistency:
             term = builder(rng)
             x = rng.uniform(-0.9, 0.9, 3)
             theta = rng.uniform(-0.9, 0.9, 2)
-            # a parameter-only term has no grad_x: its value is free of the state
-            grad_x = term.grad_x(x, theta) if term.depends_on_state else np.zeros(3)
-            grad_theta = term.grad_theta(x, theta)
+            # a derivative a term does not define is zero: a parameter term
+            # has no grad_x, a state term free of the parameters no grad_theta
+            grad_x = term.grad_x(x, theta) if hasattr(term, "grad_x") else np.zeros(3)
+            grad_theta = (term.grad_theta(x, theta) if hasattr(term, "grad_theta")
+                          else np.zeros(2))
             fd_x, fd_theta = fd_gradients(term, x, theta)
             for analytic, fd in ((grad_x, fd_x), (grad_theta, fd_theta)):
                 if np.max(np.abs(analytic)) < 1e-9:
@@ -263,7 +291,6 @@ class TestPenaltySpec:
     def test_methods_equal_the_sum_over_terms_bit_for_bit(self):
         class ThetaTerm:
             # a state term that depends on the parameters, so its rows count
-            depends_on_state = True
             weight = 0.25
 
             def value(self, x, theta):
@@ -296,12 +323,12 @@ class TestPenaltySpec:
         def per_term_sum(method, tail):
             total = np.zeros(states.shape[:-1] + tail)
             for term in terms:
-                if term.depends_on_state:
+                if hasattr(term, "grad_x") and hasattr(term, method):
                     total += term.weight * getattr(term, method)(states, theta)
             return total
 
         param_value = sum(t.weight * t.value(None, theta)
-                          for t in terms if not t.depends_on_state)
+                          for t in terms if not hasattr(t, "grad_x"))
         total_value = float(param_value + per_term_sum("value", ()).sum())
         assert np.float64(spec.total_value(states, theta)).tobytes() == \
             np.float64(total_value).tobytes()
@@ -312,6 +339,44 @@ class TestPenaltySpec:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), method
         assert spec.step_grad_theta(states, theta)[:, 0].any()
+
+    def test_state_term_without_grad_theta_is_free_of_the_parameters(self):
+        class Quadratic:
+            weight = 0.05
+
+            def value(self, x, theta):
+                return np.sum(x * x, axis=-1)
+
+            def grad_x(self, x, theta):
+                return 2.0 * x
+
+        penalty = PenaltySpec((Quadratic(),))
+        states = np.random.default_rng(5).normal(size=(6, 3))
+        assert np.array_equal(penalty.step_grad_theta(states, THETA), np.zeros((6, 2)))
+        model, dataset, spec, theta, x0 = random_instance(1003)
+        spec = LossSpec(spec.Q, spec.horizon, penalty)
+        report = gradient(model, rollout(model, x0, theta, dataset.inputs), dataset, spec, theta)
+        assert report.penalty_total > 0.0
+        assert report_gap(report, fd_gradient(model, x0, theta, dataset, spec)) <= 1e-6
+
+    def test_terms_that_are_not_an_iterable_are_refused(self):
+        with pytest.raises(InvalidBox, match=r"^penalty terms must be an iterable, got None"):
+            PenaltySpec(None)
+
+    def test_a_term_without_a_callable_value_is_refused(self):
+        with pytest.raises(InvalidBox, match=r"^penalty term int: value must be callable"):
+            PenaltySpec((1,))
+
+    def test_a_parameter_term_without_grad_theta_is_refused(self):
+        class ValueOnly:
+            weight = 1.0
+
+            def value(self, x, theta):
+                return float(np.sum(theta))
+
+        with pytest.raises(InvalidBox,
+                           match=r"^penalty term ValueOnly: grad_theta must be callable"):
+            PenaltySpec((ValueOnly(),))
 
     @pytest.mark.parametrize("term, tol", [
         (EnergyConservation(energy_fn=lambda x: 0.5 * np.sum(x * x, axis=-1),
