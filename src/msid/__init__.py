@@ -16,9 +16,9 @@ from .penalties import (EnergyConservation, LowerBarrier, ParameterBox,
                         project_box)
 from .structure import (SparsityMask, entry_evaluations, masked_jac_f_x,
                         sparse_chain_apply)
-from .systems import (NoiseSpec, angular_rates, euler_attitude_model,
-                      euler_sparsity_mask, euler_step, generate_dataset,
-                      rotational_energy, rotational_energy_gradient,
-                      rotational_energy_term, scalar_linear_model)
+from .systems import (NoiseSpec, euler_attitude_model, euler_sparsity_mask,
+                      euler_step, generate_dataset, rotational_energy,
+                      rotational_energy_gradient, rotational_energy_term,
+                      scalar_linear_model)
 
 __version__ = "0.1.0"

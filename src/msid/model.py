@@ -386,13 +386,14 @@ def save_dataset(path, dataset: Dataset, n_x: int) -> None:
     Layout: one metadata comment line ``# dt=<dt> n_x=<..> n_u=<..> n_z=<..>``,
     a header row ``k,u_1..u_{n_u},z_1..z_{n_z}``, then one row per step.
     Values carry full double precision with a locale-independent decimal point.
-    An ``n_x`` that is not an integer >= 1 raises :class:`DimensionMismatch`
-    before the file is opened.
+    An ``n_x`` that is not an integer >= 1, or a dataset without inputs or
+    observations, which :func:`load_dataset` would refuse, raises
+    :class:`DimensionMismatch` before the file is opened.
     """
-    if not _is_count(n_x, 1):
-        raise DimensionMismatch(f"n_x must be an integer >= 1, got {n_x!r}")
-    n_u = dataset.inputs.shape[1]
-    n_z = dataset.observations.shape[1]
+    n_u, n_z = dataset.inputs.shape[1], dataset.observations.shape[1]
+    for name, value in (("n_x", n_x), ("n_u", n_u), ("n_z", n_z)):
+        if not _is_count(value, 1):
+            raise DimensionMismatch(f"{name} must be an integer >= 1, got {value!r}")
     with open(path, "w", newline="") as handle:
         handle.write(f"# dt={format_float(dataset.dt)} n_x={n_x} n_u={n_u} n_z={n_z}\n")
         writer = csv.writer(handle)

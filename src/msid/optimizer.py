@@ -196,15 +196,16 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
     The initial candidate p = (theta0, x0) is evaluated once: a non-finite
     evaluation raises :class:`DivergedRollout`, and one outside the model's
     domain (:class:`OutsideDomain`, e.g. a nonpositive inertia) re-raises its
-    error.  Each epoch then records the accepted candidate, checks the
-    stopping rules (``max_epochs`` updates, ``cost_tol``, ``grad_tol``) and
-    proposes the next candidate from the accepted p and ADAM state: one ADAM
-    update (``lr_theta`` on the theta slots, ``lr_x0`` on the x0 slots), then
-    the optional projection of theta onto ``box``.  A candidate whose
-    evaluation is non-finite or outside the domain is rejected: the learning
-    rates of the accepted state are halved and the step is proposed again.
-    After ``MAX_CONSECUTIVE_REJECTIONS`` rejections in a row the run aborts
-    with :class:`DivergedRollout`.
+    error.  Each epoch then records the accepted candidate and its gradient
+    norm (the root of a ``math.fsum`` of squares: no BLAS kernel sets its
+    bits), checks the stopping rules (``max_epochs`` updates, ``cost_tol``,
+    ``grad_tol``) and proposes the next candidate from the accepted p and
+    ADAM state: one ADAM update (``lr_theta`` on the theta slots, ``lr_x0`` on
+    the x0 slots), then the optional projection of theta onto ``box``.  A
+    candidate whose evaluation is non-finite or outside the domain is
+    rejected: the learning rates of the accepted state are halved and the
+    step is proposed again.  After ``MAX_CONSECUTIVE_REJECTIONS`` rejections
+    in a row the run aborts with :class:`DivergedRollout`.
     """
     options = options or IdentifyOptions()
     theta = np.array(theta0, dtype=float)
@@ -235,9 +236,11 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
         raise DivergedRollout("rollout diverged at the initial candidate", epoch=0)
     history, rejected = [], 0
     for epoch in itertools.count():
-        grad_theta, grad_x0 = report.grad_theta, report.grad_x0
-        # block by block: the norm of p would sum in another order
-        grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+        grad = np.concatenate([report.grad_theta, report.grad_x0])
+        try:
+            grad_norm = math.sqrt(math.fsum((grad * grad).tolist()))
+        except OverflowError:  # finite squares whose sum exceeds the float range
+            grad_norm = math.inf
         history.append(HistoryRecord(epoch=epoch, cost=report.cost, grad_norm=grad_norm,
                                      theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
         if options.cost_tol > 0.0 and report.cost < options.cost_tol:
@@ -249,7 +252,6 @@ def identify(model: DynamicalModel, dataset: Dataset, spec: LossSpec,
         if epoch >= options.max_epochs:
             stop_reason = StopReason.MAX_EPOCHS
             break
-        grad = np.concatenate([grad_theta, grad_x0])
         for _ in range(MAX_CONSECUTIVE_REJECTIONS):
             candidate, proposed = adam_step(adam, grad, p)
             if box is not None:

@@ -85,22 +85,6 @@ def _advance(w, m, i, dt, integrator: str) -> list:
     raise ValueError(f"unknown integrator {integrator!r}")
 
 
-def _points(omega: Array, torque: Array, inertia: Array) -> tuple:
-    """Three float arrays as lists; DimensionMismatch unless each has shape (3,)."""
-    if not omega.shape == torque.shape == inertia.shape == (3,):
-        raise DimensionMismatch(f"omega, torque and inertia must have shape (3,), got "
-                                f"{omega.shape}, {torque.shape} and {inertia.shape}")
-    return omega.tolist(), torque.tolist(), inertia.tolist()
-
-
-def angular_rates(omega, torque, inertia) -> Array:
-    """Angular acceleration of the rigid body: solve I*dw/dt = M - w x (I*w)."""
-    omega, torque, inertia = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
-    w, m, i = _points(omega, torque, inertia)
-    _check_inertia(inertia)
-    return np.array(_rates(w, (m[0] / i[0], m[1] / i[1], m[2] / i[2]), _coupling(i, 1.0)))
-
-
 def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULER) -> Array:
     """One integrator step of the rigid-body equations (torque held constant).
 
@@ -113,7 +97,10 @@ def euler_step(omega, torque, inertia, dt: float, integrator: str = FORWARD_EULE
     omega, torque, inertia = (np.asarray(a, dtype=float) for a in (omega, torque, inertia))
     point = omega.ndim == torque.ndim == inertia.ndim == 1
     if point:
-        w, m, i = _points(omega, torque, inertia)
+        if not omega.shape == torque.shape == inertia.shape == (3,):
+            raise DimensionMismatch(f"omega, torque and inertia must have shape (3,), got "
+                                    f"{omega.shape}, {torque.shape} and {inertia.shape}")
+        w, m, i = omega.tolist(), torque.tolist(), inertia.tolist()
         # the inertia check on the floats at hand; _check_inertia names the fault
         if not (i[0] > 0 and i[1] > 0 and i[2] > 0):
             _check_inertia(inertia)
@@ -333,15 +320,13 @@ def rotational_energy(omega, inertia):
     """Kinetic energy of the spinning body, (1/2) * sum_i I_i * w_i^2.
 
     ``omega`` may be one state or a block of shape (..., 3); the result has
-    one energy per row, shape (...).
+    one energy per row, shape (...), summed elementwise with no BLAS call, so
+    a block's energies equal its rows' bit for bit under any BLAS kernel.
     """
     inertia = _check_inertia(inertia)
     omega = _check_omega(omega)
-    # one (1, 3) @ (3,) product per row: numpy evaluates each with the same
-    # dot routine as ``inertia @ (omega * omega)``, so a block's energies equal
-    # its rows' bit for bit (an einsum or a (T, 3) @ (3,) product rounds
-    # differently)
-    return 0.5 * ((omega * omega)[..., None, :] @ inertia)[..., 0]
+    t = omega * omega * inertia
+    return 0.5 * ((t[..., 0] + t[..., 1]) + t[..., 2])
 
 
 def rotational_energy_gradient(omega, inertia) -> Array:

@@ -272,6 +272,15 @@ class TestDataset:
             save_dataset(path, Dataset(np.zeros((2, 1)), np.zeros((2, 1))), n_x=n_x)
         assert not path.exists()
 
+    @pytest.mark.parametrize("n_u,n_z,name", [(0, 1, "n_u"), (1, 0, "n_z")])
+    def test_save_refuses_a_dataset_without_inputs_or_observations(self, tmp_path, n_u, n_z,
+                                                                   name):
+        # load_dataset refuses the n_u=0 or n_z=0 such a dataset would write
+        path = tmp_path / "data.csv"
+        with pytest.raises(DimensionMismatch, match=rf"{name} must be an integer >= 1, got 0"):
+            save_dataset(path, Dataset(np.zeros((3, n_u)), np.zeros((3, n_z))), n_x=1)
+        assert not path.exists()
+
     @pytest.mark.parametrize("counts,header", [
         pytest.param("n_x=-2 n_u=0 n_z=1", "k,z_1", id="negative-n_x-no-inputs"),
         pytest.param("n_x=1 n_u=1 n_z=0", "k,u_1", id="no-observations")])

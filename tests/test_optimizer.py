@@ -1,7 +1,11 @@
 """ADAM updates and the identification loop."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,27 @@ class TestIdentify:
                            + report.grad_x0 @ report.grad_x0)
         assert record.grad_norm == pytest.approx(expected, rel=1e-12)
 
+    def test_every_grad_norm_is_the_fsum_of_its_squares(self):
+        # correctly rounded sum, so no BLAS kernel decides the norm's bits
+        model, dataset = attitude_dataset(seed=1)
+        spec = LossSpec.scaled_identity(3, len(dataset))
+        run = identify(model, dataset, spec, 1.05 * ATTITUDE_THETA, ATTITUDE_OMEGA0,
+                       IdentifyOptions(max_epochs=40))
+        for record in run.history:
+            trajectory = rollout(model, record.x0, record.theta, dataset.inputs)
+            report = gradient(model, trajectory, dataset, spec, record.theta)
+            squares = np.concatenate([report.grad_theta, report.grad_x0]) ** 2
+            assert record.grad_norm == math.sqrt(math.fsum(squares.tolist()))
+
+    def test_grad_norm_past_the_float_range_is_inf(self):
+        # finite squares 3.6e307 and 1.44e308 whose sum passes the largest
+        # float: math.fsum raises there, and the run records an infinite norm
+        model = scalar_linear_model()
+        dataset = Dataset(np.zeros((2, 1)), np.full((2, 1), -6e153))
+        spec = LossSpec.scaled_identity(1, 2)
+        run = identify(model, dataset, spec, [1.0], [1.0], IdentifyOptions(max_epochs=1))
+        assert run.history[0].grad_norm == math.inf
+
 
 def two_state_reference(model, dataset, spec, theta, x0, options):
     """The identification loop with one ADAM state for theta and one for x0:
@@ -273,7 +298,8 @@ def two_state_reference(model, dataset, spec, theta, x0, options):
             adam_x0 = replace(adam_x0, lr=adam_x0.lr / 2.0)
         else:
             grad_theta, grad_x0 = report.grad_theta, report.grad_x0
-            grad_norm = np.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+            grad = np.concatenate([grad_theta, grad_x0])
+            grad_norm = math.sqrt(math.fsum((grad * grad).tolist()))
             rows.append((report.cost, grad_norm, theta.copy(), x0.copy()))
             if epoch >= options.max_epochs:
                 return rows, rejected
@@ -364,7 +390,7 @@ def restore_and_retry_reference(model, dataset, spec, theta0, x0, options):
             consecutive = 0
             grad_theta, grad_x0 = report.grad_theta, report.grad_x0
             grad = np.concatenate([grad_theta, grad_x0])
-            grad_norm = math.sqrt(float(grad_theta @ grad_theta) + float(grad_x0 @ grad_x0))
+            grad_norm = math.sqrt(math.fsum((grad * grad).tolist()))
             history.append(HistoryRecord(epoch=epoch, cost=report.cost,
                                          grad_norm=grad_norm,
                                          theta=p[:n_theta].copy(), x0=p[n_theta:].copy()))
@@ -646,3 +672,59 @@ class TestValidation:
     def test_nan_and_non_integer_arguments_are_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+# One energy-penalized attitude fit in a fresh process.  Prints the kernel
+# that numpy's bundled OpenBLAS reports (empty when it cannot be read), then
+# a sha256 over every history record's cost, grad_norm, theta and x0, and
+# theta_hat.
+KERNEL_SCRIPT = r"""
+import ctypes, hashlib, pathlib, sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+from msid import LossSpec, PenaltySpec, identify, rotational_energy, rotational_energy_term
+from msid.optimizer import IdentifyOptions
+from conftest import ATTITUDE_THETA, attitude_dataset, perturbed_init
+
+core = ""
+for path in (pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+    try:
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        continue
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    core = corename().decode()
+print(core, flush=True)
+model, dataset = attitude_dataset(seed=1, horizon=50)
+reference = float(rotational_energy(dataset.observations[0], ATTITUDE_THETA))
+penalty = PenaltySpec((rotational_energy_term(ATTITUDE_THETA, reference),))
+spec = LossSpec.scaled_identity(3, len(dataset), penalty=penalty)
+theta0, x0 = perturbed_init(1)
+run = identify(model, dataset, spec, theta0, x0, IdentifyOptions(max_epochs=40))
+digest = hashlib.sha256()
+for r in run.history:
+    digest.update(np.array([r.cost, r.grad_norm]).tobytes() + r.theta.tobytes() + r.x0.tobytes())
+digest.update(run.theta_hat.tobytes())
+print(digest.hexdigest())
+"""
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fit_under_kernel(coretype):
+    """(kernel name, fit hash) of KERNEL_SCRIPT under ``OPENBLAS_CORETYPE``."""
+    result = subprocess.run(
+        [sys.executable, "-c", KERNEL_SCRIPT, str(ROOT / "src"), str(ROOT / "tests")],
+        env=dict(os.environ, OPENBLAS_CORETYPE=coretype),
+        capture_output=True, text=True, timeout=300)
+    if result.returncode < 0:  # e.g. SIGILL: a kernel this CPU cannot run
+        pytest.skip(f"the {coretype} kernel stopped with signal {-result.returncode}")
+    assert result.returncode == 0, result.stderr
+    core, digest = result.stdout.splitlines()
+    return core, digest
+
+
+def test_fit_does_not_depend_on_the_blas_kernel():
+    (first, first_hash), (second, second_hash) = map(fit_under_kernel, ("SkylakeX", "Haswell"))
+    if not first or first == second:
+        pytest.skip(f"no two OpenBLAS kernels to compare (reported {first!r} and {second!r})")
+    assert first_hash == second_hash
