@@ -655,6 +655,15 @@ class TestRotationalEnergy:
         end = rotational_energy(trajectory.states[-1], ATTITUDE_THETA)
         assert abs(end - start) / start < 1e-4
 
+    @pytest.mark.parametrize("inertia, error", [
+        ([0.0, 1.0, 1.0], NonPositiveInertia), ([-1.0, 1.0, 1.0], NonPositiveInertia),
+        ([np.nan, 1.0, 1.0], NonPositiveInertia), ([1.0, 1.0], DimensionMismatch)])
+    def test_energy_term_refuses_a_bad_inertia_when_built(self, inertia, error):
+        # the term freezes its inertia: a bad one is named when the term is
+        # built, not at its first evaluation inside a fit
+        with pytest.raises(error):
+            rotational_energy_term(inertia, reference=0.0)
+
     def test_energy_term_wiring(self):
         term = rotational_energy_term(ATTITUDE_THETA, reference=0.0, weight=2.0)
         omega = np.array([0.1, 0.2, 0.3])
@@ -674,3 +683,12 @@ class TestMomentumBalance:
             rates = euler_step(omega, torque, inertia, 1.0, "forward_euler") - omega
             balance = inertia * rates + np.cross(omega, inertia * omega) - torque
             assert np.max(np.abs(balance)) <= 1e-12
+
+    def test_forward_euler_rates_of_a_block_solve_momentum_balance(self):
+        # the block branch runs the same formulas on columns: every row holds
+        rng = np.random.default_rng(7)
+        omega, torque = rng.normal(size=(2, 50, 3))
+        inertia = rng.uniform(0.1, 1.0, (50, 3))
+        rates = euler_step(omega, torque, inertia, 1.0, "forward_euler") - omega
+        balance = inertia * rates + np.cross(omega, inertia * omega) - torque
+        assert np.max(np.abs(balance)) <= 1e-12
